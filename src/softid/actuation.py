@@ -17,6 +17,14 @@ Array = np.ndarray
 FD_STEP = 1e-6
 
 
+def _difference(fn, q: Array, k: int) -> Array:
+    """Central difference of ``fn`` along coordinate k."""
+    h = FD_STEP * max(1.0, abs(float(q[k])))
+    dq = np.zeros(q.shape[0])
+    dq[k] = h
+    return (fn(q + dq) - fn(q - dq)) / (2.0 * h)
+
+
 class ActuationMap:
     """Base: supplies per-input scalar functions of the configuration."""
 
@@ -29,13 +37,12 @@ class ActuationMap:
     def matrix(self, chain: ChainModel, q: Array) -> Array:
         """Projection A(q), shape (n, n_inputs), by central differences."""
         (q,) = chain.check_state(q)
-        A = np.empty((chain.n, self.n_inputs))
-        for k in range(chain.n):
-            h = FD_STEP * max(1.0, abs(float(q[k])))
-            dq = np.zeros(chain.n)
-            dq[k] = h
-            A[k] = (self.lengths(chain, q + dq) - self.lengths(chain, q - dq)) / (2.0 * h)
-        return A
+        along = self._lengths_along(chain, q)
+        return np.stack([_difference(along(k), q, k) for k in range(chain.n)])
+
+    def _lengths_along(self, chain: ChainModel, q: Array):
+        """k -> the lengths as a function of the configuration near q along q_k."""
+        return lambda k: lambda qv: self.lengths(chain, qv)
 
     def force(self, chain: ChainModel, q: Array, u: Array) -> Array:
         return self.matrix(chain, q) @ np.asarray(u, dtype=float)
@@ -63,14 +70,32 @@ class TendonActuation(ActuationMap):
             self.tendons.append((body_ids, np.stack(pts)))
         self.n_inputs = len(self.tendons)
 
-    def lengths(self, chain: ChainModel, q: Array) -> Array:
-        per_body = {i: [] for i in range(len(chain))}
+    def _point_sets(self, n_bodies: int) -> list[Array]:
+        per_body = {i: [] for i in range(n_bodies)}
         for body_ids, pts in self.tendons:
             for bi, x in zip(body_ids, pts):
                 if bi >= 0:
                     per_body[bi].append(x)
-        point_sets = [np.stack(per_body[i]) if per_body[i] else np.zeros((0, 3)) for i in range(len(chain))]
-        world = chain_points(chain, q, point_sets)
+        return [np.stack(per_body[i]) if per_body[i] else np.zeros((0, 3)) for i in range(n_bodies)]
+
+    def _lengths_along(self, chain: ChainModel, q: Array):
+        # q_k moves the body map of its own link only: the others keep their solve at q
+        pts = self._point_sets(len(chain))
+        at_q = [lk.body.place(chain.split(i, q)[1], pts[i]) for i, lk in enumerate(chain.links)]
+        owner = np.repeat(np.arange(len(chain)), [lk.n_dof for lk in chain.links])
+
+        def along(k):
+            placed = at_q.copy()
+            placed[owner[k]] = None
+            return lambda qv: self._path_lengths(chain, chain_points(chain, qv, pts, placed))
+
+        return along
+
+    def lengths(self, chain: ChainModel, q: Array) -> Array:
+        return self._path_lengths(chain, chain_points(chain, q, self._point_sets(len(chain))))
+
+    def _path_lengths(self, chain: ChainModel, world: list[Array]) -> Array:
+        """Tendon lengths from the base-frame via points of each body."""
         cursor = [0] * len(chain)
         out = np.empty(self.n_inputs)
         for t, (body_ids, pts) in enumerate(self.tendons):

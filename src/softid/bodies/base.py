@@ -39,19 +39,37 @@ class BodyModel:
 
     _node_cache: tuple[Array, Array] | None = None
 
-    def position(self, x: Array, q: Array) -> Array:
+    def solve(self, x: Array, q: Array):
+        """Solution of the body map at (x, q) that the methods below take as
+        ``sol`` instead of solving again; None (the default) shares nothing."""
+        return None
+
+    def position(self, x: Array, q: Array, sol=None) -> Array:
         """Deformed position f(x, q) for material points x (m, 3) -> (m, 3)."""
         raise NotImplementedError
 
-    def jac_q(self, x: Array, q: Array) -> Array:
+    def jac_q(self, x: Array, q: Array, sol=None) -> Array:
         """Configuration Jacobian df/dq, shape (m, 3, n_dof)."""
-        return self._fd_jac_q(x, q)
+        q = np.asarray(q, dtype=float)
+        out = np.empty((x.shape[0], 3, self.n_dof))
+        h = FD_Q_STEP * max(1.0, float(np.linalg.norm(q)))
+        for k in range(self.n_dof):
+            dq = np.zeros(self.n_dof)
+            dq[k] = h
+            out[:, :, k] = (self.position(x, q + dq) - self.position(x, q - dq)) / (2.0 * h)
+        return out
 
-    def jac_x(self, x: Array, q: Array) -> Array:
+    def jac_x(self, x: Array, q: Array, sol=None) -> Array:
         """Material Jacobian df/dx (deformation gradient), shape (m, 3, 3)."""
-        return self._fd_jac_x(x, q)
+        out = np.empty((x.shape[0], 3, 3))
+        h = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0)
+        for c in range(3):
+            dx = np.zeros(3)
+            dx[c] = h
+            out[:, :, c] = (self.position(x + dx, q) - self.position(x - dx, q)) / (2.0 * h)
+        return out
 
-    def jac_x_dq(self, x: Array, q: Array) -> Array:
+    def jac_x_dq(self, x: Array, q: Array, sol=None) -> Array:
         """Configuration derivative of the deformation gradient, (m, 3, 3, n_dof).
 
         Entry [p, a, b, j] is d^2 f_a / dx_b dq_j.  Default: central
@@ -66,7 +84,7 @@ class BodyModel:
             out[..., k] = (self.jac_x(x, q + dq) - self.jac_x(x, q - dq)) / (2.0 * h)
         return out
 
-    def hess_x(self, x: Array, q: Array) -> Array:
+    def hess_x(self, x: Array, q: Array, sol=None) -> Array:
         """Second material derivatives d2f/dx dx, shape (m, 3, 3, 3).
 
         Entry [p, a, b, c] is d^2 f_a / dx_b dx_c.  Default: central
@@ -79,27 +97,6 @@ class BodyModel:
             dx[c] = h
             cols.append((self.jac_x(x + dx, q) - self.jac_x(x - dx, q)) / (2.0 * h))
         return np.stack(cols, axis=-1)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _fd_jac_q(self, x: Array, q: Array) -> Array:
-        q = np.asarray(q, dtype=float)
-        out = np.empty((x.shape[0], 3, self.n_dof))
-        h = FD_Q_STEP * max(1.0, float(np.linalg.norm(q)))
-        for k in range(self.n_dof):
-            dq = np.zeros(self.n_dof)
-            dq[k] = h
-            out[:, :, k] = (self.position(x, q + dq) - self.position(x, q - dq)) / (2.0 * h)
-        return out
-
-    def _fd_jac_x(self, x: Array, q: Array) -> Array:
-        out = np.empty((x.shape[0], 3, 3))
-        h = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0)
-        for c in range(3):
-            dx = np.zeros(3)
-            dx[c] = h
-            out[:, :, c] = (self.position(x + dx, q) - self.position(x - dx, q)) / (2.0 * h)
-        return out
 
     def nodes(self) -> tuple[Array, Array]:
         """Cached quadrature points (m, 3) and volume weights (m,)."""
@@ -134,14 +131,14 @@ class RigidBody(BodyModel):
     elastic_modulus = None
     viscosity = None
 
-    def position(self, x, q):
+    def position(self, x, q, sol=None):
         return np.asarray(x, dtype=float)
 
-    def jac_q(self, x, q):
+    def jac_q(self, x, q, sol=None):
         return np.zeros((x.shape[0], 3, 0))
 
-    def jac_x(self, x, q):
+    def jac_x(self, x, q, sol=None):
         return np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
 
-    def hess_x(self, x, q):
+    def hess_x(self, x, q, sol=None):
         return np.zeros((x.shape[0], 3, 3, 3))

@@ -4,8 +4,9 @@ All quantities live in the body's contact frame {S_i} and split every point
 as p = r + p_com with the discrete centroid property sum(w r rho) = 0 holding
 to machine precision, because the center of mass is computed with the same
 rule.  Velocities of material points are configuration-Jacobian contractions
-r_dot = (dr/dq) qd; accelerations add the Jacobian rate obtained by central
-differencing the analytic Jacobian along the velocity direction.
+r_dot = (dr/dq) qd; accelerations add the Jacobian rate, which the forward
+pass differences along the velocity direction together with the link
+Jacobians.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..spatial import cross
 
 Array = np.ndarray
 
-JAC_RATE_STEP = 1e-6
 CENTROID_TOL = 1e-6
 
 
@@ -49,55 +49,38 @@ class BodyInertialData:
     # node-level arrays kept for the stress pass and diagnostics
     nodes: Array = field(repr=False, default=None)
     weights_mass: Array = field(repr=False, default=None)
-    framed_points: Array = field(repr=False, default=None)
-    framed_jac: Array = field(repr=False, default=None)
     r: Array = field(repr=False, default=None)
     rdot: Array = field(repr=False, default=None)
+    ev: "BodyEval" = field(repr=False, default=None)  # noqa: F821  (kinematics) framed nodes
 
 
-def body_integrals(body, qb, qdb=None, qddb=None, order=None) -> BodyInertialData:
+def body_integrals(body, qb, qdb=None, qddb=None, ev=None, jac_rate=None) -> BodyInertialData:
     """Evaluate all inertial integrals of ``body`` at one configuration state.
 
     ``body`` is a framed body (kinematics.BodyHandle); a bare body model is
-    accepted and treated as free-tip (identity contact frame).
+    accepted and treated as free-tip (identity contact frame).  The forward
+    pass supplies the handle's evaluation ``ev`` at qb and the time rate
+    ``jac_rate`` of its node Jacobian; omitted, they are computed here.
     """
-    from ..kinematics import BodyHandle
+    from ..kinematics import BodyHandle, unit_rate
 
     handle = body if isinstance(body, BodyHandle) else BodyHandle(body, free_tip=True)
+    if handle.rigid is not None:
+        return handle.rigid[1]
     model = handle.model
     n = model.n_dof
     qb = model.check_q(qb if qb is not None else np.zeros(n))
     qdb = np.zeros(n) if qdb is None else np.asarray(qdb, dtype=float)
     qddb = np.zeros(n) if qddb is None else np.asarray(qddb, dtype=float)
+    if ev is None:
+        ev = handle.evaluate(qb)
+    if jac_rate is None:
+        (jac_rate,) = unit_rate(lambda qs: (handle.evaluate(qs).jac,), qb, qdb, (ev.jac,))
 
-    # rigid bodies have configuration-independent integrals
-    rigid_key = None
-    if n == 0:
-        rigid_key = (float(model.rho), repr(order if order is not None else model.quadrature_order))
-        cached = getattr(handle, "_rigid_cache", None)
-        if cached is not None and cached[0] == rigid_key:
-            return cached[1]
-
-    if order is None:
-        pts, w = model.nodes()
-    else:
-        pts, w = model.domain.nodes(order)
+    pts, w = model.nodes()
     wm = w * model.rho
     mass = float(wm.sum())
-
-    ip, Jp = handle.framed_jacobian(pts, qb)
-    speed = float(np.linalg.norm(qdb)) if n else 0.0
-    if speed > 0.0:
-        # difference along the unit direction and scale by the speed: the
-        # Jacobian rate is linear in qd, and a fixed-size perturbation keeps
-        # the cancellation noise independent of |qd|
-        h = JAC_RATE_STEP * max(1.0, float(np.linalg.norm(qb)))
-        unit = qdb / speed
-        _, Jp_p = handle.framed_jacobian(pts, qb + h * unit)
-        _, Jp_m = handle.framed_jacobian(pts, qb - h * unit)
-        Jp_dot = (speed / (2.0 * h)) * (Jp_p - Jp_m)
-    else:
-        Jp_dot = np.zeros_like(Jp)
+    ip, Jp, Jp_dot = ev.points, ev.jac, jac_rate
 
     p_com = (wm @ ip) / mass
     jac_com = np.einsum("m,maj->aj", wm, Jp) / mass
@@ -141,7 +124,7 @@ def body_integrals(body, qb, qdb=None, qddb=None, order=None) -> BodyInertialDat
 
     gram = np.einsum("m,maj,mak->jk", wm, Jr, Jr)
 
-    data = BodyInertialData(
+    return BodyInertialData(
         mass=mass,
         p_com=p_com, pdot_com=pdot_com, pddot_com=pddot_com,
         jac_com=jac_com, jacdot_com=jacdot_com,
@@ -149,9 +132,5 @@ def body_integrals(body, qb, qdb=None, qddb=None, order=None) -> BodyInertialDat
         mom_rd=mom_rd, mom_rdd=mom_rdd, jac_mom_rd=jac_mom_rd,
         proj_rdd=proj_rdd, proj_cor=proj_cor,
         inertia_grad=inertia_grad, gram=gram,
-        nodes=pts, weights_mass=wm, framed_points=ip, framed_jac=Jp,
-        r=r, rdot=rdot,
+        nodes=pts, weights_mass=wm, r=r, rdot=rdot, ev=ev,
     )
-    if rigid_key is not None:
-        handle._rigid_cache = (rigid_key, data)
-    return data

@@ -380,14 +380,14 @@ class LvpBody(BodyModel):
         self.viscosity = viscosity
         self.quadrature_order = quadrature_order
 
-    def position(self, x, q):
+    def position(self, x, q, sol=None):
         y = np.asarray(x, dtype=float)
         q = self.check_q(q)
         for p in self.primitives:
             y = p.apply(y, q)
         return y
 
-    def jac_x(self, x, q):
+    def jac_x(self, x, q, sol=None):
         y = np.asarray(x, dtype=float)
         q = self.check_q(q)
         m = y.shape[0]
@@ -397,7 +397,7 @@ class LvpBody(BodyModel):
             y = p.apply(y, q)
         return total
 
-    def jac_q(self, x, q):
+    def jac_q(self, x, q, sol=None):
         y = np.asarray(x, dtype=float)
         q = self.check_q(q)
         m = y.shape[0]

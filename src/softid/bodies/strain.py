@@ -279,32 +279,12 @@ class CosseratRodBody(BodyModel):
         self.viscosity = viscosity
         self.quadrature_order = quadrature_order
         self.backbone_steps = int(backbone_steps)
-        self._frame_memo: dict = {}
-        self._split_memo: dict = {}
 
     @property
     def n_dof(self) -> int:
         return self.basis.n_dof
 
     # -- frame solution ------------------------------------------------------
-
-    def _frames(self, s_unique: Array, q: Array):
-        """Frames and their q-Jacobians at sorted arclengths.
-
-        Returns (R (k,3,3), c (k,3), dR (k,3,3,n), dc (k,3,n)).
-        """
-        key = (q.tobytes(), s_unique.tobytes())
-        hit = self._frame_memo.get(key)
-        if hit is not None:
-            return hit
-        if self.basis.is_constant:
-            out = self._frames_closed_form(s_unique, q)
-        else:
-            out = self._frames_magnus(s_unique, q)
-        if len(self._frame_memo) > 16:
-            self._frame_memo.clear()
-        self._frame_memo[key] = out
-        return out
 
     def _frames_closed_form(self, s: Array, q: Array):
         """Constant strain: the frame at s is exp(s xi), one exponential per point."""
@@ -369,21 +349,19 @@ class CosseratRodBody(BodyModel):
         return (T[:, :3, :3], T[:, :3, 3],
                 np.moveaxis(dT[:, :, :3, :3], 1, -1), np.moveaxis(dT[:, :, :3, 3], 1, -1))
 
-    def _frames_at(self, x: Array, q: Array):
-        x = np.asarray(x, dtype=float)
-        cached = self._split_memo.get(id(x))
-        if cached is not None and cached[0] is x:
-            _, s_unique, inv = cached
-        else:
-            s = x[:, 2]
-            s_unique, inv = np.unique(s, return_inverse=True)
-            if s_unique.size and (s_unique[0] < -1e-12 or s_unique[-1] > self.length + 1e-9):
-                raise ValueError("material x3 outside [0, L0]")
-            s_unique = np.clip(s_unique, 0.0, self.length)
-            if len(self._split_memo) > 8:
-                self._split_memo.clear()
-            self._split_memo[id(x)] = (x, s_unique, inv)
-        R, c, dR, dc = self._frames(s_unique, q)
+    def solve(self, x, q):
+        """Backbone frames and their q-Jacobians at the arclengths x3 of x.
+
+        One frame solve over the distinct arclengths, spread back to the
+        points: (R (m,3,3), c (m,3), dR (m,3,3,n), dc (m,3,n)).
+        """
+        q = self.check_q(q)
+        s_unique, inv = np.unique(np.asarray(x, dtype=float)[:, 2], return_inverse=True)
+        if s_unique.size and (s_unique[0] < -1e-12 or s_unique[-1] > self.length + 1e-9):
+            raise ValueError("material x3 outside [0, L0]")
+        s_unique = np.clip(s_unique, 0.0, self.length)
+        frames = self._frames_closed_form if self.basis.is_constant else self._frames_magnus
+        R, c, dR, dc = frames(s_unique, q)
         return R[inv], c[inv], dR[inv], dc[inv]
 
     # -- kinematic map ---------------------------------------------------------
@@ -398,16 +376,16 @@ class CosseratRodBody(BodyModel):
         """dq-Jacobian of :meth:`cross_section`; None when independent of q."""
         return None
 
-    def position(self, x, q):
+    def position(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, c, _, _ = self._frames_at(x, q)
+        R, c, _, _ = self.solve(x, q) if sol is None else sol
         return c + np.einsum("kab,kb->ka", R, self.cross_section(x, q))
 
-    def jac_q(self, x, q):
+    def jac_q(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, dR, dc = self._frames_at(x, q)
+        R, _, dR, dc = self.solve(x, q) if sol is None else sol
         u = self.cross_section(x, q)
         out = dc + np.einsum("kabj,kb->kaj", dR, u)
         du = self.cross_section_jac_q(x, q)
@@ -415,53 +393,53 @@ class CosseratRodBody(BodyModel):
             out = out + np.einsum("kab,kbj->kaj", R, du)
         return out
 
-    def jac_x(self, x, q):
+    def jac_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, _, _ = self._frames_at(x, q)
+        R, _, _, _ = self.solve(x, q) if sol is None else sol
         s = x[:, 2]
         xi = self.basis.strains(s, q)
         u = self.cross_section(x, q)
         # f' along s: R (sigma + kappa x u); transverse: R e1, R e2
-        tangent = xi[:, 3:] + np.cross(xi[:, :3], u)
+        tangent = xi[:, 3:] + cross(xi[:, :3], u)
         out = np.empty((x.shape[0], 3, 3))
         out[:, :, 0] = R[:, :, 0]
         out[:, :, 1] = R[:, :, 1]
         out[:, :, 2] = np.einsum("kab,kb->ka", R, tangent)
         return out
 
-    def jac_x_dq(self, x, q):
+    def jac_x_dq(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, dR, _ = self._frames_at(x, q)
+        R, _, dR, _ = self.solve(x, q) if sol is None else sol
         s = x[:, 2]
         xi = self.basis.strains(s, q)
         phi = self.basis.matrix(s)  # (m, 6, n)
         u = self.cross_section(x, q)
-        tangent = xi[:, 3:] + np.cross(xi[:, :3], u)
-        d_tangent = phi[:, 3:] + np.cross(np.swapaxes(phi[:, :3], 1, 2), u[:, None, :]).transpose(0, 2, 1)
+        tangent = xi[:, 3:] + cross(xi[:, :3], u)
+        d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[:, None, :]).transpose(0, 2, 1)
         out = np.empty((x.shape[0], 3, 3, self.n_dof))
         out[:, :, 0] = dR[:, :, 0]
         out[:, :, 1] = dR[:, :, 1]
         out[:, :, 2] = np.einsum("kabj,kb->kaj", dR, tangent) + R @ d_tangent
         return out
 
-    def hess_x(self, x, q):
+    def hess_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, _, _ = self._frames_at(x, q)
+        R, _, _, _ = self.solve(x, q) if sol is None else sol
         s = x[:, 2]
         xi = self.basis.strains(s, q)
         dxi = self.basis.strains_ds(s, q)
         kap, sig = xi[:, :3], xi[:, 3:]
         u = self.cross_section(x, q)
         out = np.zeros((x.shape[0], 3, 3, 3))
-        d13 = np.einsum("kab,kb->ka", R, np.cross(kap, np.broadcast_to([1.0, 0, 0], kap.shape)))
-        d23 = np.einsum("kab,kb->ka", R, np.cross(kap, np.broadcast_to([0, 1.0, 0], kap.shape)))
+        d13 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([1.0, 0, 0], kap.shape)))
+        d23 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([0, 1.0, 0], kap.shape)))
         d33 = np.einsum(
             "kab,kb->ka",
             R,
-            np.cross(kap, sig + np.cross(kap, u)) + dxi[:, 3:] + np.cross(dxi[:, :3], u),
+            cross(kap, sig + cross(kap, u)) + dxi[:, 3:] + cross(dxi[:, :3], u),
         )
         out[:, :, 0, 2] = out[:, :, 2, 0] = d13
         out[:, :, 1, 2] = out[:, :, 2, 1] = d23
@@ -526,12 +504,12 @@ class VariableRadiusPccBody(CosseratRodBody):
         du[:, 1, 2:] = x[:, 1, None] * g / self.radius
         return du
 
-    def jac_x(self, x, q):
+    def jac_x(self, x, q, sol=None):
         # radial gain varies with x; fall back to differences of the position map
-        return self._fd_jac_x(np.asarray(x, dtype=float), self.check_q(q))
+        return BodyModel.jac_x(self, np.asarray(x, dtype=float), self.check_q(q))
 
-    def jac_x_dq(self, x, q):
+    def jac_x_dq(self, x, q, sol=None):
         return BodyModel.jac_x_dq(self, x, q)
 
-    def hess_x(self, x, q):
+    def hess_x(self, x, q, sol=None):
         return BodyModel.hess_x(self, x, q)

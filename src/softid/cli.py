@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import model_io, oracle
+from . import model_io
 from .dynamics import chain_dynamics
 from .errors import SoftIDError
 from .harness import benchmark_scaling, simulate, solve_statics
@@ -31,17 +31,19 @@ EXIT_NONCONVERGENCE = 4
 VERIFY_MAX_DOF = 24
 
 
+def _document(args):
+    """The model document, with ``--quadrature-order`` written into every body."""
+    doc = model_io.load_document(args.model)
+    order = args.quadrature_order
+    if order is not None and isinstance(doc, dict):
+        for link in doc.get("links") or ():
+            if isinstance(link, dict) and isinstance(link.get("body"), dict):
+                link["body"]["quadrature_order"] = order[0] if len(order) == 1 else order
+    return doc
+
+
 def _load_model(args):
-    chain = model_io.load_chain(args.model)
-    if args.quadrature_order is not None:
-        order = args.quadrature_order
-        order = int(order[0]) if len(order) == 1 else tuple(int(o) for o in order)
-        for lk in chain.links:
-            lk.body.model.quadrature_order = order
-            lk.body.model._node_cache = None
-    if args.fd_step is not None:
-        oracle.FD_CONF_STEP = float(args.fd_step)
-    return chain
+    return model_io.parse_chain(_document(args))
 
 
 def _load_state(path, n):
@@ -66,12 +68,7 @@ def _write_json(path, payload):
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.model) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    doc = _document(args)
     findings = model_io.validate_document(doc)
     if findings:
         for line in findings:
@@ -130,8 +127,7 @@ def cmd_simulate(args) -> int:
     rows = np.column_stack([traj.t, traj.q, traj.qd, traj.kinetic, traj.potential, traj.dissipated])
     _write_csv(args.output, header, rows)
     if traj.aborted_at is not None:
-        print(f"error: simulation aborted at step {traj.aborted_at} (non-finite state)",
-              file=sys.stderr)
+        print(f"error: simulation aborted at step {traj.aborted_at}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 
@@ -153,9 +149,6 @@ def cmd_statics(args) -> int:
 
 def cmd_benchmark(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    if args.jobs != 1:
-        print("note: --jobs > 1 degrades timing fidelity; running sequentially",
-              file=sys.stderr)
     rows = benchmark_scaling(sizes, trials=args.trials, seed=args.seed)
     header = ["n_bodies", "build_seconds", "recursive_median_ns", "recursive_std_ns",
               "oracle_median_ns", "oracle_std_ns", "rel_diff_mean", "rel_diff_std"]
@@ -188,10 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, model=True):
         if model:
             p.add_argument("model", help="chain description JSON file")
-        p.add_argument("--quadrature-order", type=float, nargs="+", default=None,
+        p.add_argument("--quadrature-order", type=int, nargs="+", default=None,
                        metavar="N", help="override per-body quadrature order (1 or 3 values)")
-        p.add_argument("--fd-step", type=float, default=None,
-                       help="override the oracle configuration FD step")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled states")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
@@ -228,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, model=False)
     p.add_argument("--sizes", default="2,4,8", help="comma-separated body counts")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count (kept at 1 for timing fidelity)")
     p.set_defaults(func=cmd_benchmark)
     return parser
 

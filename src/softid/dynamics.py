@@ -4,8 +4,7 @@ and the IID / ID / MIID / MID algorithms.
 Conventions.  All algorithms return left-hand-side quantities of
 M qdd + c + g + s = nu: ``iid`` returns M qdd + c, ``inverse_dynamics``
 returns nu.  These are the negatives of the generalized inertial/active
-forces of the Kane formulation, which remain available through
-:func:`kane_forces` for oracle-facing diagnostics.
+forces of the Kane formulation.
 
 The mass-augmented variants propagate zero-velocity Jacobians of the
 acceleration recursion forward and of the wrench recursion backward, so the
@@ -15,7 +14,7 @@ vector.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,7 @@ from .spatial import cross, skew, vec_kron_contract
 
 Array = np.ndarray
 
-logger = logging.getLogger(__name__)
-
 _COMPONENTS = ("inertial", "gravity", "elastic", "damping")
-_warned_fd_hessian: set[int] = set()
 
 
 @dataclass
@@ -82,14 +78,14 @@ def gravity_terms(data: BodyInertialData, R_base: Array, gravity: Array, n_joint
     return F, pi
 
 
-def _div_green(model, pts: Array, qb: Array) -> Array:
+def _div_green(model, x: Array, qb: Array, sol=None) -> Array:
     """Row-wise divergence of the Green tensor B = (df/dx)(df/dx)^T, (m, 3)."""
-    F = model.jac_x(pts, qb)
-    H = model.hess_x(pts, qb)
+    F = model.jac_x(x, qb, sol)
+    H = model.hess_x(x, qb, sol)
     return np.einsum("macb,mbc->ma", H, F) + np.einsum("mac,mbcb->ma", F, H)
 
 
-def stress_terms(body, qb: Array, qdb: Array | None = None, order=None,
+def stress_terms(body, qb: Array, qdb: Array | None = None,
                  data: BodyInertialData | None = None, n_joint: int = 0):
     """Visco-elastic stress wrenches and projections of one body.
 
@@ -113,27 +109,30 @@ def stress_terms(body, qb: Array, qdb: Array | None = None, order=None,
     qb = model.check_q(qb)
     qdb = np.zeros(model.n_dof) if qdb is None else np.asarray(qdb, dtype=float)
     if data is None:
-        data = body_integrals(handle, qb, qdb, order=order)
-    if not model.has_analytic_hess_x and id(model) not in _warned_fd_hessian:
-        _warned_fd_hessian.add(id(model))
-        logger.warning(
-            "%s has no analytic second material derivatives; "
+        data = body_integrals(handle, qb)
+    if model.has_analytic_hess_x:
+        # reuse the sweep's solve on the stacked points, then drop the anchors
+        x, sol, k = handle.points, data.ev.sol, handle.n_anchors
+    else:
+        # differences in x would step the anchors off the end face: nodes only
+        warnings.warn(
+            f"{type(model).__name__} has no analytic second material derivatives; "
             "stress divergence falls back to finite differences",
-            type(model).__name__,
+            RuntimeWarning, stacklevel=2,
         )
+        x, sol, k = data.nodes, None, 0
 
-    pts, w = (data.nodes, data.weights_mass / model.rho)
+    w = data.weights_mass / model.rho
     C = model.elastic_modulus
-    dens_e = 2.0 * C * _div_green(model, pts, qb)
+    dens_e = 2.0 * C * _div_green(model, x, qb, sol)[k:]
     damping = zero
     if model.viscosity is not None and np.any(qdb):
-        dF = model.jac_x_dq(pts, qb)  # (m, 3, 3, n_body)
+        dF = model.jac_x_dq(x, qb, sol)[k:]  # (m, 3, 3, n_body)
         pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,mabj,mab->j", w, dF, dF @ qdb)
         damping = (np.zeros(3), np.zeros(3), np.concatenate([np.zeros(n_joint), pi_d]))
 
-    R_c, _, _, _ = handle.contact_frame_data(qb)
-    dens_e = dens_e @ R_c  # rotate per-node densities into {S_i}
-    pi_e = np.einsum("m,maj,ma->j", w, data.framed_jac, dens_e)
+    dens_e = dens_e @ data.ev.frame[0]  # rotate per-node densities into {S_i}
+    pi_e = np.einsum("m,maj,ma->j", w, data.ev.jac, dens_e)
     elastic = (w @ dens_e, w @ cross(data.r, dens_e), np.concatenate([np.zeros(n_joint), pi_e]))
     return elastic, damping
 
@@ -318,18 +317,3 @@ def miid(chain: ChainModel, q, qd, qdd) -> DynamicsResult:
 def mid(chain: ChainModel, q, qd, qdd) -> DynamicsResult:
     """Full inverse dynamics with the generalized mass matrix."""
     return chain_dynamics(chain, q, qd, qdd, mass=True)
-
-
-def kane_forces(chain: ChainModel, q, qd, qdd) -> dict[str, Array]:
-    """Oracle-facing decomposition: generalized active/inertial forces.
-
-    Returns Q_star (inertial) and the active contributions with the Kane
-    sign convention Q + Q_star = 0 when nu balances the motion.
-    """
-    res = chain_dynamics(chain, q, qd, qdd)
-    return {
-        "Q_star": -res.components["inertial"],
-        "Q_gravity": -res.components["gravity"],
-        "Q_elastic": -res.components["elastic"],
-        "Q_damping": -res.components["damping"],
-    }

@@ -121,8 +121,9 @@ def simulate(
       settling-scale steps for stiff materials.  The linearization is
       refreshed every ``jacobian_every`` steps.
 
-    Aborts on a non-finite state, returning the trajectory up to the last
-    valid step with ``aborted_at`` set.
+    Aborts on a non-finite state or a :class:`SoftIDError` from any stage or
+    linearization refresh (e.g. a singular mass matrix), returning the states
+    recorded before it; ``aborted_at`` is then the trajectory's length.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -155,70 +156,75 @@ def simulate(
                 float(qd @ res.components["damping"]))
 
     aborted = None
+    recorded = 0  # states written so far
     stress_work = 0.0
     diss_acc = 0.0
     K = D = None
     q_lin = qd_lin = None
-    for k in range(steps + 1):
-        t = k * dt
-        qdd1, res1, nu1 = eval_dyn(t, q, qd)
-        ts[k] = t
-        qs[k] = q
-        qds[k] = qd
-        nus[k] = nu1
-        kin_e[k] = 0.5 * float(qd @ res1.mass @ qd)
-        pot_e[k] = gravitational_energy(chain, res1.cache) + stress_work
-        diss[k] = diss_acc
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-            aborted = k
-            logger.warning("simulation aborted at step %d: non-finite state", k)
-            break
-        if k == steps:
-            break
+    try:
+        for k in range(steps + 1):
+            t = k * dt
+            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
+                aborted = k
+                logger.warning("simulation aborted at step %d: non-finite state", k)
+                break
+            qdd1, res1, nu1 = eval_dyn(t, q, qd)
+            ts[k] = t
+            qs[k] = q
+            qds[k] = qd
+            nus[k] = nu1
+            kin_e[k] = 0.5 * float(qd @ res1.mass @ qd)
+            pot_e[k] = gravitational_energy(chain, res1.cache) + stress_work
+            diss[k] = diss_acc
+            recorded = k + 1
+            if k == steps:
+                break
 
-        p1 = powers(res1, qd)
-        if method == "semi_implicit":
-            # refresh the linearization after drifting away from its state
-            stale = (
-                K is None
-                or k % max(jacobian_every, 1) == 0
-                or np.linalg.norm(q - q_lin) > 0.02 * max(1.0, np.linalg.norm(q_lin))
-                or np.linalg.norm(qd - qd_lin) > 0.1 * max(1.0, np.linalg.norm(qd_lin))
-            )
-            if stale:
-                K, D = _force_jacobians(chain, q, qd, nu1)
-                q_lin, qd_lin = q.copy(), qd.copy()
-            M = res1.mass
-            lhs = M + dt * D + dt * dt * K
-            rhs = (M + dt * D) @ qd + dt * (nu1 - res1.force)
-            qd = np.linalg.solve(lhs, rhs)
-            q = q + dt * qd
-            res2 = chain_dynamics(chain, q, qd, None)
-            p2 = powers(res2, qd)
-            stress_work += 0.5 * dt * (p1[0] + p2[0])
-            diss_acc += 0.5 * dt * (p1[1] + p2[1])
-        else:
-            # work integrals ride the same RK4 stages as the state
-            k1q, k1v = qd, qdd1
-            qd2 = qd + dt / 2 * k1v
-            k2v, res2, _ = eval_dyn(t + dt / 2, q + dt / 2 * k1q, qd2)
-            p2 = powers(res2, qd2)
-            k2q = qd2
-            qd3 = qd + dt / 2 * k2v
-            k3v, res3, _ = eval_dyn(t + dt / 2, q + dt / 2 * k2q, qd3)
-            p3 = powers(res3, qd3)
-            k3q = qd3
-            qd4 = qd + dt * k3v
-            k4v, res4, _ = eval_dyn(t + dt, q + dt * k3q, qd4)
-            p4 = powers(res4, qd4)
-            k4q = qd4
-            q = q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            qd = qd + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            stress_work += dt / 6 * (p1[0] + 2 * p2[0] + 2 * p3[0] + p4[0])
-            diss_acc += dt / 6 * (p1[1] + 2 * p2[1] + 2 * p3[1] + p4[1])
+            p1 = powers(res1, qd)
+            if method == "semi_implicit":
+                # refresh the linearization after drifting away from its state
+                stale = (
+                    K is None
+                    or k % max(jacobian_every, 1) == 0
+                    or np.linalg.norm(q - q_lin) > 0.02 * max(1.0, np.linalg.norm(q_lin))
+                    or np.linalg.norm(qd - qd_lin) > 0.1 * max(1.0, np.linalg.norm(qd_lin))
+                )
+                if stale:
+                    K, D = _force_jacobians(chain, q, qd, nu1)
+                    q_lin, qd_lin = q.copy(), qd.copy()
+                M = res1.mass
+                lhs = M + dt * D + dt * dt * K
+                rhs = (M + dt * D) @ qd + dt * (nu1 - res1.force)
+                qd = np.linalg.solve(lhs, rhs)
+                q = q + dt * qd
+                res2 = chain_dynamics(chain, q, qd, None)
+                p2 = powers(res2, qd)
+                stress_work += 0.5 * dt * (p1[0] + p2[0])
+                diss_acc += 0.5 * dt * (p1[1] + p2[1])
+            else:
+                # work integrals ride the same RK4 stages as the state
+                k1q, k1v = qd, qdd1
+                qd2 = qd + dt / 2 * k1v
+                k2v, res2, _ = eval_dyn(t + dt / 2, q + dt / 2 * k1q, qd2)
+                p2 = powers(res2, qd2)
+                k2q = qd2
+                qd3 = qd + dt / 2 * k2v
+                k3v, res3, _ = eval_dyn(t + dt / 2, q + dt / 2 * k2q, qd3)
+                p3 = powers(res3, qd3)
+                k3q = qd3
+                qd4 = qd + dt * k3v
+                k4v, res4, _ = eval_dyn(t + dt, q + dt * k3q, qd4)
+                p4 = powers(res4, qd4)
+                k4q = qd4
+                q = q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+                qd = qd + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+                stress_work += dt / 6 * (p1[0] + 2 * p2[0] + 2 * p3[0] + p4[0])
+                diss_acc += dt / 6 * (p1[1] + 2 * p2[1] + 2 * p3[1] + p4[1])
+    except SoftIDError as exc:
+        aborted = recorded
+        logger.warning("simulation aborted at step %d: %s", aborted, exc)
 
-    last = aborted if aborted is not None else steps
-    sl = slice(0, last + 1)
+    sl = slice(0, recorded)
     return Trajectory(
         t=ts[sl], q=qs[sl], qd=qds[sl], nu=nus[sl],
         kinetic=kin_e[sl], potential=pot_e[sl], dissipated=diss[sl],

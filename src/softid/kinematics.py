@@ -11,15 +11,18 @@ accelerations follow by the standard forward recursion seeded at the base.
 Relative velocities and accelerations come from configuration Jacobians of
 the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
-Jacobian map along the velocity direction.
+Jacobian map along the velocity direction.  Every configuration visited is
+one solve of the body map (:meth:`BodyHandle.evaluate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .bodies import integrals  # called through the module, so wrappers on it see the calls
 from .errors import DegenerateContactError
 from .spatial import Transform, cross, rodrigues, skew, vee
 
@@ -81,59 +84,91 @@ def rotated_base_joint(rotation, translation=(0.0, 0.0, 0.0)) -> Joint:
                  translation=np.asarray(translation, dtype=float))
 
 
+class BodyEval(NamedTuple):
+    """One body-map solve at one configuration: the model's solution on the
+    handle's points, the contact-frame data, and the nodes in {S_i} with
+    their configuration Jacobian."""
+
+    sol: object
+    frame: tuple
+    points: Array
+    jac: Array
+
+
 class BodyHandle:
     """A body model plus the anchor points that define its contact frame.
 
     ``free_tip`` marks gripper-like last bodies whose distal area may deform:
     the contact frame degenerates to the identity and the anchor
-    orthogonality check is skipped.
+    orthogonality check is skipped.  ``points`` stacks the anchors (none for
+    a free tip) over the quadrature nodes.  A rigid body depends on no
+    configuration, so its evaluation and integrals are computed here, once.
     """
 
     def __init__(self, model, x_j=None, x_a=None, x_b=None, free_tip: bool = False):
         self.model = model
         self.free_tip = bool(free_tip)
-        self._frame_memo: dict = {}
         if self.free_tip:
             self.x_j = self.x_a = self.x_b = None
-            return
-        if x_j is None or x_a is None or x_b is None:
-            raise ValueError("non-free-tip bodies need anchor points x_j, x_a, x_b")
-        self.x_j = np.asarray(x_j, dtype=float)
-        self.x_a = np.asarray(x_a, dtype=float)
-        self.x_b = np.asarray(x_b, dtype=float)
-        da = self.x_a - self.x_j
-        db = self.x_b - self.x_j
-        la, lb = np.linalg.norm(da), np.linalg.norm(db)
-        if la <= 0.0 or lb <= 0.0:
-            raise ValueError("anchor points must not coincide with the joint pivot")
-        if abs(da @ db) > ANCHOR_ORTHO_TOL * max(1.0, la * lb) * 10:
-            raise ValueError(
-                "anchor offsets are not orthogonal: contact-area construction "
-                f"requires (x_a - x_j) . (x_b - x_j) = 0, got {da @ db:.3e}"
-            )
-        self._anchor_pts = np.stack([self.x_j, self.x_a, self.x_b])
+            anchors = np.zeros((0, 3))
+        else:
+            if x_j is None or x_a is None or x_b is None:
+                raise ValueError("non-free-tip bodies need anchor points x_j, x_a, x_b")
+            self.x_j = np.asarray(x_j, dtype=float)
+            self.x_a = np.asarray(x_a, dtype=float)
+            self.x_b = np.asarray(x_b, dtype=float)
+            da = self.x_a - self.x_j
+            db = self.x_b - self.x_j
+            la, lb = np.linalg.norm(da), np.linalg.norm(db)
+            if la <= 0.0 or lb <= 0.0:
+                raise ValueError("anchor points must not coincide with the joint pivot")
+            if abs(da @ db) > ANCHOR_ORTHO_TOL * max(1.0, la * lb) * 10:
+                raise ValueError(
+                    "anchor offsets are not orthogonal: contact-area construction "
+                    f"requires (x_a - x_j) . (x_b - x_j) = 0, got {da @ db:.3e}"
+                )
+            anchors = np.stack([self.x_j, self.x_a, self.x_b])
+        self.n_anchors = anchors.shape[0]
+        self.points = np.concatenate([anchors, model.nodes()[0]])
+        self.rigid = None
+        if model.n_dof == 0:
+            ev = self.evaluate(np.zeros(0))
+            self.rigid = (ev, integrals.body_integrals(self, np.zeros(0), ev=ev))
 
     @property
     def n_dof(self) -> int:
         return self.model.n_dof
 
+    def place(self, qb: Array, x: Array):
+        """One solve of the body map at the anchors and x (m, 3) together.
+
+        Returns the model's solution, the contact-frame data, f(x, qb) and df/dq at x.
+        """
+        k = self.n_anchors
+        xs = np.concatenate([self.points[:k], x])
+        sol = self.model.solve(xs, qb)
+        f, jq = self.model.position(xs, qb, sol), self.model.jac_q(xs, qb, sol)
+        return sol, self.contact_frame_data(f[:k], jq[:k]), f[k:], jq[k:]
+
+    def evaluate(self, qb: Array) -> BodyEval:
+        """One solve of the body map at qb on :attr:`points`."""
+        if self.rigid is not None:
+            return self.rigid[0]
+        sol, frame, f, jq = self.place(qb, self.points[self.n_anchors:])
+        return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
+
+    def frame(self, qb: Array):
+        """Contact-frame data at qb from a solve at the anchors alone."""
+        return self.place(qb, np.zeros((0, 3)))[1]
+
     # -- contact frame -------------------------------------------------------
 
-    def contact_frame_data(self, qb: Array):
-        """Contact frame and its configuration derivatives.
-
-        Returns (R_c, t_c, dR_c (n,3,3), dt_c (3,n)).
-        """
+    def contact_frame_data(self, f: Array, jq: Array):
+        """Contact frame (R_c, t_c, dR_c (n,3,3), dt_c (3,n)) from the anchor
+        images f (3, 3) and their q-Jacobian jq (3, 3, n); none for a free tip."""
         n = self.n_dof
         if self.free_tip:
             return np.eye(3), np.zeros(3), np.zeros((n, 3, 3)), np.zeros((3, n))
-        key = np.asarray(qb, dtype=float).tobytes()
-        hit = self._frame_memo.get(key)
-        if hit is not None:
-            return hit
-        pts = self._anchor_pts
-        f = self.model.position(pts, qb)
-        jq = self.model.jac_q(pts, qb)  # (3, 3, n)
         da = f[1] - f[0]
         db = f[2] - f[0]
         la, lb = np.linalg.norm(da), np.linalg.norm(db)
@@ -150,28 +185,15 @@ class BodyHandle:
         # unit-vector derivatives: d(u/|u|) = (I - nn^T)/|u| du
         dn1 = (np.eye(3) - np.outer(n1, n1)) @ d_da / la
         dn2 = (np.eye(3) - np.outer(n2, n2)) @ d_db / lb
-        dR = np.empty((n, 3, 3))
-        for k in range(n):
-            dn3 = cross(dn1[:, k], n2) + cross(n1, dn2[:, k])
-            dR[k] = np.stack([dn1[:, k], dn2[:, k], dn3], axis=1)
-        out = (R, f[0], dR, jq[0])
-        if len(self._frame_memo) > 8:
-            self._frame_memo.clear()
-        self._frame_memo[key] = out
-        return out
+        dn3 = cross(dn1.T, n2) + cross(n1, dn2.T)
+        return R, f[0], np.stack([dn1.T, dn2.T, dn3], axis=2), jq[0]
 
     # -- body points in the contact frame -------------------------------------
 
-    def framed_positions(self, x: Array, qb: Array) -> Array:
-        """Body points expressed in {S_i}: R_c^T (f(x, q) - t_c)."""
-        R, t, _, _ = self.contact_frame_data(qb)
-        return (self.model.position(x, qb) - t) @ R
-
-    def framed_jacobian(self, x: Array, qb: Array):
-        """Framed points and their configuration Jacobian (m,3), (m,3,n)."""
-        R, t, dR, dt = self.contact_frame_data(qb)
-        f = self.model.position(x, qb)
-        jq = self.model.jac_q(x, qb)
+    def framed_jacobian(self, f: Array, jq: Array, frame):
+        """Body points in {S_i}, R_c^T (f - t_c), and their q-Jacobian, from
+        the images f (m, 3), their q-Jacobian jq (m, 3, n) and the frame."""
+        R, t, dR, dt = frame
         ip = (f - t) @ R
         jac = np.einsum("maj,ab->mbj", jq - dt[None, :, :], R)
         if not self.free_tip:
@@ -234,7 +256,7 @@ class ChainModel:
 
 def contact_frame(body: BodyHandle, qb: Array) -> Transform:
     """Transform from {S_i} to {S_J_i} built from the deformed anchor images."""
-    R, t, _, _ = body.contact_frame_data(np.asarray(qb, dtype=float))
+    R, t, _, _ = body.frame(np.asarray(qb, dtype=float))
     return Transform(R, t)
 
 
@@ -246,18 +268,19 @@ def link_transform(joint: Joint, body: BodyHandle, qi: Array) -> Transform:
     return Transform(Rj, tj).compose(contact_frame(body, qi[nj:]))
 
 
-def link_jacobians(joint: Joint, body: BodyHandle, qi: Array):
+def link_jacobians(joint: Joint, frame, qi: Array):
     """Link transform with its translation and angular-velocity Jacobians.
 
-    Returns (R_rel, t_rel, Jt (3,n_i), Jw (3,n_i)); columns are ordered joint
-    coordinates first, then body coordinates.  Jw maps q̇_i to the relative
-    angular velocity expressed in the parent frame {S_{i-1}}.
+    ``frame`` is the body's contact-frame data (R_c, t_c, dR_c, dt_c) at the
+    body part of qi.  Returns (R_rel, t_rel, Jt (3,n_i), Jw (3,n_i)); columns
+    are ordered joint coordinates first, then body coordinates.  Jw maps q̇_i
+    to the relative angular velocity expressed in the parent frame {S_{i-1}}.
     """
     qi = np.asarray(qi, dtype=float)
-    nj, nb = joint.n_dof, body.n_dof
+    Rc, tc, dRc, dtc = frame
+    nj, nb = joint.n_dof, dRc.shape[0]
     n = nj + nb
     Rj, tj = joint.transform(qi[:nj])
-    Rc, tc, dRc, dtc = body.contact_frame_data(qi[nj:])
     R_rel = Rj @ Rc
     t_rel = tj + Rj @ tc
     Jt = np.zeros((3, n))
@@ -277,22 +300,21 @@ def link_jacobians(joint: Joint, body: BodyHandle, qi: Array):
     return R_rel, t_rel, Jt, Jw
 
 
-def _link_jacobian_rates(joint, body, qi, qdi):
-    """Time rates of (Jt, Jw): unit-direction differences scaled by the speed.
+def unit_rate(fn, q: Array, qd: Array, at_q):
+    """Time rates of the arrays ``fn(q)`` along a path through q with velocity qd.
 
-    The rates are linear in the velocity, so differencing along the
-    normalized direction keeps the cancellation noise independent of |qd|.
+    The rates are linear in qd: one central difference along qd/|qd|,
+    scaled by |qd|, keeps the cancellation noise independent of |qd|.
+    ``at_q`` is fn(q); it sets the shapes of the zero rates at rest.
     """
-    speed = float(np.linalg.norm(qdi))
+    speed = float(np.linalg.norm(qd))
     if speed == 0.0:
-        n = joint.n_dof + body.n_dof
-        return np.zeros((3, n)), np.zeros((3, n))
-    h = JAC_RATE_STEP * max(1.0, float(np.linalg.norm(qi)))
-    unit = qdi / speed
-    _, _, Jt_p, Jw_p = link_jacobians(joint, body, qi + h * unit)
-    _, _, Jt_m, Jw_m = link_jacobians(joint, body, qi - h * unit)
+        return [np.zeros_like(a) for a in at_q]
+    h = JAC_RATE_STEP * max(1.0, float(np.linalg.norm(q)))
+    unit = qd / speed
+    plus, minus = fn(q + h * unit), fn(q - h * unit)
     scale = speed / (2.0 * h)
-    return scale * (Jt_p - Jt_m), scale * (Jw_p - Jw_m)
+    return [scale * (p - m) for p, m in zip(plus, minus)]
 
 
 # -- forward pass --------------------------------------------------------------
@@ -321,7 +343,7 @@ class BodyKin:
     a_com: Array
     Pv: Array
     Pw: Array
-    data: "BodyInertialData"  # noqa: F821  (bodies.integrals)
+    data: integrals.BodyInertialData
 
 
 @dataclass
@@ -341,8 +363,6 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
     to compute purely inertial kinematics (the dynamics algorithms do, and
     add explicit gravity terms instead).
     """
-    from .bodies.integrals import body_integrals
-
     q, qd, qdd = chain.check_state(q, qd, qdd)
     if base_accel is None:
         base_accel = -chain.gravity
@@ -360,8 +380,14 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         sl = chain.slice(i)
         qi, qdi, qddi = q[sl], qd[sl], qdd[sl]
         nj = lk.joint.n_dof
-        R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, lk.body, qi)
-        Jt_dot, Jw_dot = _link_jacobian_rates(lk.joint, lk.body, qi, qdi)
+
+        def state(qs):
+            ev_s = lk.body.evaluate(qs[nj:])
+            return (*link_jacobians(lk.joint, ev_s.frame, qs), ev_s.jac, ev_s)
+
+        # the link is evaluated at qi and, when it moves, at qi +- h u
+        R_rel, t_rel, Jt, Jw, Jp, ev = state(qi)
+        Jt_dot, Jw_dot, Jp_dot = unit_rate(lambda qs: state(qs)[2:5], qi, qdi, (Jt, Jw, Jp))
 
         v_rel = Jt @ qdi
         w_rel = Jw @ qdi
@@ -380,7 +406,8 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         )
         wdot = RT @ (wd_p + cross(w_p, w_rel) + wdot_rel)
 
-        data = body_integrals(lk.body, qi[nj:], qdi[nj:], qddi[nj:])
+        data = integrals.body_integrals(lk.body, qi[nj:], qdi[nj:], qddi[nj:],
+                                        ev=ev, jac_rate=Jp_dot)
         v_com = v + cross(w, data.p_com) + data.pdot_com
         a_com = (
             a
@@ -410,7 +437,8 @@ def projection_matrices(chain: ChainModel, q, i: int) -> tuple[Array, Array]:
     """Partial-velocity projections (dv_i/dqd_i, dw_i/dqd_i), each (n_i, 3)."""
     (q,) = chain.check_state(q)
     lk = chain.links[i]
-    R_rel, _, Jt, Jw = link_jacobians(lk.joint, lk.body, q[chain.slice(i)])
+    qi = q[chain.slice(i)]
+    R_rel, _, Jt, Jw = link_jacobians(lk.joint, lk.body.frame(qi[lk.joint.n_dof:]), qi)
     return Jt.T @ R_rel, Jw.T @ R_rel
 
 
@@ -429,13 +457,20 @@ def forward_kinematics(chain: ChainModel, q) -> list[dict]:
     return out
 
 
-def chain_points(chain: ChainModel, q, points_per_body: list[Array]) -> list[Array]:
-    """Base-frame positions of material points, one array (m_i, 3) per body."""
+def chain_points(chain: ChainModel, q, points_per_body: list[Array], placed=None) -> list[Array]:
+    """Base-frame positions of material points, one array (m_i, 3) per body.
+
+    Each body is solved once, at its anchors and its points together, unless
+    ``placed[i]`` already holds that :meth:`BodyHandle.place` result at q.
+    """
     (q,) = chain.check_state(q)
-    frames = forward_kinematics(chain, q)
     out = []
+    T = chain.base
     for i, lk in enumerate(chain.links):
-        _, qb = chain.split(i, q)
-        f = lk.body.model.position(np.asarray(points_per_body[i], dtype=float), qb)
-        out.append(frames[i]["joint"].apply(f))
+        qj, qb = chain.split(i, q)
+        _, (Rc, tc, _, _), f, _ = ((placed and placed[i])
+                                   or lk.body.place(qb, np.asarray(points_per_body[i], dtype=float)))
+        T = T.compose(Transform(*lk.joint.transform(qj)))
+        out.append(T.apply(f))
+        T = T.compose(Transform(Rc, tc))
     return out

@@ -44,7 +44,7 @@ from .bodies import (
     pgc_basis,
 )
 from .kinematics import BodyHandle, ChainModel, Joint, Link
-from .quadrature import DEFAULT_ORDER, ReferenceDomain
+from .quadrature import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, ReferenceDomain
 from .spatial import Transform, rodrigues, rotation_from_quaternion
 
 SCHEMA_VERSION = 1
@@ -111,6 +111,18 @@ def _default_anchors(domain: ReferenceDomain):
     }
 
 
+def _quadrature_order(order):
+    """A scalar order or three per-axis orders, each an integer in range."""
+    per_axis = isinstance(order, (list, tuple))
+    entries = list(order) if per_axis else [order]
+    if (per_axis and len(entries) != 3) or not all(
+            isinstance(o, (int, np.integer)) and not isinstance(o, bool) and MIN_ORDER <= o <= MAX_ORDER
+            for o in entries):
+        raise ModelError(f"quadrature_order must be an integer in [{MIN_ORDER}, {MAX_ORDER}] "
+                         f"or a list of three, got {order!r}")
+    return tuple(int(o) for o in entries) if per_axis else int(order)
+
+
 def _build_body(doc) -> BodyHandle:
     kind = doc.get("kind")
     if kind not in BODY_KINDS:
@@ -119,9 +131,7 @@ def _build_body(doc) -> BodyHandle:
     if rho <= 0.0:
         raise ModelError("body density 'rho' must be positive")
     domain = _geometry(doc.get("geometry"), kind)
-    order = doc.get("quadrature_order", DEFAULT_ORDER)
-    if not np.isscalar(order):
-        order = tuple(int(o) for o in order)
+    order = _quadrature_order(doc.get("quadrature_order", DEFAULT_ORDER))
     C = doc.get("C")
     eta = doc.get("eta")
     C = float(C) if C is not None else None
@@ -226,13 +236,17 @@ def chain_to_dict(chain: ChainModel) -> dict:
     return _normalize(doc)
 
 
-def load_chain(path) -> ChainModel:
+def load_document(path) -> dict:
+    """The description document in a JSON file, unparsed."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_chain(doc)
+
+
+def load_chain(path) -> ChainModel:
+    return parse_chain(load_document(path))
 
 
 def save_chain(doc_or_chain, path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _div_green
-from .kinematics import ChainModel, forward_kinematics
+from .kinematics import ChainModel, chain_points, forward_kinematics
 
 Array = np.ndarray
 
@@ -37,17 +37,6 @@ def _node_sets(chain: ChainModel):
         pts.append(p)
         wm.append(w * lk.body.model.rho)
     return pts, wm
-
-
-def _positions(chain: ChainModel, q: Array, pts) -> list[Array]:
-    """Base-frame node positions per body, composing transforms from scratch."""
-    frames = forward_kinematics(chain, q)
-    out = []
-    for i, lk in enumerate(chain.links):
-        _, qb = chain.split(i, q)
-        f = lk.body.model.position(pts[i], qb)
-        out.append(frames[i]["joint"].apply(f))
-    return out
 
 
 def _conf_gradient(fn, q: Array) -> Array:
@@ -75,7 +64,7 @@ def full_chain_jacobian(chain: ChainModel, q: Array, pts=None) -> list[Array]:
     (q,) = chain.check_state(q)
     if pts is None:
         pts, _ = _node_sets(chain)
-    jac = _conf_gradient(lambda qv: np.concatenate(_positions(chain, qv, pts)), q)
+    jac = _conf_gradient(lambda qv: np.concatenate(chain_points(chain, qv, pts)), q)
     return np.split(jac, np.cumsum([p.shape[0] for p in pts])[:-1])
 
 
@@ -88,10 +77,10 @@ def oracle_kane(chain: ChainModel, q, qd, qdd, richardson: bool = False) -> Arra
     q, qd, qdd = chain.check_state(q, qd, qdd)
     pts, wm = _node_sets(chain)
     jacs = full_chain_jacobian(chain, q, pts)
-    p0 = _positions(chain, q, pts)
+    p0 = chain_points(chain, q, pts)
 
     def at(t):
-        return _positions(chain, q + t * qd + 0.5 * t * t * qdd, pts)
+        return chain_points(chain, q + t * qd + 0.5 * t * t * qdd, pts)
 
     def pddot(dt):
         p1, m1 = at(dt), at(-dt)
@@ -129,7 +118,7 @@ def oracle_potential(chain: ChainModel, q) -> tuple[Array, float]:
     pts, wm = _node_sets(chain)
 
     def U(qv):
-        pos = _positions(chain, qv, pts)
+        pos = chain_points(chain, qv, pts)
         return -sum(w @ (p @ chain.gravity) for w, p in zip(wm, pos))
 
     return _conf_gradient(U, q), float(U(q))

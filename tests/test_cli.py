@@ -145,6 +145,23 @@ def test_quadrature_order_override(pcc_file, tmp_path):
     assert np.any(f1 != f2)
 
 
+def test_bad_quadrature_order_exits_2(pcc_file, tmp_path, capsys):
+    doc = json.loads(pcc_file.read_text())
+    doc["links"][0]["body"]["quadrature_order"] = 99
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "quadrature_order" in capsys.readouterr().err
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"q": [0.0] * 6}))
+    assert main(["eval", "--quadrature-order", "3", "4", "--algorithm", "iid",
+                 "--state", str(state), str(pcc_file)]) == 2
+    assert "quadrature_order" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--quadrature-order", "3.5", str(pcc_file)])
+    assert exit_.value.code == 2
+
+
 def test_missing_model_file(capsys):
     assert main(["validate", "/nonexistent/model.json"]) == 2
 

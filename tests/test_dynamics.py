@@ -128,7 +128,7 @@ def test_stress_analytic_vs_fd_hessian(pcc2, rng):
         model.has_analytic_hess_x = False
         orig = model.hess_x
         from softid.bodies.base import BodyModel
-        model.hess_x = lambda x, qq: BodyModel.hess_x(model, x, qq)
+        model.hess_x = lambda x, qq, sol=None: BodyModel.hess_x(model, x, qq)
         (Fe2, Te2, pe2), _ = stress_terms(lk.body, q[:3], qd[:3])
     finally:
         model.has_analytic_hess_x = True
@@ -243,6 +243,29 @@ def test_mid_matches_id_and_miid_mass(pcc2, rng):
     assert np.array_equal(res.force, inverse_dynamics(pcc2, q, qd, qdd))
     ref = miid(pcc2, q, qd, qdd).mass
     assert np.abs(res.mass - ref).max() < 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def test_one_body_solve_per_configuration(monkeypatch):
+    # each body is solved once at q and once at each of q +- h u while it
+    # moves; the stress pass reuses the solve at q
+    from softid.bodies import CosseratRodBody
+
+    chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 8, 5))
+    calls = {}
+    for name in ("solve", "position", "jac_q", "jac_x", "hess_x", "jac_x_dq"):
+        def counted(self, *args, _name=name, _original=getattr(CosseratRodBody, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(CosseratRodBody, name, counted)
+    rng = np.random.default_rng(3)
+    q, qd, qdd = (rng.uniform(-1, 1, chain.n) for _ in range(3))
+    iid(chain, q, qd, qdd)
+    assert calls == {"solve": 9, "position": 9, "jac_q": 9}
+    calls.clear()
+    mid(chain, q, qd, qdd)
+    assert calls == {"solve": 9, "position": 9, "jac_q": 9,
+                     "jac_x": 3, "hess_x": 3, "jac_x_dq": 3}
 
 
 def test_mass_positive_definite_on_fixtures(rigid_2r, pcc2, pcs2, pac1, lvp1, rng):

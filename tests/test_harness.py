@@ -53,16 +53,15 @@ def test_singular_mass_reported():
     length, radius = 0.2, 0.05
     dom = ReferenceDomain.cylinder(radius, length)
 
-    def hb():
-        return BodyHandle(RigidBody(dom, 100.0, quadrature_order=(2, 6, 4)),
+    def hb(rho):
+        return BodyHandle(RigidBody(dom, rho, quadrature_order=(2, 6, 4)),
                           x_j=[0, 0, length], x_a=[radius, 0, length], x_b=[0, radius, length])
 
+    # M = [[m1+m2, m2], [m2, m2]]; a massless first body makes it rank one
     chain = ChainModel(
-        [(prismatic_joint([0, 0, 1]), hb()), (prismatic_joint([0, 0, 1]), hb())],
+        [(prismatic_joint([0, 0, 1]), hb(1e-30)), (prismatic_joint([0, 0, 1]), hb(100.0))],
         gravity=[0, 0, 0],
     )
-    # M = [[m1+m2, m2], [m2, m2]]; a massless first body makes it rank one
-    chain.links[0].body.model.rho = 1e-30
     with pytest.raises(SingularMassError) as err:
         forward_dynamics(chain, np.zeros(2), np.zeros(2), np.zeros(2))
     assert err.value.smallest_eigenvalue is not None
@@ -80,6 +79,17 @@ def test_pendulum_energy_conservation():
     assert drift < 1e-5
     assert traj.aborted_at is None
     assert np.all(np.diff(traj.t) > 0)
+
+
+def test_simulate_aborts_on_singular_mass():
+    # RK4 at dt = 1e-3 is far too coarse for the GPa rod: the state runs
+    # into an indefinite mass matrix within a few steps
+    chain = presets.pcc_chain(2)
+    zero = np.zeros(chain.n)
+    traj = simulate(chain, zero, zero, t_end=0.05, dt=1e-3)
+    assert traj.aborted_at is not None and 0 < traj.aborted_at <= 50
+    assert len(traj) == traj.aborted_at
+    assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.kinetic))
 
 
 def test_pcc_energy_conservation_undamped():

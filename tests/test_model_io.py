@@ -62,6 +62,16 @@ def test_low_order_volume_flagged():
     assert findings and "volume" in findings[0]
 
 
+@pytest.mark.parametrize("order", [99, 0, [3, 4], [3], 3.5, [3.5, 8, 6], True, "8"])
+def test_bad_quadrature_order_rejected(order):
+    doc = presets.pcc_description(1)
+    doc["links"][0]["body"]["quadrature_order"] = order
+    with pytest.raises(ModelError, match="quadrature_order"):
+        parse_chain(doc)
+    findings = validate_document(doc)
+    assert findings and "quadrature_order" in findings[0]
+
+
 def test_bad_schema_version():
     with pytest.raises(ModelError, match="schema_version"):
         parse_chain({"schema_version": 99, "links": []})
