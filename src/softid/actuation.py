@@ -3,49 +3,38 @@
 Virtual work fixes the projection: with actuator lengths l(q) (or chamber
 volumes V(q)), the generalized actuation force is nu = A(q) u with
 A(q) = (dl/dq)^T, so that dq^T nu = dl^T u for every virtual displacement.
+Each map gets l and dl/dq analytically from one body solve per body at q.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import ChainModel, chain_points
+from .kinematics import ChainModel, link_jacobians
 from .quadrature import ReferenceDomain
+from .spatial import Transform, cross
 
 Array = np.ndarray
 
-FD_STEP = 1e-6
-
-
-def _difference(fn, q: Array, k: int) -> Array:
-    """Central difference of ``fn`` along coordinate k."""
-    h = FD_STEP * max(1.0, abs(float(q[k])))
-    dq = np.zeros(q.shape[0])
-    dq[k] = h
-    return (fn(q + dq) - fn(q - dq)) / (2.0 * h)
-
 
 class ActuationMap:
-    """Base: supplies per-input scalar functions of the configuration."""
+    """Base: per-input scalar functions of the configuration and their gradients."""
 
     n_inputs: int = 0
 
-    def lengths(self, chain: ChainModel, q: Array) -> Array:
-        """Actuator length (or volume) per input, shape (n_inputs,)."""
+    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
+        """Actuator lengths (or volumes) l, shape (n_inputs,), and dl/dq, (n_inputs, n)."""
         raise NotImplementedError
 
-    def matrix(self, chain: ChainModel, q: Array) -> Array:
-        """Projection A(q), shape (n, n_inputs), by central differences."""
+    def lengths(self, chain: ChainModel, q: Array) -> Array:
+        """Actuator length (or volume) per input, shape (n_inputs,)."""
         (q,) = chain.check_state(q)
-        along = self._lengths_along(chain, q)
-        return np.stack([_difference(along(k), q, k) for k in range(chain.n)])
+        return self._measure(chain, q)[0]
 
-    def _lengths_along(self, chain: ChainModel, q: Array):
-        """k -> the lengths as a function of the configuration near q along q_k."""
-        return lambda k: lambda qv: self.lengths(chain, qv)
-
-    def force(self, chain: ChainModel, q: Array, u: Array) -> Array:
-        return self.matrix(chain, q) @ np.asarray(u, dtype=float)
+    def matrix(self, chain: ChainModel, q: Array) -> Array:
+        """Projection A(q) = (dl/dq)^T, shape (n, n_inputs)."""
+        (q,) = chain.check_state(q)
+        return self._measure(chain, q)[1].T
 
 
 class TendonActuation(ActuationMap):
@@ -58,57 +47,61 @@ class TendonActuation(ActuationMap):
     """
 
     def __init__(self, tendons):
-        self.tendons = []
-        for routing in tendons:
-            body_ids = []
-            pts = []
-            for bi, x in routing:
-                body_ids.append(int(bi))
-                pts.append(np.asarray(x, dtype=float))
-            if len(pts) < 2:
-                raise ValueError("a tendon needs at least two via points")
-            self.tendons.append((body_ids, np.stack(pts)))
-        self.n_inputs = len(self.tendons)
+        if any(len(routing) < 2 for routing in tendons):
+            raise ValueError("a tendon needs at least two via points")
+        self.n_inputs = len(tendons)
+        self.owner = np.array([int(bi) for routing in tendons for bi, _ in routing])  # -1: base
+        self.points = np.array([x for routing in tendons for _, x in routing], dtype=float)
+        tendon = np.repeat(np.arange(self.n_inputs), [len(routing) for routing in tendons])
+        # segment k runs from via point starts[k] to the next one on the same tendon
+        self.starts = np.flatnonzero(tendon[:-1] == tendon[1:])
+        self.incidence = (tendon[self.starts] == np.arange(self.n_inputs)[:, None]).astype(float)
 
-    def _point_sets(self, n_bodies: int) -> list[Array]:
-        per_body = {i: [] for i in range(n_bodies)}
-        for body_ids, pts in self.tendons:
-            for bi, x in zip(body_ids, pts):
-                if bi >= 0:
-                    per_body[bi].append(x)
-        return [np.stack(per_body[i]) if per_body[i] else np.zeros((0, 3)) for i in range(n_bodies)]
+    def _via_points(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
+        """Base-frame via points (m, 3) and their q-Jacobians (m, 3, n), one
+        :meth:`BodyHandle.place` per body.  (Jo, Jw) are the base-frame origin
+        and angular-velocity Jacobians of the parent frame {S_{i-1}}, whose
+        points move by Jo + Jw x (p - o); the link's own coordinates add the
+        joint's rotation or slide and R_J df/dq.
+        """
+        if self.owner.max() >= len(chain):
+            raise ValueError(f"a via point is on body {self.owner.max()} of a {len(chain)}-body chain")
+        p = chain.base.apply(self.points)
+        J = np.zeros(p.shape + (chain.n,))
+        Jo, Jw = np.zeros((2, 3, chain.n))
+        T = chain.base
+        for i, lk in enumerate(chain.links):
+            sl = chain.slice(i)
+            qj, qb = chain.split(i, q)
+            nj = lk.joint.n_dof
+            mine = self.owner == i
+            _, frame, f, jq = lk.body.place(qb, self.points[mine])
+            Rj, tj = lk.joint.transform(qj)
+            arm = (f @ Rj.T + tj) @ T.rotation.T  # p - o
+            p[mine] = T.translation + arm
+            Ji = Jo + np.swapaxes(cross(Jw.T, arm[:, None, :]), 1, 2)
+            if nj:
+                axis = T.rotation @ lk.joint.axis
+                Ji[:, :, sl.start] += cross(axis, arm) if lk.joint.kind == "revolute" else axis
+            Ji[:, :, sl.start + nj:sl.stop] += np.einsum("ab,mbj->maj", T.rotation @ Rj, jq)
+            J[mine] = Ji
+            # carry the frame Jacobians on to {S_i}; Transform checks the link rotation
+            R_rel, t_rel, Jt_rel, Jw_rel = link_jacobians(lk.joint, frame, q[sl])
+            Jo = Jo + cross(Jw.T, T.rotation @ t_rel).T
+            Jo[:, sl] += T.rotation @ Jt_rel
+            Jw[:, sl] += T.rotation @ Jw_rel
+            T = T.compose(Transform(R_rel, t_rel))
+        return p, J
 
-    def _lengths_along(self, chain: ChainModel, q: Array):
-        # q_k moves the body map of its own link only: the others keep their solve at q
-        pts = self._point_sets(len(chain))
-        at_q = [lk.body.place(chain.split(i, q)[1], pts[i]) for i, lk in enumerate(chain.links)]
-        owner = np.repeat(np.arange(len(chain)), [lk.n_dof for lk in chain.links])
-
-        def along(k):
-            placed = at_q.copy()
-            placed[owner[k]] = None
-            return lambda qv: self._path_lengths(chain, chain_points(chain, qv, pts, placed))
-
-        return along
-
-    def lengths(self, chain: ChainModel, q: Array) -> Array:
-        return self._path_lengths(chain, chain_points(chain, q, self._point_sets(len(chain))))
-
-    def _path_lengths(self, chain: ChainModel, world: list[Array]) -> Array:
-        """Tendon lengths from the base-frame via points of each body."""
-        cursor = [0] * len(chain)
-        out = np.empty(self.n_inputs)
-        for t, (body_ids, pts) in enumerate(self.tendons):
-            path = []
-            for bi, x in zip(body_ids, pts):
-                if bi < 0:
-                    path.append(chain.base.apply(x))
-                else:
-                    path.append(world[bi][cursor[bi]])
-                    cursor[bi] += 1
-            path = np.stack(path)
-            out[t] = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
-        return out
+    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
+        p, J = self._via_points(chain, q)
+        a, b = self.starts, self.starts + 1
+        seg = p[b] - p[a]
+        norm = np.linalg.norm(seg, axis=1)
+        # each segment adds e . (dp_b - dp_a) to its tendon; one of zero length adds 0
+        e = np.divide(seg, norm[:, None], out=np.zeros_like(seg), where=norm[:, None] > 0)
+        d_norm = np.einsum("sa,saj->sj", e, J[b] - J[a])
+        return self.incidence @ norm, self.incidence @ d_norm
 
 
 class ChamberActuation(ActuationMap):
@@ -116,7 +109,8 @@ class ChamberActuation(ActuationMap):
 
     Each chamber is (body_index, subdomain): the deformed volume is the
     integral of det(df/dx) over the subdomain of that body's material
-    coordinates.  Inputs are gauge pressures.
+    coordinates.  Inputs are gauge pressures.  The volume gradient is
+    dV/dq = int tr(adj(F) dF/dq) dV_0, on the chamber body's own coordinates.
     """
 
     def __init__(self, chambers, quadrature_order=4):
@@ -127,12 +121,20 @@ class ChamberActuation(ActuationMap):
         self.order = quadrature_order
         self.n_inputs = len(self.chambers)
 
-    def lengths(self, chain: ChainModel, q: Array) -> Array:
-        out = np.empty(self.n_inputs)
+    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
+        volumes = np.empty(self.n_inputs)
+        grad = np.zeros((self.n_inputs, chain.n))
         for c, (bi, dom) in enumerate(self.chambers):
             model = chain.links[bi].body.model
-            _, qb = chain.split(bi, np.asarray(q, dtype=float))
+            _, qb = chain.split(bi, q)
             pts, w = dom.nodes(self.order)
-            det = np.linalg.det(model.jac_x(pts, qb))
-            out[c] = float(w @ det)
-        return out
+            sol = model.solve(pts, qb)
+            F = model.jac_x(pts, qb, sol)
+            volumes[c] = float(w @ np.linalg.det(F))
+            # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
+            cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
+                            cross(F[..., 0], F[..., 1])], axis=2)
+            body = chain.slice(bi)
+            grad[c, body.start + chain.links[bi].joint.n_dof:body.stop] = np.einsum(
+                "p,pab,pabj->j", w, cof, model.jac_x_dq(pts, qb, sol))
+        return volumes, grad

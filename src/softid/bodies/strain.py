@@ -296,33 +296,26 @@ class CosseratRodBody(BodyModel):
     def _frames_magnus(self, s_sorted: Array, q: Array):
         """s-varying strain: fourth-order Magnus steps on SE(3).
 
-        Each span between consecutive targets is cut into equal steps, about
-        ``backbone_steps`` per rod length.  A step of width h maps the frame
-        g to g exp(Omega) with Omega = h/2 (xi_1 + xi_2) + sqrt(3) h^2/12
-        [xi_1, xi_2], xi_1 and xi_2 the strains at the two Gauss points of
-        the step, so every frame is a product of exact rotations.  Omega is
-        quadratic in q, and the q-Jacobians are the exact derivatives of this
-        discrete map.  All step exponentials are one vectorized call; only
-        their composition runs in sequence.
+        The frame at s composes the whole steps (``backbone_steps`` per rod
+        length) below s and one partial step up to s, so it depends on s
+        alone.  A step of width h maps g to g exp(Omega), Omega = h/2 (xi_1 +
+        xi_2) + sqrt(3) h^2/12 [xi_1, xi_2], xi_1 and xi_2 the strains at the
+        step's two Gauss points, so every frame is a product of exact
+        rotations.  Omega is quadratic in q, and the q-Jacobians are the exact
+        derivatives of this discrete map.  All step exponentials are one
+        vectorized call; only the whole steps compose in sequence.
         """
         n = self.n_dof
-        starts, widths = [np.zeros(0)], [np.zeros(0)]
-        done = np.empty(s_sorted.shape[0], dtype=int)  # steps taken at each target
-        s_prev, count = 0.0, 0
-        for i, s_target in enumerate(s_sorted):
-            span = s_target - s_prev
-            if span > 0:
-                nsub = max(1, int(np.ceil(self.backbone_steps * span / self.length)))
-                h = span / nsub
-                starts.append(s_prev + h * np.arange(nsub))
-                widths.append(np.full(nsub, h))
-                s_prev, count = float(s_target), count + nsub
-            done[i] = count
-        h = np.concatenate(widths)
-        s_g = (np.concatenate(starts)[:, None] + h[:, None] * _GAUSS_2).reshape(-1)
-        phi = self.basis.matrix(s_g).reshape(count, 2, 6, n)
-        xi = phi @ q + _STRAIN_OFFSET  # (count, 2, 6)
-        phi_t = np.swapaxes(phi, 2, 3)  # (count, 2, n, 6)
+        h_whole = self.length / self.backbone_steps
+        whole = np.floor(s_sorted / h_whole).astype(int)
+        count = int(whole.max(initial=0))
+        # the whole steps, then one partial step per target (width 0 on a step boundary)
+        h = np.concatenate([np.full(count, h_whole), s_sorted - whole * h_whole])
+        starts = np.concatenate([h_whole * np.arange(count), whole * h_whole])
+        s_g = (starts[:, None] + h[:, None] * _GAUSS_2).reshape(-1)
+        phi = self.basis.matrix(s_g).reshape(h.shape[0], 2, 6, n)
+        xi = phi @ q + _STRAIN_OFFSET  # (steps, 2, 6)
+        phi_t = np.swapaxes(phi, 2, 3)  # (steps, 2, n, 6)
         c2 = (np.sqrt(3.0) / 12.0) * h**2
         omega = (0.5 * h[:, None] * (xi[:, 0] + xi[:, 1])
                  + c2[:, None] * _se3_bracket(xi[:, 0], xi[:, 1]))
@@ -331,21 +324,20 @@ class CosseratRodBody(BodyModel):
                                           + _se3_bracket(xi[:, None, 0], phi_t[:, 1])))
         R_s, p_s, dR_s, dp_s = _se3_exp(omega[:, :3], omega[:, 3:], d_omega)
         # homogeneous step transforms and their q-derivatives (n leading)
-        G = np.zeros((count, 4, 4))
+        G = np.zeros((h.shape[0], 4, 4))
         G[:, :3, :3] = R_s
         G[:, :3, 3] = p_s
         G[:, 3, 3] = 1.0
-        dG = np.zeros((count, n, 4, 4))
+        dG = np.zeros((h.shape[0], n, 4, 4))
         dG[:, :, :3, :3] = np.moveaxis(dR_s, -1, 1)
         dG[:, :, :3, 3] = np.moveaxis(dp_s, -1, 1)
-        T = np.empty((count + 1, 4, 4))
-        dT = np.empty((count + 1, n, 4, 4))
+        T = np.zeros((count + 1, 4, 4))
+        dT = np.zeros((count + 1, n, 4, 4))
         T[0] = np.eye(4)
-        dT[0] = 0.0
         for m in range(count):
             T[m + 1] = T[m] @ G[m]
             dT[m + 1] = dT[m] @ G[m] + T[m] @ dG[m]
-        T, dT = T[done], dT[done]
+        T, dT = T[whole] @ G[count:], dT[whole] @ G[count:, None] + T[whole][:, None] @ dG[count:]
         return (T[:, :3, :3], T[:, :3, 3],
                 np.moveaxis(dT[:, :, :3, :3], 1, -1), np.moveaxis(dT[:, :, :3, 3], 1, -1))
 

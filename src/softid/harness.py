@@ -80,7 +80,7 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def _force_jacobians(chain, q, qd, nu_fixed, h=1e-5):
+def _force_jacobians(chain, q, qd, h=1e-5):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s."""
     n = chain.n
     K = np.empty((n, n))
@@ -190,7 +190,7 @@ def simulate(
                     or np.linalg.norm(qd - qd_lin) > 0.1 * max(1.0, np.linalg.norm(qd_lin))
                 )
                 if stale:
-                    K, D = _force_jacobians(chain, q, qd, nu1)
+                    K, D = _force_jacobians(chain, q, qd)
                     q_lin, qd_lin = q.copy(), qd.copy()
                 M = res1.mass
                 lhs = M + dt * D + dt * dt * K
@@ -259,8 +259,10 @@ def solve_statics(
     the Jacobian in hand predicts from it is below ``tol * max(1, |q|)``: where
     the stiffness is small, a small residual alone leaves q far from the
     root.  Trial points where the chain cannot be evaluated (a typed
-    :class:`SoftIDError`) make the line search backtrack.  On
-    non-convergence the best iterate is returned with ``converged = False``.
+    :class:`SoftIDError`) make the line search backtrack; where no trial
+    point lowers the norm, the whole step is taken.  Without convergence the
+    best iterate is returned with ``converged = False`` (an unevaluable guess
+    with zero iterations and an infinite residual).
     """
     (q,) = chain.check_state(q_guess)
     q = q.copy()
@@ -278,17 +280,18 @@ def solve_statics(
         return r if np.all(np.isfinite(r)) else None
 
     def jacobian(qv):
+        """Finite-difference Jacobian; None if some column is unevaluable."""
         J = np.empty((n, n))
         for k in range(n):
-            h = 1e-6 * max(1.0, abs(float(qv[k])))
-            dq = np.zeros(n)
-            dq[k] = h
-            rp, rm = residual(qv + dq), residual(qv - dq)
-            if rp is None or rm is None:
-                h *= 1e-2
-                dq[k] = h
+            for step in (1e-6, 1e-8):  # the smaller step where the larger one leaves the domain
+                dq = np.zeros(n)
+                dq[k] = step * max(1.0, abs(float(qv[k])))
                 rp, rm = residual(qv + dq), residual(qv - dq)
-            J[:, k] = (rp - rm) / (2.0 * h)
+                if rp is not None and rm is not None:
+                    break
+            else:
+                return None
+            J[:, k] = (rp - rm) / (2.0 * dq[k])
         return J
 
     def newton_step(J, rv):
@@ -297,43 +300,47 @@ def solve_statics(
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(J, -rv, rcond=None)[0]
 
+    def stopped(why, iterations):
+        logger.warning("statics stopped: %s; best residual %.3e", why, best[0])
+        return StaticsResult(q=best[1], converged=False, residual_norm=float(best[0]), iterations=iterations)
+
     r = residual(q)
+    best = (np.inf if r is None else np.linalg.norm(r), q.copy())
     if r is None:
-        raise ValueError("statics residual is not evaluable at the initial guess")
-    best = (np.linalg.norm(r), q.copy())
+        return stopped("the residual is not evaluable at the initial guess", 0)
     step_cap = max(2.0, 0.5 * float(np.linalg.norm(q)))
     J = None  # Jacobian of the previous iterate
     for it in range(1, max_iter + 1):
         rn = np.linalg.norm(r)
-        if rn < tol:
-            if J is None:
-                J = jacobian(q)
-            if np.linalg.norm(newton_step(J, r)) <= tol * max(1.0, float(np.linalg.norm(q))):
-                return StaticsResult(q=q, converged=True, residual_norm=float(rn), iterations=it - 1)
-        J = jacobian(q)
+        at_q = rn < tol and J is None  # a root at the guess: its own Jacobian decides
+        if at_q:
+            J = jacobian(q)
+        if rn < tol and J is not None and np.linalg.norm(newton_step(J, r)) <= tol * max(1.0, float(np.linalg.norm(q))):
+            return StaticsResult(q=q, converged=True, residual_norm=float(rn), iterations=it - 1)
+        J = J if at_q else jacobian(q)
+        if J is None:
+            return stopped("a Jacobian column is not evaluable", it - 1)
         step = newton_step(J, r)
         norm = float(np.linalg.norm(step))
         if norm > step_cap:
             step *= step_cap / norm
         alpha = 1.0
-        q_new, r_new = q, r
         while alpha > 1e-6:
             cand = q + alpha * step
             r_cand = residual(cand)
             if r_cand is not None and np.linalg.norm(r_cand) < (1.0 - 1e-4 * alpha) * rn:
-                q_new, r_new = cand, r_cand
+                q, r = cand, r_cand
                 break
             alpha *= 0.5
         else:
-            cand = q + 1e-6 * step
-            r_cand = residual(cand)
-            if r_cand is not None:
-                q_new, r_new = cand, r_cand
-        q, r = q_new, r_new
+            # no trial point lowers |r| (a kink of the residual can hold the
+            # search): take the whole step, the best iterate being kept
+            q, r = q + step, residual(q + step)
+            if r is None:
+                return stopped("no evaluable step lowers the residual", it)
         if np.linalg.norm(r) < best[0]:
             best = (np.linalg.norm(r), q.copy())
-    logger.warning("statics did not converge: best residual %.3e", best[0])
-    return StaticsResult(q=best[1], converged=False, residual_norm=float(best[0]), iterations=max_iter)
+    return stopped(f"no convergence in {max_iter} iterations", max_iter)
 
 
 # -- PD+ regulation ---------------------------------------------------------------

@@ -457,19 +457,17 @@ def forward_kinematics(chain: ChainModel, q) -> list[dict]:
     return out
 
 
-def chain_points(chain: ChainModel, q, points_per_body: list[Array], placed=None) -> list[Array]:
+def chain_points(chain: ChainModel, q, points_per_body: list[Array]) -> list[Array]:
     """Base-frame positions of material points, one array (m_i, 3) per body.
 
-    Each body is solved once, at its anchors and its points together, unless
-    ``placed[i]`` already holds that :meth:`BodyHandle.place` result at q.
+    Each body is solved once, at its anchors and its points together.
     """
     (q,) = chain.check_state(q)
     out = []
     T = chain.base
     for i, lk in enumerate(chain.links):
         qj, qb = chain.split(i, q)
-        _, (Rc, tc, _, _), f, _ = ((placed and placed[i])
-                                   or lk.body.place(qb, np.asarray(points_per_body[i], dtype=float)))
+        _, (Rc, tc, _, _), f, _ = lk.body.place(qb, np.asarray(points_per_body[i], dtype=float))
         T = T.compose(Transform(*lk.joint.transform(qj)))
         out.append(T.apply(f))
         T = T.compose(Transform(Rc, tc))

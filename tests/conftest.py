@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softid import presets
+from softid.errors import BodyDomainError
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +46,45 @@ def sample_state(rng, n, q_range=np.pi, qd_range=10.0, qdd_range=100.0):
         rng.uniform(-qd_range, qd_range, n),
         rng.uniform(-qdd_range, qdd_range, n),
     )
+
+
+def in_domain(chain, q):
+    """False where some body map has no value at its quadrature nodes."""
+    try:
+        for i, lk in enumerate(chain.links):
+            model = lk.body.model
+            model.position(model.nodes()[0], chain.split(i, q)[1])
+    except BodyDomainError:
+        return False
+    return True
+
+
+def fixture_states(rng, chain, count, redrawn):
+    """``count`` box states (:func:`sample_state`) inside the body maps' domain.
+
+    The LVP bending map exists only where 2 kappa x_r < 1, which excludes
+    part of the box; a state outside is redrawn and appended to ``redrawn``
+    as (chain, state).  Fixtures without a domain limit draw exactly as
+    :func:`sample_state`.
+    """
+    kept = 0
+    while kept < count:
+        state = sample_state(rng, chain.n)
+        if in_domain(chain, state[0]):
+            kept += 1
+            yield state
+        else:
+            redrawn.append((chain, state))
+
+
+def check_redrawn(redrawn, algorithm):
+    """(ok, note): whether ``algorithm`` raises BodyDomainError at every redrawn state."""
+    raised = True
+    for chain, state in redrawn:
+        try:
+            algorithm(chain, *state)
+            raised = False
+        except BodyDomainError:
+            pass
+    return raised, (f"; {len(redrawn)} states outside the body-map domain redrawn "
+                    f"({algorithm.__name__} raises BodyDomainError at each: {raised})")

@@ -12,11 +12,12 @@ import pytest
 from softid import presets
 from softid.bodies import CosseratRodBody
 from softid.dynamics import backward_recursion, chain_dynamics, inverse_dynamics, iid, miid
-from softid.errors import BodyDomainError
 from softid.harness import benchmark_scaling, forward_dynamics, simulate, solve_statics
 from softid.kinematics import forward_pass
 from softid.oracle import oracle_kane, oracle_mass
 from softid.spatial import skew
+
+from conftest import check_redrawn, fixture_states
 
 SEED = 1234
 
@@ -43,48 +44,6 @@ def _states(rng, n, count):
                rng.uniform(-100.0, 100.0, n))
 
 
-def _in_domain(chain, q):
-    """False where some body map has no value at its quadrature nodes."""
-    try:
-        for i, lk in enumerate(chain.links):
-            model = lk.body.model
-            model.position(model.nodes()[0], chain.split(i, q)[1])
-    except BodyDomainError:
-        return False
-    return True
-
-
-def _fixture_states(rng, chain, count, redrawn):
-    """``count`` box states inside the body maps' domain.
-
-    The LVP bending map exists only where 2 kappa x_r < 1, which excludes
-    part of the box; a state outside is redrawn and appended to ``redrawn``
-    as (chain, state).  Fixtures without a domain limit draw exactly as
-    :func:`_states`.
-    """
-    kept = 0
-    while kept < count:
-        state = next(_states(rng, chain.n, 1))
-        if _in_domain(chain, state[0]):
-            kept += 1
-            yield state
-        else:
-            redrawn.append((chain, state))
-
-
-def _check_redrawn(redrawn):
-    """(ok, note): whether iid raises BodyDomainError at every redrawn state."""
-    raised = True
-    for chain, state in redrawn:
-        try:
-            iid(chain, *state)
-            raised = False
-        except BodyDomainError:
-            pass
-    return raised, (f"; {len(redrawn)} states outside the body-map domain redrawn "
-                    f"(iid raises BodyDomainError at each: {raised})")
-
-
 def test_criterion_1_oracle_equivalence():
     """IID equals the direct Kane summation on every bundled fixture."""
     rng = np.random.default_rng(SEED)
@@ -93,13 +52,13 @@ def test_criterion_1_oracle_equivalence():
     redrawn = []
     for name, chain in _fixtures().items():
         w = 0.0
-        for q, qd, qdd in _fixture_states(rng, chain, 50, redrawn):
+        for q, qd, qdd in fixture_states(rng, chain, 50, redrawn):
             a = iid(chain, q, qd, qdd)
             b = oracle_kane(chain, q, qd, qdd)
             w = max(w, np.linalg.norm(a - b) / np.linalg.norm(b))
         worst[name] = w
     elapsed = time.perf_counter() - t0
-    raised, note = _check_redrawn(redrawn)
+    raised, note = check_redrawn(redrawn, iid)
     ok = max(worst.values()) <= 1e-6 and elapsed < 60.0 and raised
     detail = ("worst rel err " + ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
               + f"; runtime {elapsed:.1f}s (tol 1e-6, budget 60s)" + note)
@@ -114,7 +73,7 @@ def test_criterion_2_mass_matrix():
     redrawn = []
     for name, chain in _fixtures().items():
         eye = np.eye(chain.n)
-        for q, _, _ in _fixture_states(rng, chain, 20, redrawn):
+        for q, _, _ in fixture_states(rng, chain, 20, redrawn):
             M = miid(chain, q, None, None).mass
             cols = np.column_stack([iid(chain, q, None, e) for e in eye])
             worst_col = max(worst_col, np.abs(M - cols).max() / np.abs(cols).max())
@@ -123,11 +82,11 @@ def test_criterion_2_mass_matrix():
                 np.linalg.cholesky(0.5 * (M + M.T))
             except np.linalg.LinAlgError:
                 spd = False
-        for q, _, _ in _fixture_states(rng, chain, 5, redrawn):
+        for q, _, _ in fixture_states(rng, chain, 5, redrawn):
             M = miid(chain, q, None, None).mass
             Mo = oracle_mass(chain, q)
             worst_orc = max(worst_orc, np.abs(M - Mo).max() / np.abs(Mo).max())
-    raised, note = _check_redrawn(redrawn)
+    raised, note = check_redrawn(redrawn, iid)
     ok = worst_col <= 1e-10 and worst_orc <= 1e-8 and worst_sym <= 1e-9 and spd and raised
     _report("2 (mass matrix)", ok,
             f"columns {worst_col:.2e} (1e-10), oracle {worst_orc:.2e} (1e-8), "
@@ -186,7 +145,7 @@ def test_criterion_4_trivial_identities():
     worst = 0.0
     redrawn = []
     for name, chain in _fixtures().items():
-        for q, _, _ in _fixture_states(rng, chain, 10, redrawn):
+        for q, _, _ in fixture_states(rng, chain, 10, redrawn):
             scale = max(1.0, float(np.abs(oracle_mass(chain, q)).max()))
             worst = max(worst, np.abs(iid(chain, q, None, None)).max() / scale)
             res = chain_dynamics(chain, q, None, None)
@@ -194,7 +153,7 @@ def test_criterion_4_trivial_identities():
                   + res.components["damping"])
             worst = max(worst, np.abs(res.force - gs).max() / max(1.0, np.abs(gs).max()))
             worst = max(worst, np.abs(res.components["inertial"]).max() / scale)
-    raised, note = _check_redrawn(redrawn)
+    raised, note = check_redrawn(redrawn, iid)
     _report("4 (trivial identities)", worst <= 1e-12 and raised,
             f"worst residual {worst:.2e} (tol 1e-12)" + note)
 
@@ -270,7 +229,7 @@ def test_criterion_6_id_fd_roundtrip():
     worst = worst_bound = worst_ratio = 0.0
     redrawn = []
     for name, chain in _fixtures().items():
-        for q, qd, qdd in _fixture_states(rng, chain, 5, redrawn):
+        for q, qd, qdd in fixture_states(rng, chain, 5, redrawn):
             nu = inverse_dynamics(chain, q, qd, qdd)
             back = forward_dynamics(chain, q, qd, nu)
             scale = max(np.linalg.norm(qdd), 1.0)
@@ -280,7 +239,7 @@ def test_criterion_6_id_fd_roundtrip():
             worst = max(worst, err)
             worst_bound = max(worst_bound, bound)
             worst_ratio = max(worst_ratio, err / (1e-7 + bound))
-    raised, note = _check_redrawn(redrawn)
+    raised, note = check_redrawn(redrawn, iid)
     _report("6 (ID/FD round trip)", worst_ratio <= 1.0 and raised,
             f"worst relative error {worst:.2e}, largest float64 bound {worst_bound:.2e}, "
             f"worst error / (1e-7 + bound) {worst_ratio:.2f} (<=1)" + note)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from softid import presets
 from softid.bodies import (
     BendPrimitive,
     CosseratRodBody,
@@ -142,6 +143,21 @@ def test_backbone_frames_orthonormal(kind, rng):
         gram = np.einsum("kab,kac->kbc", R, R)
         assert np.abs(gram - np.eye(3)).max() < 1e-13
         assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["pac_1", "pgc_2"])
+def test_backbone_frame_independent_of_other_points(name):
+    # the end-face frames solved alone equal those solved with the quadrature nodes
+    chain = {"pac_1": presets.pac_chain, "pgc_2": presets.pgc_chain}[name]()
+    rng = np.random.default_rng(8)
+    q = rng.uniform(-1.0, 1.0, chain.n)
+    for i, lk in enumerate(chain.links):
+        handle, qb = lk.body, chain.split(i, q)[1]
+        anchors = handle.points[:handle.n_anchors]
+        alone = handle.model.solve(anchors, qb)
+        together = handle.model.solve(handle.points, qb)
+        for a, b in zip(alone, together):
+            assert np.abs(a - b[:handle.n_anchors]).max() <= 1e-15 * max(1.0, np.abs(a).max())
 
 
 @pytest.mark.parametrize("kind", ["pcc", "pac", "pcs", "pgc"])

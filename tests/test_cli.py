@@ -119,6 +119,17 @@ def test_statics_pendulum(pendulum_file, tmp_path):
     assert abs(abs(payload["q_eq"][0]) - np.pi) < 1e-6
 
 
+def test_statics_unevaluable_guess_exits_nonconvergence(tmp_path):
+    model = tmp_path / "lvp.json"
+    model.write_text(json.dumps(presets.lvp_description()))
+    state = tmp_path / "guess.json"
+    state.write_text(json.dumps({"q": [0.0, 3.0, 0.0]}))  # past the LVP bending fold
+    out = tmp_path / "eq.json"
+    assert main(["statics", "--state", str(state), "-o", str(out), str(model)]) == 4
+    payload = json.loads(out.read_text())
+    assert not payload["converged"] and payload["iterations"] == 0
+
+
 def test_benchmark_csv_shape(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["benchmark", "--sizes", "1,2", "--trials", "10",

@@ -3,7 +3,7 @@ import pytest
 
 from softid import presets
 from softid.dynamics import inverse_dynamics, miid
-from softid.errors import SingularMassError
+from softid.errors import BodyDomainError, SingularMassError
 from softid.harness import (
     PDPlusController,
     Trajectory,
@@ -167,6 +167,64 @@ def test_statics_nonconvergence_reports_best():
     st = solve_statics(chain, q_guess=np.array([1.0]), max_iter=1, tol=1e-14)
     assert not st.converged
     assert np.isfinite(st.residual_norm)
+
+
+def test_statics_unevaluable_guess_reports_not_converged(caplog):
+    # the LVP bending map has no value at this curvature (2 kappa x_r >= 1)
+    chain = presets.lvp_chain()
+    guess = np.array([0.0, 3.0, 0.0])
+    st = solve_statics(chain, q_guess=guess)
+    assert not st.converged
+    assert st.iterations == 0
+    assert st.residual_norm == np.inf
+    assert np.array_equal(st.q, guess)
+    assert "initial guess" in caplog.text
+
+
+def test_statics_unevaluable_jacobian_column_stops(caplog):
+    # the body map ends at q_0 = 0.2: both difference steps of the first
+    # Jacobian column leave its domain, so the solve stops at the best iterate
+    chain = presets.pcc_chain(1, C=1e5, eta=None)
+    chain.gravity = np.zeros(3)
+    model = chain.links[0].body.model
+    solve = model.solve
+
+    def capped(x, q):
+        if q[0] > 0.2:
+            raise BodyDomainError("curvature beyond the test cap")
+        return solve(x, q)
+
+    model.solve = capped
+    guess = np.array([0.2, -0.1, 0.0])
+    st = solve_statics(chain, q_guess=guess)
+    assert not st.converged
+    assert st.iterations == 0
+    assert np.array_equal(st.q, guess)
+    assert np.isfinite(st.residual_norm)
+    assert "Jacobian" in caplog.text
+
+
+def test_statics_stops_where_no_step_is_evaluable(caplog):
+    # the body map exists only within 5e-8 of the guess's first coordinate:
+    # the Jacobian is differenced at the smaller step, but no trial point
+    # along the Newton step can be evaluated
+    chain = presets.pcc_chain(1, C=1e5, eta=None)
+    chain.gravity = np.zeros(3)
+    model = chain.links[0].body.model
+    solve = model.solve
+
+    def capped(x, q):
+        if abs(q[0] + 0.1) > 5e-8:
+            raise BodyDomainError("curvature beyond the test cap")
+        return solve(x, q)
+
+    model.solve = capped
+    guess = np.array([-0.1, 0.0, 0.0])
+    st = solve_statics(chain, q_guess=guess)
+    assert not st.converged
+    assert st.iterations == 1
+    assert np.array_equal(st.q, guess)
+    assert "no evaluable step" in caplog.text
 
 
 # -- PD+ regulation ----------------------------------------------------------------
