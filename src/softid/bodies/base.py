@@ -20,6 +20,16 @@ FD_Q_STEP = 1e-7
 FD_X_STEP = 1e-5
 
 
+def central_difference(fn, x: Array, steps) -> Array:
+    """Central differences of ``fn`` at x, coordinate k stepped by ``steps[k]``.
+
+    The columns (fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k) are stacked on
+    a trailing axis.
+    """
+    cols = [(fn(x + dx) - fn(x - dx)) / (2.0 * h) for h, dx in zip(steps, np.diag(steps))]
+    return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
+
+
 class BodyModel:
     """Base class for body kinematic models.
 
@@ -34,14 +44,17 @@ class BodyModel:
     elastic_modulus: float | None = None
     viscosity: float | None = None
     quadrature_order = DEFAULT_ORDER
-    #: whether :meth:`hess_x` is analytic (else stress falls back to FD)
-    has_analytic_hess_x: bool = False
 
     _node_cache: tuple[Array, Array] | None = None
 
     def solve(self, x: Array, q: Array):
         """Solution of the body map at (x, q) that the methods below take as
-        ``sol`` instead of solving again; None (the default) shares nothing."""
+        ``sol`` instead of solving again.
+
+        A solution is None (the default: nothing shared) or a tuple of arrays
+        with one leading row per point of x, so the rows of a subset of the
+        points are the solution at that subset.
+        """
         return None
 
     def position(self, x: Array, q: Array, sol=None) -> Array:
@@ -51,23 +64,11 @@ class BodyModel:
     def jac_q(self, x: Array, q: Array, sol=None) -> Array:
         """Configuration Jacobian df/dq, shape (m, 3, n_dof)."""
         q = np.asarray(q, dtype=float)
-        out = np.empty((x.shape[0], 3, self.n_dof))
-        h = FD_Q_STEP * max(1.0, float(np.linalg.norm(q)))
-        for k in range(self.n_dof):
-            dq = np.zeros(self.n_dof)
-            dq[k] = h
-            out[:, :, k] = (self.position(x, q + dq) - self.position(x, q - dq)) / (2.0 * h)
-        return out
+        return central_difference(lambda qs: self.position(x, qs), q, self._q_steps(q))
 
     def jac_x(self, x: Array, q: Array, sol=None) -> Array:
         """Material Jacobian df/dx (deformation gradient), shape (m, 3, 3)."""
-        out = np.empty((x.shape[0], 3, 3))
-        h = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0)
-        for c in range(3):
-            dx = np.zeros(3)
-            dx[c] = h
-            out[:, :, c] = (self.position(x + dx, q) - self.position(x - dx, q)) / (2.0 * h)
-        return out
+        return central_difference(lambda d: self.position(x + d, q), np.zeros(3), self._x_steps())
 
     def jac_x_dq(self, x: Array, q: Array, sol=None) -> Array:
         """Configuration derivative of the deformation gradient, (m, 3, 3, n_dof).
@@ -76,13 +77,7 @@ class BodyModel:
         differences of :meth:`jac_x`.
         """
         q = np.asarray(q, dtype=float)
-        out = np.empty((x.shape[0], 3, 3, self.n_dof))
-        h = FD_Q_STEP * max(1.0, float(np.linalg.norm(q)))
-        for k in range(self.n_dof):
-            dq = np.zeros(self.n_dof)
-            dq[k] = h
-            out[..., k] = (self.jac_x(x, q + dq) - self.jac_x(x, q - dq)) / (2.0 * h)
-        return out
+        return central_difference(lambda qs: self.jac_x(x, qs), q, self._q_steps(q))
 
     def hess_x(self, x: Array, q: Array, sol=None) -> Array:
         """Second material derivatives d2f/dx dx, shape (m, 3, 3, 3).
@@ -90,13 +85,13 @@ class BodyModel:
         Entry [p, a, b, c] is d^2 f_a / dx_b dx_c.  Default: central
         differences of :meth:`jac_x`.
         """
-        h = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0)
-        cols = []
-        for c in range(3):
-            dx = np.zeros(3)
-            dx[c] = h
-            cols.append((self.jac_x(x + dx, q) - self.jac_x(x - dx, q)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return central_difference(lambda d: self.jac_x(x + d, q), np.zeros(3), self._x_steps())
+
+    def _q_steps(self, q: Array) -> Array:
+        return np.full(self.n_dof, FD_Q_STEP * max(1.0, float(np.linalg.norm(q))))
+
+    def _x_steps(self) -> Array:
+        return np.full(3, FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0))
 
     def nodes(self) -> tuple[Array, Array]:
         """Cached quadrature points (m, 3) and volume weights (m,)."""
@@ -125,7 +120,6 @@ class RigidBody(BodyModel):
         self.domain = domain
         self.rho = float(rho)
         self.quadrature_order = quadrature_order
-        self.has_analytic_hess_x = True
 
     n_dof = 0
     elastic_modulus = None

@@ -357,8 +357,6 @@ PRIMITIVE_KINDS = {
 class LvpBody(BodyModel):
     """Body whose kinematics composes LVP primitives in list order."""
 
-    has_analytic_hess_x = False
-
     def __init__(
         self,
         primitives: list[LvpPrimitive],

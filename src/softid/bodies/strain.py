@@ -258,8 +258,6 @@ def pgc_basis(length: float) -> StrainBasis:
 class CosseratRodBody(BodyModel):
     """Rod whose cross-sections ride rigidly on a strain-parameterized backbone."""
 
-    has_analytic_hess_x = True
-
     def __init__(
         self,
         basis: StrainBasis,
@@ -447,8 +445,6 @@ class VariableRadiusPccBody(CosseratRodBody):
     cross-section on the phi in [0, pi) and [pi, 2 pi) halves.  The bump
     vanishes at the end faces, so the contact areas stay rigid.
     """
-
-    has_analytic_hess_x = False
 
     def __init__(self, length, radius, domain, rho, elastic_modulus=None, viscosity=None,
                  quadrature_order=DEFAULT_ORDER):

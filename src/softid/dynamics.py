@@ -7,20 +7,21 @@ returns nu.  These are the negatives of the generalized inertial/active
 forces of the Kane formulation.
 
 The mass-augmented variants propagate zero-velocity Jacobians of the
-acceleration recursion forward and of the wrench recursion backward, so the
-generalized mass matrix comes out of the same sweep that produces the force
+acceleration recursion forward.  Column k of the generalized mass matrix is
+the inertial load of the unit acceleration qdd = e_k at rest; these n load
+cases ride the one backward recursion as extra stacked rows after the force
+components, so M(q) comes out of the same sweep that produces the force
 vector.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
-from .kinematics import BodyHandle, BodyKin, ChainModel, KinematicsCache, forward_pass
+from .kinematics import BodyHandle, ChainModel, KinematicsCache, forward_pass
 from .spatial import cross, skew, vec_kron_contract
 
 Array = np.ndarray
@@ -110,24 +111,17 @@ def stress_terms(body, qb: Array, qdb: Array | None = None,
     qdb = np.zeros(model.n_dof) if qdb is None else np.asarray(qdb, dtype=float)
     if data is None:
         data = body_integrals(handle, qb)
-    if model.has_analytic_hess_x:
-        # reuse the sweep's solve on the stacked points, then drop the anchors
-        x, sol, k = handle.points, data.ev.sol, handle.n_anchors
-    else:
-        # differences in x would step the anchors off the end face: nodes only
-        warnings.warn(
-            f"{type(model).__name__} has no analytic second material derivatives; "
-            "stress divergence falls back to finite differences",
-            RuntimeWarning, stacklevel=2,
-        )
-        x, sol, k = data.nodes, None, 0
+    # the sweep's solve at the nodes alone: differences in x would step the
+    # end-face anchors off the domain
+    sol = data.ev.sol
+    sol = None if sol is None else tuple(a[handle.n_anchors:] for a in sol)
 
     w = data.weights_mass / model.rho
     C = model.elastic_modulus
-    dens_e = 2.0 * C * _div_green(model, x, qb, sol)[k:]
+    dens_e = 2.0 * C * _div_green(model, data.nodes, qb, sol)
     damping = zero
     if model.viscosity is not None and np.any(qdb):
-        dF = model.jac_x_dq(x, qb, sol)[k:]  # (m, 3, 3, n_body)
+        dF = model.jac_x_dq(data.nodes, qb, sol)  # (m, 3, 3, n_body)
         pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,mabj,mab->j", w, dF, dF @ qdb)
         damping = (np.zeros(3), np.zeros(3), np.concatenate([np.zeros(n_joint), pi_d]))
 
@@ -189,40 +183,36 @@ def chain_dynamics(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),
     )
-    N = len(chain)
+    n_rows = 4 + (chain.n if mass else 0)
+    cases = _mass_matrix(chain, cache) if mass else None
     wrenches = []
     pis = []
     for i, lk in enumerate(chain.links):
         kin = cache[i]
         data = kin.data
         nj = lk.joint.n_dof
-        F_star, T_star, pi_star = inertial_terms(data, kin.w, kin.wdot, kin.a_com, nj)
-        F = np.zeros((3, 3))  # rows: gravity, elastic, damping (active forces)
-        T = np.zeros((3, 3))
-        pi_active = np.zeros((3, lk.n_dof))
+        # rows: inertial, gravity, elastic, damping, then M's unit-acceleration cases
+        F, F_star, T, T_star = (np.zeros((n_rows, 3)) for _ in range(4))
+        pi = np.zeros((n_rows, lk.n_dof))
+        F_star[0], T_star[0], pi[0] = inertial_terms(data, kin.w, kin.wdot, kin.a_com, nj)
         if gravity:
-            F[0], pi_active[0] = gravity_terms(data, kin.R_base, chain.gravity, nj)
+            F[1], pi[1] = gravity_terms(data, kin.R_base, chain.gravity, nj)
         if stress and lk.body.model.elastic_modulus is not None:
             _, qb = chain.split(i, q)
             _, qdb = chain.split(i, qd)
-            (F[1], T[1], pi_active[1]), (F[2], T[2], pi_active[2]) = stress_terms(
+            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stress_terms(
                 lk.body, qb, qdb, data=data, n_joint=nj
             )
-        # stacked components: inertial, gravity, elastic, damping
-        Fs = np.vstack([np.zeros(3), F])
-        Ts = np.vstack([np.zeros(3), T])
-        F_stars = np.vstack([F_star, np.zeros((3, 3))])
-        T_stars = np.vstack([T_star, np.zeros((3, 3))])
-        wrenches.append((Fs, F_stars, Ts, T_stars))
-        pis.append(np.vstack([pi_star, pi_active]))
+        if mass:
+            F_star[4:], T_star[4:], pi[4:] = cases[i]
+        wrenches.append((F, F_star, T, T_star))
+        pis.append(pi)
 
     proj = backward_recursion(chain, wrenches, cache)
-    components = {}
-    for c, name in enumerate(_COMPONENTS):
-        vec = np.zeros(chain.n)
-        for i in range(N):
-            vec[chain.slice(i)] = -(pis[i][c] + proj[i][c])
-        components[name] = vec
+    rows = np.empty((n_rows, chain.n))
+    for i in range(len(chain)):
+        rows[:, chain.slice(i)] = -(pis[i] + proj[i])
+    components = dict(zip(_COMPONENTS, rows))
 
     force = components["inertial"].copy()
     if gravity:
@@ -230,19 +220,22 @@ def chain_dynamics(
     if stress:
         force += components["elastic"] + components["damping"]
 
-    M = _mass_matrix(chain, cache) if mass else None
+    M = rows[4:].T if mass else None
     return DynamicsResult(force=force, mass=M, components=components, cache=cache)
 
 
-def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> Array:
-    """Assemble M(q) from zero-velocity acceleration Jacobians (one sweep)."""
+def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:
+    """Unit-acceleration load cases of M(q), one (F*, T*, pi*) per body.
+
+    Case k is qdd = e_k at rest.  The zero-velocity Jacobians A, W of the
+    acceleration recursion give each body's inertial force and torque for
+    every case, (n, 3) each, and its own projection, (n, n_i); the backward
+    recursion turns them into the columns of M.
+    """
     n = chain.n
-    N = len(chain)
-    A_prev = np.zeros((3, n))
-    W_prev = np.zeros((3, n))
-    jac_F = [None] * N
-    jac_T = [None] * N
-    jac_pi = [None] * N
+    A = np.zeros((3, n))
+    W = np.zeros((3, n))
+    cases = []
     for i, lk in enumerate(chain.links):
         kin = cache[i]
         data = kin.data
@@ -255,45 +248,20 @@ def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> Array:
         dv_rel[:, sl] = kin.Jt
         dw_rel[:, sl] = kin.Jw
         RT = kin.R_rel.T
-        A = RT @ (A_prev - skew(kin.t_rel) @ W_prev + dv_rel)
-        W = RT @ (W_prev + dw_rel)
+        A = RT @ (A - skew(kin.t_rel) @ W + dv_rel)
+        W = RT @ (W + dw_rel)
         A_com = A - skew(data.p_com) @ W
         A_com[:, body_cols] += data.jac_com
 
         jF = -data.mass * A_com
         jT = -data.inertia @ W
         jT[:, body_cols] -= data.jac_mom_rd
-        jac_F[i] = jF
-        jac_T[i] = jT
-
         jp = -data.jac_mom_rd.T @ W + data.jac_com.T @ jF
         jp[:, body_cols] -= data.gram
-        block = np.zeros((lk.n_dof, n))
-        block[nj:] = jp
-        jac_pi[i] = block
-
-        A_prev, W_prev = A, W
-
-    M = np.zeros((n, n))
-    acc_F = None
-    acc_T = None
-    for i in range(N - 1, -1, -1):
-        kin = cache[i]
-        if acc_F is None:
-            acc_F = jac_F[i]
-            acc_T = jac_T[i] + skew(kin.data.p_com) @ jac_F[i]
-        else:
-            nxt = cache[i + 1]
-            rot_F = nxt.R_rel @ acc_F
-            acc_T = (
-                jac_T[i]
-                + skew(kin.data.p_com) @ jac_F[i]
-                + nxt.R_rel @ acc_T
-                + skew(nxt.t_rel) @ rot_F
-            )
-            acc_F = jac_F[i] + rot_F
-        M[chain.slice(i)] = -(jac_pi[i] + kin.Pv @ acc_F + kin.Pw @ acc_T)
-    return M
+        pi = np.zeros((n, lk.n_dof))
+        pi[:, nj:] = jp.T
+        cases.append((jF.T, jT.T, pi))
+    return cases
 
 
 # -- the four algorithms ---------------------------------------------------------

@@ -25,6 +25,10 @@ class SingularMassError(SoftIDError):
         self.smallest_eigenvalue = smallest_eigenvalue
 
 
+class NonFiniteDynamicsError(SoftIDError):
+    """A sweep returned a non-finite mass matrix or force (e.g. an overflow
+    at an extreme velocity)."""
+
 
 class NonOrthonormalFrameError(SoftIDError):
     """A rigid transform's rotation block is not orthonormal within tolerance."""

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .bodies.base import central_difference
 from .dynamics import chain_dynamics, inverse_dynamics
-from .errors import SingularMassError, SoftIDError
+from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
 from .oracle import oracle_kane
 
@@ -33,6 +34,8 @@ logger = logging.getLogger(__name__)
 
 
 def _solve_spd(M: Array, rhs: Array) -> Array:
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        raise NonFiniteDynamicsError("mass matrix or right-hand side is not finite")
     try:
         return cho_solve(cho_factor(M), rhs)
     except LinAlgError as exc:
@@ -82,20 +85,10 @@ class Trajectory:
 
 def _force_jacobians(chain, q, qd, h=1e-5):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s."""
-    n = chain.n
-    K = np.empty((n, n))
-    D = np.empty((n, n))
-    for k in range(n):
-        dq = np.zeros(n)
-        dq[k] = h * max(1.0, abs(float(q[k])))
-        fp = chain_dynamics(chain, q + dq, qd, None).force
-        fm = chain_dynamics(chain, q - dq, qd, None).force
-        K[:, k] = (fp - fm) / (2.0 * dq[k])
-        dv = np.zeros(n)
-        dv[k] = h * max(1.0, abs(float(qd[k])))
-        fp = chain_dynamics(chain, q, qd + dv, None).force
-        fm = chain_dynamics(chain, q, qd - dv, None).force
-        D[:, k] = (fp - fm) / (2.0 * dv[k])
+    K = central_difference(lambda qs: chain_dynamics(chain, qs, qd, None).force,
+                           q, h * np.maximum(1.0, np.abs(q)))
+    D = central_difference(lambda vs: chain_dynamics(chain, q, vs, None).force,
+                           qd, h * np.maximum(1.0, np.abs(qd)))
     return K, D
 
 
@@ -161,6 +154,7 @@ def simulate(
     diss_acc = 0.0
     K = D = None
     q_lin = qd_lin = None
+    p_start = None  # semi-implicit: the last step's start powers, its trapezoid still open
     try:
         for k in range(steps + 1):
             t = k * dt
@@ -169,6 +163,11 @@ def simulate(
                 logger.warning("simulation aborted at step %d: non-finite state", k)
                 break
             qdd1, res1, nu1 = eval_dyn(t, q, qd)
+            p1 = powers(res1, qd)
+            if p_start is not None:
+                # this state's sweep closes the last step's trapezoid
+                stress_work += 0.5 * dt * (p_start[0] + p1[0])
+                diss_acc += 0.5 * dt * (p_start[1] + p1[1])
             ts[k] = t
             qs[k] = q
             qds[k] = qd
@@ -180,7 +179,6 @@ def simulate(
             if k == steps:
                 break
 
-            p1 = powers(res1, qd)
             if method == "semi_implicit":
                 # refresh the linearization after drifting away from its state
                 stale = (
@@ -197,10 +195,7 @@ def simulate(
                 rhs = (M + dt * D) @ qd + dt * (nu1 - res1.force)
                 qd = np.linalg.solve(lhs, rhs)
                 q = q + dt * qd
-                res2 = chain_dynamics(chain, q, qd, None)
-                p2 = powers(res2, qd)
-                stress_work += 0.5 * dt * (p1[0] + p2[0])
-                diss_acc += 0.5 * dt * (p1[1] + p2[1])
+                p_start = p1
             else:
                 # work integrals ride the same RK4 stages as the state
                 k1q, k1v = qd, qdd1

@@ -329,12 +329,6 @@ class BodyKin:
     t_base: Array
     Jt: Array
     Jw: Array
-    Jt_dot: Array
-    Jw_dot: Array
-    v_rel: Array
-    w_rel: Array
-    a_rel: Array
-    wdot_rel: Array
     v: Array
     w: Array
     a: Array
@@ -420,9 +414,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         bodies.append(BodyKin(
             R_rel=R_rel, t_rel=t_rel,
             R_base=R_parent @ R_rel, t_base=t_parent + R_parent @ t_rel,
-            Jt=Jt, Jw=Jw, Jt_dot=Jt_dot, Jw_dot=Jw_dot,
-            v_rel=v_rel, w_rel=w_rel, a_rel=a_rel, wdot_rel=wdot_rel,
-            v=v, w=w, a=a, wdot=wdot, v_com=v_com, a_com=a_com,
+            Jt=Jt, Jw=Jw, v=v, w=w, a=a, wdot=wdot, v_com=v_com, a_com=a_com,
             Pv=Jt.T @ R_rel, Pw=Jw.T @ R_rel,
             data=data,
         ))

@@ -117,22 +117,17 @@ def test_stress_restoring_and_linear_in_C():
     assert np.abs(s2 - 2.0 * s1).max() < 1e-10 * np.abs(s2).max()
 
 
-def test_stress_analytic_vs_fd_hessian(pcc2, rng):
-    # the PCC analytic second derivatives must agree with the FD fallback
+def test_stress_analytic_vs_fd_hessian(pcc2, rng, monkeypatch):
+    # the PCC analytic second derivatives must agree with the FD default
+    # inside the stress pass
+    from softid.bodies.base import BodyModel
+
     lk = pcc2.links[0]
     model = lk.body.model
     q, qd, _ = sample_state(rng, pcc2.n, q_range=1.0, qd_range=2.0)
     (Fe, Te, pe), (Fd, Td, pd) = stress_terms(lk.body, q[:3], qd[:3])
-    assert model.has_analytic_hess_x
-    try:
-        model.has_analytic_hess_x = False
-        orig = model.hess_x
-        from softid.bodies.base import BodyModel
-        model.hess_x = lambda x, qq, sol=None: BodyModel.hess_x(model, x, qq)
-        (Fe2, Te2, pe2), _ = stress_terms(lk.body, q[:3], qd[:3])
-    finally:
-        model.has_analytic_hess_x = True
-        model.hess_x = orig
+    monkeypatch.setattr(model, "hess_x", lambda x, qq, sol=None: BodyModel.hess_x(model, x, qq))
+    (Fe2, Te2, pe2), _ = stress_terms(lk.body, q[:3], qd[:3])
     scale = max(np.abs(Fe).max(), 1.0)
     assert np.abs(Fe - Fe2).max() / scale < 1e-5
     assert np.abs(pe - pe2).max() / max(np.abs(pe).max(), 1.0) < 1e-5

@@ -3,7 +3,7 @@ import pytest
 
 from softid import presets
 from softid.dynamics import inverse_dynamics, miid
-from softid.errors import BodyDomainError, SingularMassError
+from softid.errors import BodyDomainError, NonFiniteDynamicsError, SingularMassError
 from softid.harness import (
     PDPlusController,
     Trajectory,
@@ -67,7 +67,21 @@ def test_singular_mass_reported():
     assert err.value.smallest_eigenvalue is not None
 
 
+def test_nonfinite_sweep_raises_typed_error():
+    # a speed of 1e200 overflows the sweep (the overflow is deliberate here)
+    chain = presets.rigid_pendulum_chain()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteDynamicsError):
+        forward_dynamics(chain, [0.3], [1e200], None)
+
+
 # -- simulation ----------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["rk4", "semi_implicit"])
+def test_simulate_aborts_on_nonfinite_sweep(method):
+    chain = presets.rigid_pendulum_chain()
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(chain, [0.3], [1e200], t_end=0.01, dt=1e-3, method=method)
+    assert traj.aborted_at == 0 and len(traj) == 0
 
 def test_pendulum_energy_conservation():
     chain = presets.rigid_pendulum_chain()
@@ -124,6 +138,20 @@ def test_semi_implicit_matches_rk4_on_mild_problem():
     a = simulate(chain, q0, np.zeros(1), t_end=0.5, dt=1e-3)
     b = simulate(chain, q0, np.zeros(1), t_end=0.5, dt=1e-4, method="semi_implicit")
     assert np.abs(a.q[-1] - b.q[-1]).max() < 5e-3
+
+
+def test_semi_implicit_without_coordinates():
+    # a welded rigid body: no column to difference, so K and D are 0 x 0
+    from softid.bodies import RigidBody
+    from softid.kinematics import BodyHandle, ChainModel, fixed_joint
+    from softid.quadrature import ReferenceDomain
+
+    dom = ReferenceDomain.cylinder(0.05, 0.2)
+    hb = BodyHandle(RigidBody(dom, 10.0, quadrature_order=(2, 6, 4)),
+                    x_j=[0, 0, 0.2], x_a=[0.05, 0, 0.2], x_b=[0, 0.05, 0.2])
+    traj = simulate(ChainModel([(fixed_joint(), hb)]), [], [], t_end=0.003, dt=1e-3,
+                    method="semi_implicit")
+    assert len(traj) == 4 and traj.aborted_at is None and traj.q.shape == (4, 0)
 
 
 def test_simulate_rejects_bad_dt(pcc2):
