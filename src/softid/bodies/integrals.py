@@ -6,7 +6,9 @@ to machine precision, because the center of mass is computed with the same
 rule.  Velocities of material points are configuration-Jacobian contractions
 r_dot = (dr/dq) qd; accelerations add the Jacobian rate, which the forward
 pass differences along the velocity direction together with the link
-Jacobians.
+Jacobians.  The forward pass hands over its own evaluation of the body and
+that rate (a rigid body's handle does so once, at zero rates), so nothing
+here evaluates or differences a body.
 """
 
 from __future__ import annotations
@@ -54,29 +56,16 @@ class BodyInertialData:
     ev: "BodyEval" = field(repr=False, default=None)  # noqa: F821  (kinematics) framed nodes
 
 
-def body_integrals(body, qb, qdb=None, qddb=None, ev=None, jac_rate=None) -> BodyInertialData:
-    """Evaluate all inertial integrals of ``body`` at one configuration state.
+def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
+    """Evaluate all inertial integrals of one framed body at one state.
 
-    ``body`` is a framed body (kinematics.BodyHandle); a bare body model is
-    accepted and treated as free-tip (identity contact frame).  The forward
-    pass supplies the handle's evaluation ``ev`` at qb and the time rate
-    ``jac_rate`` of its node Jacobian; omitted, they are computed here.
+    ``handle`` is the kinematics.BodyHandle, ``ev`` its evaluation at the
+    body coordinates, ``jac_rate`` the time rate of the node Jacobian
+    ``ev.jac``, and ``qdb``, ``qddb`` the body velocity and acceleration.
     """
-    from ..kinematics import BodyHandle, unit_rate
-
-    handle = body if isinstance(body, BodyHandle) else BodyHandle(body, free_tip=True)
     if handle.rigid is not None:
         return handle.rigid[1]
     model = handle.model
-    n = model.n_dof
-    qb = model.check_q(qb if qb is not None else np.zeros(n))
-    qdb = np.zeros(n) if qdb is None else np.asarray(qdb, dtype=float)
-    qddb = np.zeros(n) if qddb is None else np.asarray(qddb, dtype=float)
-    if ev is None:
-        ev = handle.evaluate(qb)
-    if jac_rate is None:
-        (jac_rate,) = unit_rate(lambda qs: (handle.evaluate(qs).jac,), qb, qdb, (ev.jac,))
-
     pts, w = model.nodes()
     wm = w * model.rho
     mass = float(wm.sum())

@@ -140,12 +140,11 @@ class StrainBasis:
     sigma_y, lambda); the offset puts the stress-free configuration at q = 0.
     """
 
-    def __init__(self, n_dof: int, matrix_fn, matrix_ds_fn, constant: bool, name: str):
+    def __init__(self, n_dof: int, matrix_fn, matrix_ds_fn, constant: bool):
         self.n_dof = n_dof
         self._matrix_fn = matrix_fn
         self._matrix_ds_fn = matrix_ds_fn
         self.is_constant = constant
-        self.name = name
 
     def matrix(self, s: Array) -> Array:
         """Phi(s) for s (k,) -> (k, 6, n_dof)."""
@@ -162,7 +161,7 @@ class StrainBasis:
         return self.matrix_ds(s) @ q
 
 
-def _const_basis(rows: Array, name: str) -> StrainBasis:
+def _const_basis(rows: Array) -> StrainBasis:
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
 
@@ -172,7 +171,7 @@ def _const_basis(rows: Array, name: str) -> StrainBasis:
     def mat_ds(s):
         return np.zeros((s.shape[0], 6, n))
 
-    return StrainBasis(n, mat, mat_ds, constant=True, name=name)
+    return StrainBasis(n, mat, mat_ds, constant=True)
 
 
 def pcc_basis(length: float, planar: bool = False, elongation: bool = True) -> StrainBasis:
@@ -185,18 +184,18 @@ def pcc_basis(length: float, planar: bool = False, elongation: bool = True) -> S
     if planar:
         rows = np.zeros((6, 1))
         rows[0, 0] = 1.0 / length
-        return _const_basis(rows, "pcc_planar")
+        return _const_basis(rows)
     rows = np.zeros((6, 3 if elongation else 2))
     rows[0, 0] = 1.0 / length
     rows[1, 1] = 1.0 / length
     if elongation:
         rows[5, 2] = 1.0 / length
-    return _const_basis(rows, "pcc" if elongation else "pcc_bend")
+    return _const_basis(rows)
 
 
 def pcs_basis(length: float) -> StrainBasis:
     """Constant strain on all six components; q scaled by 1/L0."""
-    return _const_basis(np.eye(6) / length, "pcs")
+    return _const_basis(np.eye(6) / length)
 
 
 def pac_basis(length: float) -> StrainBasis:
@@ -218,7 +217,7 @@ def pac_basis(length: float) -> StrainBasis:
         out[:, 1, 1] = 1.0 / length**2
         return out
 
-    return StrainBasis(4, mat, mat_ds, constant=False, name="pac")
+    return StrainBasis(4, mat, mat_ds, constant=False)
 
 
 def pgc_basis(length: float) -> StrainBasis:
@@ -250,7 +249,7 @@ def pgc_basis(length: float) -> StrainBasis:
         out[:, 1, 1] = dg / length
         return out
 
-    return StrainBasis(5, mat, mat_ds, constant=False, name="pgc")
+    return StrainBasis(5, mat, mat_ds, constant=False)
 
 
 # -- rod body ----------------------------------------------------------------
@@ -267,7 +266,6 @@ class CosseratRodBody(BodyModel):
         elastic_modulus: float | None = None,
         viscosity: float | None = None,
         quadrature_order=DEFAULT_ORDER,
-        backbone_steps: int = BACKBONE_STEPS,
     ):
         self.basis = basis
         self.length = float(length)
@@ -276,7 +274,6 @@ class CosseratRodBody(BodyModel):
         self.elastic_modulus = elastic_modulus
         self.viscosity = viscosity
         self.quadrature_order = quadrature_order
-        self.backbone_steps = int(backbone_steps)
 
     @property
     def n_dof(self) -> int:
@@ -294,7 +291,7 @@ class CosseratRodBody(BodyModel):
     def _frames_magnus(self, s_sorted: Array, q: Array):
         """s-varying strain: fourth-order Magnus steps on SE(3).
 
-        The frame at s composes the whole steps (``backbone_steps`` per rod
+        The frame at s composes the whole steps (``BACKBONE_STEPS`` per rod
         length) below s and one partial step up to s, so it depends on s
         alone.  A step of width h maps g to g exp(Omega), Omega = h/2 (xi_1 +
         xi_2) + sqrt(3) h^2/12 [xi_1, xi_2], xi_1 and xi_2 the strains at the
@@ -304,7 +301,7 @@ class CosseratRodBody(BodyModel):
         vectorized call; only the whole steps compose in sequence.
         """
         n = self.n_dof
-        h_whole = self.length / self.backbone_steps
+        h_whole = self.length / BACKBONE_STEPS
         whole = np.floor(s_sorted / h_whole).astype(int)
         count = int(whole.max(initial=0))
         # the whole steps, then one partial step per target (width 0 on a step boundary)
@@ -451,7 +448,7 @@ class VariableRadiusPccBody(CosseratRodBody):
         rows = np.zeros((6, 4))
         rows[0, 0] = 1.0 / length
         rows[5, 1] = 1.0 / length
-        basis = _const_basis(rows, "pcc_radial")
+        basis = _const_basis(rows)
         super().__init__(basis, length, domain, rho, elastic_modulus, viscosity, quadrature_order)
         self.radius = float(radius)
 

@@ -3,8 +3,9 @@
 Grammar: ``softid <validate|eval|verify|simulate|statics|benchmark> [flags] MODEL.json``.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical verification
-failure, 4 non-convergence.  All randomness is seeded through ``--seed``;
-configuration comes from explicit flags only.
+failure, 4 non-convergence.  All randomness is seeded through ``--seed``
+(``verify`` and ``benchmark``, the commands that sample); configuration comes
+from explicit flags only, and each command accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     chain = _load_model(args)
-    q0 = np.zeros(chain.n) if args.state is None else _load_state(args.state, chain.n)[0]
-    qd0 = np.zeros(chain.n) if args.state is None else _load_state(args.state, chain.n)[1]
+    q0 = qd0 = np.zeros(chain.n)
+    if args.state is not None:
+        q0, qd0, _ = _load_state(args.state, chain.n)
     traj = simulate(chain, q0, qd0, t_end=args.t_end, dt=args.dt, method=args.method)
     n = chain.n
     header = (["t"] + [f"q{i}" for i in range(n)] + [f"qd{i}" for i in range(n)]
@@ -178,48 +180,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def command(name, func, summary, *, model=True, seed=False, output=False):
+        p = sub.add_parser(name, help=summary)
         if model:
             p.add_argument("model", help="chain description JSON file")
-        p.add_argument("--quadrature-order", type=int, nargs="+", default=None,
-                       metavar="N", help="override per-body quadrature order (1 or 3 values)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled states")
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+            p.add_argument("--quadrature-order", type=int, nargs="+", default=None,
+                           metavar="N", help="override per-body quadrature order (1 or 3 values)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled states")
+        if output:
+            p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse a model file and check its invariants")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "parse a model file and check its invariants")
 
-    p = sub.add_parser("eval", help="evaluate one algorithm at a state")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate one algorithm at a state", output=True)
     p.add_argument("--algorithm", choices=("iid", "id", "miid", "mid"), required=True)
     p.add_argument("--state", required=True, help="JSON file with q, qd, qdd arrays")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("verify", help="run the numerical verification suite")
-    common(p)
+    p = command("verify", cmd_verify, "run the numerical verification suite", seed=True)
     p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="integrate free evolution and export CSV")
-    common(p)
+    p = command("simulate", cmd_simulate, "integrate free evolution and export CSV", output=True)
     p.add_argument("--state", default=None, help="JSON file with initial q, qd")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--method", choices=("rk4", "semi_implicit"), default="rk4")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("statics", help="solve the unactuated equilibrium")
-    common(p)
+    p = command("statics", cmd_statics, "solve the unactuated equilibrium", output=True)
     p.add_argument("--state", default=None, help="JSON file with the initial guess q")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_statics)
 
-    p = sub.add_parser("benchmark", help="scaling benchmark over planar chains")
-    common(p, model=False)
+    p = command("benchmark", cmd_benchmark, "scaling benchmark over planar chains",
+                model=False, seed=True, output=True)
     p.add_argument("--sizes", default="2,4,8", help="comma-separated body counts")
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=cmd_benchmark)
     return parser
 
 

@@ -12,6 +12,10 @@ the inertial load of the unit acceleration qdd = e_k at rest; these n load
 cases ride the one backward recursion as extra stacked rows after the force
 components, so M(q) comes out of the same sweep that produces the force
 vector.
+
+The per-body terms read the forward pass's integrals of each body
+(``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
+differences a body map again.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ def _div_green(model, x: Array, qb: Array, sol=None) -> Array:
     return np.einsum("macb,mbc->ma", H, F) + np.einsum("mac,mbcb->ma", F, H)
 
 
-def stress_terms(body, qb: Array, qdb: Array | None = None,
-                 data: BodyInertialData | None = None, n_joint: int = 0):
+def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Array,
+                 n_joint: int):
     """Visco-elastic stress wrenches and projections of one body.
 
     Elastic force density 2C div_x(B) for the incompressible Neo-Hookean
@@ -96,21 +100,12 @@ def stress_terms(body, qb: Array, qdb: Array | None = None,
     Kelvin-Voigt element: dissipation R = eta C int |F_dot|^2 dV over the
     deformation gradient F = df/dx, giving the generalized force
     dR/dqd = 2 eta C int (dF/dq) : F_dot dV.  It acts on the body's own
-    coordinates only (no wrench) and is positive semi-definite.  Returns
+    coordinates only (no wrench) and is positive semi-definite.  ``data`` is
+    the forward pass's integrals of the body at (qb, qdb), whose evaluation
+    the stress pass reuses; the body must have an elastic modulus.  Returns
     ((F_e, T_e, pi_e), (F_d, T_d, pi_d)) with pi the active projections.
     """
-    from .bodies.integrals import body_integrals
-
-    handle = body if isinstance(body, BodyHandle) else BodyHandle(body, free_tip=True)
     model = handle.model
-    n = model.n_dof + n_joint
-    zero = (np.zeros(3), np.zeros(3), np.zeros(n))
-    if model.elastic_modulus is None:
-        return zero, zero
-    qb = model.check_q(qb)
-    qdb = np.zeros(model.n_dof) if qdb is None else np.asarray(qdb, dtype=float)
-    if data is None:
-        data = body_integrals(handle, qb)
     # the sweep's solve at the nodes alone: differences in x would step the
     # end-face anchors off the domain
     sol = data.ev.sol
@@ -119,11 +114,11 @@ def stress_terms(body, qb: Array, qdb: Array | None = None,
     w = data.weights_mass / model.rho
     C = model.elastic_modulus
     dens_e = 2.0 * C * _div_green(model, data.nodes, qb, sol)
-    damping = zero
+    pi_d = np.zeros(model.n_dof)
     if model.viscosity is not None and np.any(qdb):
         dF = model.jac_x_dq(data.nodes, qb, sol)  # (m, 3, 3, n_body)
         pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,mabj,mab->j", w, dF, dF @ qdb)
-        damping = (np.zeros(3), np.zeros(3), np.concatenate([np.zeros(n_joint), pi_d]))
+    damping = (np.zeros(3), np.zeros(3), np.concatenate([np.zeros(n_joint), pi_d]))
 
     dens_e = dens_e @ data.ev.frame[0]  # rotate per-node densities into {S_i}
     pi_e = np.einsum("m,maj,ma->j", w, data.ev.jac, dens_e)
@@ -200,9 +195,7 @@ def chain_dynamics(
         if stress and lk.body.model.elastic_modulus is not None:
             _, qb = chain.split(i, q)
             _, qdb = chain.split(i, qd)
-            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stress_terms(
-                lk.body, qb, qdb, data=data, n_joint=nj
-            )
+            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stress_terms(lk.body, data, qb, qdb, nj)
         if mass:
             F_star[4:], T_star[4:], pi[4:] = cases[i]
         wrenches.append((F, F_star, T, T_star))

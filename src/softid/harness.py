@@ -17,20 +17,24 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bodies.base import central_difference
-from .dynamics import chain_dynamics, inverse_dynamics
+from .dynamics import chain_dynamics, iid, inverse_dynamics
 from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
 from .oracle import oracle_kane
+from .presets import planar_pcc_chain
 
 Array = np.ndarray
 
 logger = logging.getLogger(__name__)
+
+# relative step of the semi-implicit stiffness and damping differences
+FORCE_JACOBIAN_STEP = 1e-5
 
 
 def _solve_spd(M: Array, rhs: Array) -> Array:
@@ -49,7 +53,9 @@ def _solve_spd(M: Array, rhs: Array) -> Array:
 def forward_dynamics(chain: ChainModel, q, qd, nu=None) -> Array:
     """Acceleration from the two-step scheme: solve M qdd = nu - (c + g + s)."""
     q, qd, nu = chain.check_state(q, qd, nu)
-    res = chain_dynamics(chain, q, qd, None, mass=True)
+    # an overflowing sweep ends in the typed error of the solve, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = chain_dynamics(chain, q, qd, None, mass=True)
     return _solve_spd(res.mass, nu - res.force)
 
 
@@ -83,8 +89,9 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def _force_jacobians(chain, q, qd, h=1e-5):
+def _force_jacobians(chain, q, qd):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s."""
+    h = FORCE_JACOBIAN_STEP
     K = central_difference(lambda qs: chain_dynamics(chain, qs, qd, None).force,
                            q, h * np.maximum(1.0, np.abs(q)))
     D = central_difference(lambda vs: chain_dynamics(chain, q, vs, None).force,
@@ -140,7 +147,8 @@ def simulate(
 
     def eval_dyn(t, q, qd):
         nu = control(t, q, qd)
-        res = chain_dynamics(chain, q, qd, None, mass=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # see forward_dynamics
+            res = chain_dynamics(chain, q, qd, None, mass=True)
         qdd = _solve_spd(res.mass, nu - res.force)
         return qdd, res, nu
 
@@ -398,34 +406,24 @@ def benchmark_scaling(
     body_counts,
     trials: int = 10,
     seed: int = 0,
-    quadrature_order=(2, 8, 6),
-    chain_factory=None,
 ) -> list[BenchmarkRow]:
     """Median wall times of the recursive IID against the direct Kane oracle.
 
     States are drawn uniformly from q in [-pi, pi], qd in [-10, 10],
-    qdd in [-100, 100] per coordinate.  ``chain_factory(N)`` defaults to
-    planar constant-curvature chains.  Model construction time is reported
-    but not comparable across toolchains (no symbolic stage here).  Trials
-    run round-robin over the chain sizes, so a drift in host speed during
-    the run shifts every size alike instead of bending the growth curve.
+    qdd in [-100, 100] per coordinate, on planar constant-curvature chains
+    of N bodies.  Model construction time is reported but not comparable
+    across toolchains (no symbolic stage here).  Trials run round-robin over
+    the chain sizes, so a drift in host speed during the run shifts every
+    size alike instead of bending the growth curve.
     """
     if trials < 10:
         raise ValueError("benchmark needs at least 10 trials")
-    if chain_factory is None:
-        from .presets import planar_pcc_chain
-
-        def chain_factory(N):
-            return planar_pcc_chain(N, quadrature_order=quadrature_order)
-
-    from .dynamics import iid
-
     rng = np.random.default_rng(seed)
     sizes = [int(N) for N in body_counts]
     chains, builds, states = [], [], []
     for N in sizes:
         t0 = time.perf_counter()
-        chain = chain_factory(N)
+        chain = planar_pcc_chain(N, quadrature_order=(2, 8, 6))
         builds.append(time.perf_counter() - t0)
         n = chain.n
         states.append([

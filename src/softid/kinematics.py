@@ -133,7 +133,8 @@ class BodyHandle:
         self.rigid = None
         if model.n_dof == 0:
             ev = self.evaluate(np.zeros(0))
-            self.rigid = (ev, integrals.body_integrals(self, np.zeros(0), ev=ev))
+            self.rigid = (ev, integrals.body_integrals(self, ev, np.zeros_like(ev.jac),
+                                                       np.zeros(0), np.zeros(0)))
 
     @property
     def n_dof(self) -> int:
@@ -400,8 +401,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         )
         wdot = RT @ (wd_p + cross(w_p, w_rel) + wdot_rel)
 
-        data = integrals.body_integrals(lk.body, qi[nj:], qdi[nj:], qddi[nj:],
-                                        ev=ev, jac_rate=Jp_dot)
+        data = integrals.body_integrals(lk.body, ev, Jp_dot, qdi[nj:], qddi[nj:])
         v_com = v + cross(w, data.p_com) + data.pdot_com
         a_com = (
             a

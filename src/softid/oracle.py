@@ -68,7 +68,7 @@ def full_chain_jacobian(chain: ChainModel, q: Array, pts=None) -> list[Array]:
     return np.split(jac, np.cumsum([p.shape[0] for p in pts])[:-1])
 
 
-def oracle_kane(chain: ChainModel, q, qd, qdd, richardson: bool = False) -> Array:
+def oracle_kane(chain: ChainModel, q, qd, qdd) -> Array:
     """Direct Kane summation of the inertial forces: returns M qdd + c.
 
     Node accelerations come from second differences along the quadratic path
@@ -82,18 +82,13 @@ def oracle_kane(chain: ChainModel, q, qd, qdd, richardson: bool = False) -> Arra
     def at(t):
         return chain_points(chain, q + t * qd + 0.5 * t * t * qdd, pts)
 
-    def pddot(dt):
-        p1, m1 = at(dt), at(-dt)
-        p2, m2 = at(2.0 * dt), at(-2.0 * dt)
-        return [
-            (-a2 + 16.0 * a1 - 30.0 * a0 + 16.0 * b1 - b2) / (12.0 * dt * dt)
-            for a2, a1, a0, b1, b2 in zip(p2, p1, p0, m1, m2)
-        ]
-
-    pdd = pddot(FD_TIME_STEP)
-    if richardson:
-        fine = pddot(FD_TIME_STEP / 2.0)
-        pdd = [(16.0 * f - c) / 15.0 for f, c in zip(fine, pdd)]
+    dt = FD_TIME_STEP
+    p1, m1 = at(dt), at(-dt)
+    p2, m2 = at(2.0 * dt), at(-2.0 * dt)
+    pdd = [
+        (-a2 + 16.0 * a1 - 30.0 * a0 + 16.0 * b1 - b2) / (12.0 * dt * dt)
+        for a2, a1, a0, b1, b2 in zip(p2, p1, p0, m1, m2)
+    ]
 
     out = np.zeros(chain.n)
     for i in range(len(chain)):

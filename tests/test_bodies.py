@@ -14,7 +14,6 @@ from softid.bodies import (
     StretchPrimitive,
     TwistPrimitive,
     VariableRadiusPccBody,
-    body_integrals,
     pac_basis,
     pcc_basis,
     pcs_basis,
@@ -22,7 +21,7 @@ from softid.bodies import (
 )
 from softid.bodies.strain import _so3_kernels
 from softid.errors import CentroidConsistencyError
-from softid.kinematics import BodyHandle
+from softid.kinematics import BodyHandle, ChainModel, fixed_joint, forward_pass
 from softid.quadrature import ReferenceDomain
 
 L0 = 0.3
@@ -33,6 +32,11 @@ RHO = 1070.0
 def make_pcc(planar=False, order=(3, 8, 6)):
     dom = ReferenceDomain.cylinder(R0, L0)
     return CosseratRodBody(pcc_basis(L0, planar=planar), L0, dom, RHO, quadrature_order=order)
+
+
+def one_link_integrals(hb, q, qd=None, qdd=None):
+    """Inertial integrals of one body from the forward pass of a one-link chain."""
+    return forward_pass(ChainModel([(fixed_joint(), hb)]), q, qd, qdd)[0].data
 
 
 def make_body(kind, order=(3, 8, 6)):
@@ -213,7 +217,7 @@ def test_rigid_cylinder_mass_and_inertia():
     dom = ReferenceDomain.cylinder(R0, L0)
     body = RigidBody(dom, RHO, quadrature_order=(4, 8, 6))
     hb = BodyHandle(body, x_j=[0, 0, L0], x_a=[R0 / 2, 0, L0], x_b=[0, R0 / 2, L0])
-    data = body_integrals(hb, np.zeros(0))
+    data = one_link_integrals(hb, np.zeros(0))
     m_exact = RHO * np.pi * R0**2 * L0
     assert abs(data.mass - m_exact) < 1e-3 * m_exact
     assert abs(data.mass - 0.10085) < 5e-4  # rho pi R^2 L at the tabulated values
@@ -227,7 +231,7 @@ def test_frozen_configuration_rates_vanish(rng):
     body = make_pcc()
     hb = BodyHandle(body, x_j=[0, 0, L0], x_a=[R0 / 2, 0, L0], x_b=[0, R0 / 2, L0])
     q = rng.uniform(-1, 1, 3)
-    data = body_integrals(hb, q, np.zeros(3), np.zeros(3))
+    data = one_link_integrals(hb, q, np.zeros(3), np.zeros(3))
     assert np.array_equal(data.inertia_rate, np.zeros((3, 3)))
     assert np.array_equal(data.mom_rd, np.zeros(3))
 
@@ -237,10 +241,10 @@ def test_inertia_rate_matches_fd(rng):
     hb = BodyHandle(body, x_j=[0, 0, L0], x_a=[R0 / 2, 0, L0], x_b=[0, R0 / 2, L0])
     q = rng.uniform(-1, 1, 3)
     qd = rng.uniform(-1, 1, 3)
-    data = body_integrals(hb, q, qd, np.zeros(3))
+    data = one_link_integrals(hb, q, qd, np.zeros(3))
     dt = 1e-6
-    ip = body_integrals(hb, q + dt * qd)
-    im = body_integrals(hb, q - dt * qd)
+    ip = one_link_integrals(hb, q + dt * qd)
+    im = one_link_integrals(hb, q - dt * qd)
     ref = (ip.inertia - im.inertia) / (2 * dt)
     assert np.abs(data.inertia_rate - ref).max() / np.abs(ref).max() < 1e-5
 
@@ -251,7 +255,7 @@ def test_centroid_property(rng):
         hb = BodyHandle(body, x_j=[0, 0, L0], x_a=[R0 / 2, 0, L0], x_b=[0, R0 / 2, L0])
         q = rng.uniform(-1, 1, body.n_dof)
         qd = rng.uniform(-5, 5, body.n_dof)
-        data = body_integrals(hb, q, qd)
+        data = one_link_integrals(hb, q, qd)
         lscale = data.mass * body.domain.length_scale
         assert np.linalg.norm(data.weights_mass @ data.r) < 1e-6 * lscale
         assert np.linalg.norm(data.weights_mass @ data.rdot) < 1e-6 * lscale * max(1, np.linalg.norm(qd))
@@ -260,7 +264,7 @@ def test_centroid_property(rng):
 def test_mass_constant_in_configuration(rng):
     body = make_body("pcs")
     hb = BodyHandle(body, x_j=[0, 0, L0], x_a=[R0 / 2, 0, L0], x_b=[0, R0 / 2, L0])
-    masses = [body_integrals(hb, rng.uniform(-1, 1, 6)).mass for _ in range(4)]
+    masses = [one_link_integrals(hb, rng.uniform(-1, 1, 6)).mass for _ in range(4)]
     assert np.ptp(masses) < 1e-12 * masses[0]
 
 
@@ -274,7 +278,7 @@ def test_centroid_failure_on_nan():
     dom = ReferenceDomain.cylinder(R0, L0)
     body = BrokenBody(dom, RHO)
     with pytest.raises(CentroidConsistencyError):
-        body_integrals(BodyHandle(body, free_tip=True), np.zeros(0))
+        one_link_integrals(BodyHandle(body, free_tip=True), np.zeros(0))
 
 
 # -- variable-radius PCC --------------------------------------------------------
@@ -404,6 +408,6 @@ def test_lvp_stretch_volume_preserved_in_mass(rng):
     dom = ReferenceDomain.cylinder(RLVP, LLVP)
     body = LvpBody([StretchPrimitive(LLVP, [0])], 1, dom, 960.0)
     hb = BodyHandle(body, free_tip=True)
-    m0 = body_integrals(hb, np.zeros(1)).mass
-    m1 = body_integrals(hb, np.array([1.5])).mass
+    m0 = one_link_integrals(hb, np.zeros(1)).mass
+    m1 = one_link_integrals(hb, np.array([1.5])).mass
     assert abs(m0 - m1) < 1e-12 * m0

@@ -173,6 +173,22 @@ def test_bad_quadrature_order_exits_2(pcc_file, tmp_path, capsys):
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "1", "MODEL"],
+    ["eval", "--seed", "1", "--algorithm", "iid", "--state", "s.json", "MODEL"],
+    ["simulate", "--seed", "1", "MODEL"],
+    ["statics", "--seed", "1", "MODEL"],
+    ["validate", "-o", "out.txt", "MODEL"],
+    ["verify", "-o", "out.txt", "MODEL"],
+    ["benchmark", "--quadrature-order", "4"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_unread_flag_exits_2(argv, pcc_file):
+    # each command accepts only the flags it reads
+    with pytest.raises(SystemExit) as exit_:
+        main([str(pcc_file) if a == "MODEL" else a for a in argv])
+    assert exit_.value.code == 2
+
+
 def test_missing_model_file(capsys):
     assert main(["validate", "/nonexistent/model.json"]) == 2
 

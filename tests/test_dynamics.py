@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from softid import presets
-from softid.bodies import RigidBody, body_integrals
+from softid.bodies import RigidBody
 from softid.dynamics import (
     backward_recursion,
     chain_dynamics,
@@ -84,7 +84,8 @@ def test_gravity_base_accel_equivalence(pcc2, rng):
 
 def test_stress_zero_at_reference(pcc2):
     lk = pcc2.links[0]
-    (Fe, Te, pe), (Fd, Td, pd) = stress_terms(lk.body, np.zeros(3), np.zeros(3))
+    data = forward_pass(pcc2, np.zeros(pcc2.n))[0].data
+    (Fe, Te, pe), (Fd, Td, pd) = stress_terms(lk.body, data, np.zeros(3), np.zeros(3), 0)
     assert np.abs(Fe).max() < 1e-9
     assert np.abs(pe).max() < 1e-9
     assert np.abs(Fd).max() == 0.0  # damping vanishes at zero rate
@@ -93,7 +94,8 @@ def test_stress_zero_at_reference(pcc2):
 def test_stress_damping_zero_at_zero_rate(pcc2, rng):
     q, _, _ = sample_state(rng, pcc2.n, q_range=1.0)
     lk = pcc2.links[0]
-    _, (Fd, Td, pd) = stress_terms(lk.body, q[:3], np.zeros(3))
+    data = forward_pass(pcc2, q)[0].data
+    _, (Fd, Td, pd) = stress_terms(lk.body, data, q[:3], np.zeros(3), 0)
     assert np.abs(Fd).max() == 0.0 and np.abs(pd).max() == 0.0
 
 
@@ -125,9 +127,10 @@ def test_stress_analytic_vs_fd_hessian(pcc2, rng, monkeypatch):
     lk = pcc2.links[0]
     model = lk.body.model
     q, qd, _ = sample_state(rng, pcc2.n, q_range=1.0, qd_range=2.0)
-    (Fe, Te, pe), (Fd, Td, pd) = stress_terms(lk.body, q[:3], qd[:3])
+    data = forward_pass(pcc2, q, qd)[0].data
+    (Fe, Te, pe), (Fd, Td, pd) = stress_terms(lk.body, data, q[:3], qd[:3], 0)
     monkeypatch.setattr(model, "hess_x", lambda x, qq, sol=None: BodyModel.hess_x(model, x, qq))
-    (Fe2, Te2, pe2), _ = stress_terms(lk.body, q[:3], qd[:3])
+    (Fe2, Te2, pe2), _ = stress_terms(lk.body, data, q[:3], qd[:3], 0)
     scale = max(np.abs(Fe).max(), 1.0)
     assert np.abs(Fe - Fe2).max() / scale < 1e-5
     assert np.abs(pe - pe2).max() / max(np.abs(pe).max(), 1.0) < 1e-5

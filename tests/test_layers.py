@@ -1,0 +1,64 @@
+"""Import layering of the package, read from its source with ``ast``.
+
+- Every import of a softid module sits at module level, so the import graph
+  is the one a reader sees at the top of each file (no hidden cycles).
+- The body-model library (``softid/bodies``) depends on nothing of the
+  package but the quadrature rules, the spatial algebra and the errors.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softid"
+BODIES_MAY_IMPORT = {"quadrature", "spatial", "errors"}
+
+
+def _sources():
+    return sorted(PACKAGE.rglob("*.py"))
+
+
+def _package_imports(path: Path, node):
+    """Modules of the package an import node depends on, dotted below ``softid``
+    ("" for the package itself)."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        module = node.module or ""
+        if node.level:
+            here = ["softid", *path.relative_to(PACKAGE).parent.parts]
+            module = ".".join(here[:len(here) - node.level + 1] + ([module] if module else []))
+        # ``from softid import x`` and ``from . import x`` at the top name modules
+        names = [f"{module}.{a.name}" for a in node.names] if module == "softid" else [module]
+    return [n[len("softid."):] for n in names if n == "softid" or n.startswith("softid.")]
+
+
+def _function_level_imports(tree):
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node
+
+
+def test_package_imports_at_module_level():
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _function_level_imports(tree):
+            if _package_imports(path, node):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, f"imports of softid modules inside functions or classes: {found}"
+
+
+def test_bodies_import_only_lower_layers():
+    found = []
+    for path in sorted((PACKAGE / "bodies").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for name in _package_imports(path, node):
+                top = name.split(".")[0]
+                if top != "bodies" and top not in BODIES_MAY_IMPORT:
+                    found.append(f"{path.name}:{node.lineno} imports {name or 'softid'}")
+    assert not found, f"bodies/ reaches above its layer: {found}"

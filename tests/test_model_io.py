@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from softid import presets
 from softid.dynamics import iid
 from softid.model_io import (
     ModelError,
+    _normalize,
     chain_to_dict,
     load_chain,
     parse_chain,
@@ -21,6 +23,14 @@ def test_parse_all_presets():
     for name in presets.DESCRIPTIONS:
         chain = presets.load(name)
         assert chain.n > 0
+
+
+def test_bundled_models_match_presets():
+    # models/*.json are the preset descriptions, written out unchanged
+    files = sorted((Path(__file__).parent.parent / "models").glob("*.json"))
+    assert sorted(f.stem for f in files) == sorted(presets.DESCRIPTIONS)
+    for f in files:
+        assert json.loads(f.read_text()) == _normalize(presets.describe(f.stem)), f.name
 
 
 def test_roundtrip_equivalence(tmp_path, rng):

@@ -140,11 +140,3 @@ def test_oracle_stress_matches_recursive(pcc2, rng):
              + chain_dynamics(pcc2, q, qd, None).components["damping"])
     s_orc = oracle_stress(pcc2, q, qd)
     assert np.abs(s_rec - s_orc).max() / max(1.0, np.abs(s_orc).max()) < 1e-6
-
-
-def test_richardson_flag_refines(pcc2, rng):
-    q, qd, qdd = sample_state(rng, pcc2.n)
-    a = iid(pcc2, q, qd, qdd)
-    plain = oracle_kane(pcc2, q, qd, qdd)
-    fine = oracle_kane(pcc2, q, qd, qdd, richardson=True)
-    assert np.linalg.norm(fine - a) <= np.linalg.norm(plain - a) * 10 + 1e-12
