@@ -3,7 +3,9 @@
 Virtual work fixes the projection: with actuator lengths l(q) (or chamber
 volumes V(q)), the generalized actuation force is nu = A(q) u with
 A(q) = (dl/dq)^T, so that dq^T nu = dl^T u for every virtual displacement.
-Each map gets l and dl/dq analytically from one body solve per body at q.
+Each map gets l and dl/dq analytically from one body solve per body at q: a
+per-link stage that depends on the link's own coordinates alone, then the
+composition along the chain.
 """
 
 from __future__ import annotations
@@ -22,19 +24,30 @@ class ActuationMap:
 
     n_inputs: int = 0
 
-    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
+    def link_stage(self, chain: ChainModel, i: int, q: Array):
+        """The map's terms of link i at the checked q, from link i's coordinates alone."""
+        raise NotImplementedError
+
+    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
         """Actuator lengths (or volumes) l, shape (n_inputs,), and dl/dq, (n_inputs, n)."""
         raise NotImplementedError
+
+    def stages(self, chain: ChainModel, q: Array, base=None, k=None) -> list:
+        """:meth:`link_stage` of every link at q; ``base`` and ``k`` as in
+        :meth:`ChainModel.stages`."""
+        (q,) = chain.check_state(q)
+        return chain.stages(lambda i: self.link_stage(chain, i, q), base, k)
 
     def lengths(self, chain: ChainModel, q: Array) -> Array:
         """Actuator length (or volume) per input, shape (n_inputs,)."""
         (q,) = chain.check_state(q)
-        return self._measure(chain, q)[0]
+        return self._measure(chain, q, self.stages(chain, q))[0]
 
-    def matrix(self, chain: ChainModel, q: Array) -> Array:
-        """Projection A(q) = (dl/dq)^T, shape (n, n_inputs)."""
+    def matrix(self, chain: ChainModel, q: Array, stages=None) -> Array:
+        """Projection A(q) = (dl/dq)^T, shape (n, n_inputs); ``stages`` are
+        :meth:`stages` at q, computed here when None."""
         (q,) = chain.check_state(q)
-        return self._measure(chain, q)[1].T
+        return self._measure(chain, q, self.stages(chain, q) if stages is None else stages)[1].T
 
 
 class TendonActuation(ActuationMap):
@@ -57,12 +70,21 @@ class TendonActuation(ActuationMap):
         self.starts = np.flatnonzero(tendon[:-1] == tendon[1:])
         self.incidence = (tendon[self.starts] == np.arange(self.n_inputs)[:, None]).astype(float)
 
-    def _via_points(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
-        """Base-frame via points (m, 3) and their q-Jacobians (m, 3, n), one
-        :meth:`BodyHandle.place` per body.  (Jo, Jw) are the base-frame origin
-        and angular-velocity Jacobians of the parent frame {S_{i-1}}, whose
-        points move by Jo + Jw x (p - o); the link's own coordinates add the
-        joint's rotation or slide and R_J df/dq.
+    def link_stage(self, chain: ChainModel, i: int, q: Array):
+        """One :meth:`BodyHandle.place` of body i at its via points: their
+        images f and df/dq, the joint transform (Rj, tj), and the link
+        transform with its Jacobians (:func:`link_jacobians`)."""
+        lk = chain.links[i]
+        qj, qb = chain.split(i, q)
+        _, frame, f, jq = lk.body.place(qb, self.points[self.owner == i])
+        return (f, jq, *lk.joint.transform(qj), *link_jacobians(lk.joint, frame, q[chain.slice(i)]))
+
+    def _via_points(self, chain: ChainModel, stages) -> tuple[Array, Array]:
+        """Base-frame via points (m, 3) and their q-Jacobians (m, 3, n),
+        composed link to link from the stages.  (Jo, Jw) are the base-frame
+        origin and angular-velocity Jacobians of the parent frame {S_{i-1}},
+        whose points move by Jo + Jw x (p - o); the link's own coordinates
+        add the joint's rotation or slide and R_J df/dq.
         """
         if self.owner.max() >= len(chain):
             raise ValueError(f"a via point is on body {self.owner.max()} of a {len(chain)}-body chain")
@@ -70,13 +92,10 @@ class TendonActuation(ActuationMap):
         J = np.zeros(p.shape + (chain.n,))
         Jo, Jw = np.zeros((2, 3, chain.n))
         T = chain.base
-        for i, lk in enumerate(chain.links):
+        for i, (lk, (f, jq, Rj, tj, R_rel, t_rel, Jt_rel, Jw_rel)) in enumerate(zip(chain.links, stages)):
             sl = chain.slice(i)
-            qj, qb = chain.split(i, q)
             nj = lk.joint.n_dof
             mine = self.owner == i
-            _, frame, f, jq = lk.body.place(qb, self.points[mine])
-            Rj, tj = lk.joint.transform(qj)
             arm = (f @ Rj.T + tj) @ T.rotation.T  # p - o
             p[mine] = T.translation + arm
             Ji = Jo + np.swapaxes(cross(Jw.T, arm[:, None, :]), 1, 2)
@@ -86,15 +105,14 @@ class TendonActuation(ActuationMap):
             Ji[:, :, sl.start + nj:sl.stop] += np.einsum("ab,mbj->maj", T.rotation @ Rj, jq)
             J[mine] = Ji
             # carry the frame Jacobians on to {S_i}; Transform checks the link rotation
-            R_rel, t_rel, Jt_rel, Jw_rel = link_jacobians(lk.joint, frame, q[sl])
             Jo = Jo + cross(Jw.T, T.rotation @ t_rel).T
             Jo[:, sl] += T.rotation @ Jt_rel
             Jw[:, sl] += T.rotation @ Jw_rel
             T = T.compose(Transform(R_rel, t_rel))
         return p, J
 
-    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
-        p, J = self._via_points(chain, q)
+    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
+        p, J = self._via_points(chain, stages)
         a, b = self.starts, self.starts + 1
         seg = p[b] - p[a]
         norm = np.linalg.norm(seg, axis=1)
@@ -115,26 +133,37 @@ class ChamberActuation(ActuationMap):
 
     def __init__(self, chambers, quadrature_order=4):
         self.chambers = [(int(bi), dom) for bi, dom in chambers]
-        for _, dom in self.chambers:
+        for bi, dom in self.chambers:
+            if bi < 0:
+                raise ValueError(f"chamber body index must be non-negative, got {bi}")
             if not isinstance(dom, ReferenceDomain):
                 raise TypeError("chamber subdomain must be a ReferenceDomain")
         self.order = quadrature_order
         self.n_inputs = len(self.chambers)
 
-    def _measure(self, chain: ChainModel, q: Array) -> tuple[Array, Array]:
-        volumes = np.empty(self.n_inputs)
-        grad = np.zeros((self.n_inputs, chain.n))
-        for c, (bi, dom) in enumerate(self.chambers):
-            model = chain.links[bi].body.model
-            _, qb = chain.split(bi, q)
+    def link_stage(self, chain: ChainModel, i: int, q: Array):
+        """Volume and volume gradient on body i's own coordinates of each
+        chamber on body i, in chamber order, from one solve per chamber."""
+        model = chain.links[i].body.model
+        _, qb = chain.split(i, q)
+        out = []
+        for dom in (dom for bi, dom in self.chambers if bi == i):
             pts, w = dom.nodes(self.order)
             sol = model.solve(pts, qb)
             F = model.jac_x(pts, qb, sol)
-            volumes[c] = float(w @ np.linalg.det(F))
             # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
             cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
                             cross(F[..., 0], F[..., 1])], axis=2)
+            out.append((float(w @ np.linalg.det(F)),
+                        np.einsum("p,pab,pabj->j", w, cof, model.jac_x_dq(pts, qb, sol))))
+        return out
+
+    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
+        volumes = np.empty(self.n_inputs)
+        grad = np.zeros((self.n_inputs, chain.n))
+        per_body = [iter(st) for st in stages]
+        for c, (bi, _) in enumerate(self.chambers):
+            volumes[c], g = next(per_body[bi])
             body = chain.slice(bi)
-            grad[c, body.start + chain.links[bi].joint.n_dof:body.stop] = np.einsum(
-                "p,pab,pabj->j", w, cof, model.jac_x_dq(pts, qb, sol))
+            grad[c, body.start + chain.links[bi].joint.n_dof:body.stop] = g
         return volumes, grad

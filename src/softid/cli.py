@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -30,6 +31,32 @@ EXIT_NUMERICAL = 3
 EXIT_NONCONVERGENCE = 4
 
 VERIFY_MAX_DOF = 24
+BENCHMARK_MIN_TRIALS = 10  # benchmark_scaling's minimum
+
+
+def _at_least(convert, low, *, strict=False):
+    """argparse type: ``convert(text)``, finite and >= low (> low if strict)."""
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_positive_float = _at_least(float, 0.0, strict=True)
+
+
+def _sizes(text):
+    """argparse type: comma-separated positive body counts."""
+    try:
+        return [_positive_int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated body counts, got {text!r}") from None
 
 
 def _document(args):
@@ -150,8 +177,7 @@ def cmd_statics(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = benchmark_scaling(sizes, trials=args.trials, seed=args.seed)
+    rows = benchmark_scaling(args.sizes, trials=args.trials, seed=args.seed)
     header = ["n_bodies", "build_seconds", "recursive_median_ns", "recursive_std_ns",
               "oracle_median_ns", "oracle_std_ns", "rel_diff_mean", "rel_diff_std"]
     table = [[r.n_bodies, r.build_seconds, r.recursive_median_ns, r.recursive_std_ns,
@@ -200,22 +226,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="JSON file with q, qd, qdd arrays")
 
     p = command("verify", cmd_verify, "run the numerical verification suite", seed=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
 
     p = command("simulate", cmd_simulate, "integrate free evolution and export CSV", output=True)
     p.add_argument("--state", default=None, help="JSON file with initial q, qd")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-end", type=_at_least(float, 0.0), default=1.0)
+    p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--method", choices=("rk4", "semi_implicit"), default="rk4")
 
     p = command("statics", cmd_statics, "solve the unactuated equilibrium", output=True)
     p.add_argument("--state", default=None, help="JSON file with the initial guess q")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
 
     p = command("benchmark", cmd_benchmark, "scaling benchmark over planar chains",
                 model=False, seed=True, output=True)
-    p.add_argument("--sizes", default="2,4,8", help="comma-separated body counts")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--sizes", type=_sizes, default=[2, 4, 8], help="comma-separated body counts")
+    p.add_argument("--trials", type=_at_least(int, BENCHMARK_MIN_TRIALS), default=10)
     return parser
 
 

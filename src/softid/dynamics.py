@@ -15,22 +15,34 @@ vector.
 
 The per-body terms read the forward pass's integrals of each body
 (``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
-differences a body map again.
+differences a body map again.  A link's kinematic stage and its stress
+terms depend on its own coordinates alone and form its
+:class:`DynamicsStage`, which a sweep takes as an argument or computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
-from .kinematics import BodyHandle, ChainModel, KinematicsCache, forward_pass
+from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
 from .spatial import cross, skew, vec_kron_contract
 
 Array = np.ndarray
 
 _COMPONENTS = ("inertial", "gravity", "elastic", "damping")
+
+
+class DynamicsStage(NamedTuple):
+    """Link i's part of a sweep that depends on its own block alone: the
+    kinematic stage and, in a sweep with stress, the stress terms of an
+    elastic body (None otherwise)."""
+
+    kin: LinkStage
+    stress: tuple | None
 
 
 @dataclass
@@ -41,6 +53,7 @@ class DynamicsResult:
     mass: Array | None = None
     components: dict[str, Array] | None = None
     cache: KinematicsCache | None = None
+    stages: list[DynamicsStage] | None = None
 
 
 # -- per-body wrench terms -----------------------------------------------------
@@ -156,6 +169,29 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
 
 # -- main evaluation pipeline ---------------------------------------------------
 
+def _stage(chain: ChainModel, i: int, kin: LinkStage, q: Array, qd: Array,
+           stress: bool) -> DynamicsStage:
+    lk = chain.links[i]
+    if not (stress and lk.body.model.elastic_modulus is not None):
+        return DynamicsStage(kin, None)
+    _, qb = chain.split(i, q)
+    _, qdb = chain.split(i, qd)
+    return DynamicsStage(kin, stress_terms(lk.body, kin.data, qb, qdb, lk.joint.n_dof))
+
+
+def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -> list[DynamicsStage]:
+    """The links' :class:`DynamicsStage` at a state, stress terms included,
+    for :func:`chain_dynamics`.
+
+    ``base`` holds the stages of a state that differs from this one only in
+    coordinate k; then only the link owning k is staged again
+    (:meth:`ChainModel.stages`).
+    """
+    q, qd, qdd = chain.check_state(q, qd, qdd)
+    return chain.stages(lambda i: _stage(chain, i, link_stage(chain, i, q, qd, qdd), q, qd, True),
+                        base, k)
+
+
 def chain_dynamics(
     chain: ChainModel,
     q,
@@ -166,18 +202,24 @@ def chain_dynamics(
     stress: bool = True,
     mass: bool = False,
     base_accel=None,
+    stages=None,
 ) -> DynamicsResult:
     """One forward/backward sweep with selectable force contributions.
 
     ``base_accel`` defaults to zero here: gravity enters through its explicit
     terms.  Seeding ``base_accel = -chain.gravity`` with ``gravity=False``
     reproduces the same forces through the inertial path (cross-check mode).
+    ``stages`` are the links' stages at this state (:func:`link_stages`),
+    computed here when None; the result carries them.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),
+        stages=None if stages is None else [st.kin for st in stages],
     )
+    if stages is None:
+        stages = [_stage(chain, i, kin, q, qd, stress) for i, kin in enumerate(cache.stages)]
     n_rows = 4 + (chain.n if mass else 0)
     cases = _mass_matrix(chain, cache) if mass else None
     wrenches = []
@@ -192,10 +234,8 @@ def chain_dynamics(
         F_star[0], T_star[0], pi[0] = inertial_terms(data, kin.w, kin.wdot, kin.a_com, nj)
         if gravity:
             F[1], pi[1] = gravity_terms(data, kin.R_base, chain.gravity, nj)
-        if stress and lk.body.model.elastic_modulus is not None:
-            _, qb = chain.split(i, q)
-            _, qdb = chain.split(i, qd)
-            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stress_terms(lk.body, data, qb, qdb, nj)
+        if stress and stages[i].stress is not None:
+            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stages[i].stress
         if mass:
             F_star[4:], T_star[4:], pi[4:] = cases[i]
         wrenches.append((F, F_star, T, T_star))
@@ -214,7 +254,7 @@ def chain_dynamics(
         force += components["elastic"] + components["damping"]
 
     M = rows[4:].T if mass else None
-    return DynamicsResult(force=force, mass=M, components=components, cache=cache)
+    return DynamicsResult(force=force, mass=M, components=components, cache=cache, stages=stages)
 
 
 def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:
@@ -265,9 +305,9 @@ def iid(chain: ChainModel, q, qd, qdd, base_accel=None) -> Array:
                           base_accel=base_accel).force
 
 
-def inverse_dynamics(chain: ChainModel, q, qd, qdd) -> Array:
-    """Full inverse dynamics: nu = M qdd + c + g + s."""
-    return chain_dynamics(chain, q, qd, qdd).force
+def inverse_dynamics(chain: ChainModel, q, qd, qdd, stages=None) -> Array:
+    """Full inverse dynamics: nu = M qdd + c + g + s (``stages``: :func:`link_stages`)."""
+    return chain_dynamics(chain, q, qd, qdd, stages=stages).force
 
 
 def miid(chain: ChainModel, q, qd, qdd) -> DynamicsResult:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .bodies.base import central_difference
-from .dynamics import chain_dynamics, iid, inverse_dynamics
+from .dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
 from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
 from .oracle import oracle_kane
@@ -89,13 +88,38 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def _force_jacobians(chain, q, qd):
-    """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s."""
+def _fd_column(fn, x: Array, k: int, h: float):
+    """Central difference (fn(x + h e_k) - fn(x - h e_k)) / 2h, or None where
+    ``fn`` returns None at either point (both points are evaluated)."""
+    dx = np.zeros_like(x)
+    dx[k] = h
+    plus, minus = fn(x + dx), fn(x - dx)
+    if plus is None or minus is None:
+        return None
+    return (plus - minus) / (2.0 * h)
+
+
+def _force_jacobians(chain, q, qd, base):
+    """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s.
+
+    Central differences at steps ``FORCE_JACOBIAN_STEP * max(1, |x_k|)``.
+    ``base`` are the stages of the sweep at (q, qd) with zero acceleration
+    (``DynamicsResult.stages``).  A column that steps coordinate k stages
+    only the link that owns k again and takes every other link's stage from
+    ``base``: those depend on their own coordinates alone, so K and D are
+    bitwise equal to differences of full sweeps.
+    """
     h = FORCE_JACOBIAN_STEP
-    K = central_difference(lambda qs: chain_dynamics(chain, qs, qd, None).force,
-                           q, h * np.maximum(1.0, np.abs(q)))
-    D = central_difference(lambda vs: chain_dynamics(chain, q, vs, None).force,
-                           qd, h * np.maximum(1.0, np.abs(qd)))
+    n = chain.n
+    K, D = np.empty((n, n)), np.empty((n, n))
+
+    def force(qs, vs, k):
+        stages = link_stages(chain, qs, vs, base=base, k=k)
+        return chain_dynamics(chain, qs, vs, None, stages=stages).force
+
+    for k in range(n):
+        K[:, k] = _fd_column(lambda qs: force(qs, qd, k), q, k, h * max(1.0, abs(q[k])))
+        D[:, k] = _fd_column(lambda vs: force(q, vs, k), qd, k, h * max(1.0, abs(qd[k])))
     return K, D
 
 
@@ -125,8 +149,10 @@ def simulate(
     linearization refresh (e.g. a singular mass matrix), returning the states
     recorded before it; ``aborted_at`` is then the trajectory's length.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
     if method not in ("rk4", "semi_implicit"):
         raise ValueError(f"unknown integration method {method!r}")
     q, qd = (v.copy() for v in chain.check_state(q0, qd0))
@@ -196,7 +222,7 @@ def simulate(
                     or np.linalg.norm(qd - qd_lin) > 0.1 * max(1.0, np.linalg.norm(qd_lin))
                 )
                 if stale:
-                    K, D = _force_jacobians(chain, q, qd)
+                    K, D = _force_jacobians(chain, q, qd, res1.stages)
                     q_lin, qd_lin = q.copy(), qd.copy()
                 M = res1.mass
                 lhs = M + dt * D + dt * dt * K
@@ -237,6 +263,54 @@ def simulate(
 
 # -- statics ---------------------------------------------------------------------
 
+def _equilibrium(chain: ChainModel, actuation, u):
+    """The equilibrium residual r(q) = ID(q, 0, 0) - A(q) u of :func:`solve_statics`.
+
+    Returns residual(qv, base=(None, None), k=None) -> (r, stages), where
+    stages pairs the dynamics stages (:func:`link_stages`) with the
+    actuation map's; (None, None) marks a point where the chain cannot be
+    evaluated.  ``base`` and ``k``: the stages of a residual at a point that
+    differs from qv only in coordinate k, of which only the link owning k is
+    staged again.
+    """
+    def residual(qv, base=(None, None), k=None):
+        try:
+            dyn = link_stages(chain, qv, base=base[0], k=k)
+            r = inverse_dynamics(chain, qv, None, None, stages=dyn)
+            act = None
+            if actuation is not None:
+                uv = u(qv) if callable(u) else (np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float))
+                act = actuation.stages(chain, qv, base[1], k)
+                r = r - actuation.matrix(chain, qv, act) @ uv
+        except (SoftIDError, np.linalg.LinAlgError):
+            return None, None
+        return (r, (dyn, act)) if np.all(np.isfinite(r)) else (None, None)
+
+    return residual
+
+
+def _statics_jacobian(residual, q: Array, base):
+    """Finite-difference Jacobian of an :func:`_equilibrium` residual at q,
+    whose stages are ``base``; None if some column is unevaluable.
+
+    Column k steps q_k by 1e-6 max(1, |q_k|), or by 1e-8 max(1, |q_k|) where
+    the larger step leaves the domain, and stages only the link that owns
+    q_k again: the Jacobian is bitwise equal to differences of full
+    residuals.
+    """
+    n = q.shape[0]
+    J = np.empty((n, n))
+    for k in range(n):
+        for step in (1e-6, 1e-8):
+            col = _fd_column(lambda qs: residual(qs, base, k)[0], q, k, step * max(1.0, abs(float(q[k]))))
+            if col is not None:
+                break
+        else:
+            return None
+        J[:, k] = col
+    return J
+
+
 @dataclass
 class StaticsResult:
     q: Array
@@ -256,46 +330,24 @@ def solve_statics(
     """Newton-Raphson on the equilibrium residual ID(q, 0, 0) - A(q) u.
 
     ``u`` may be a constant input vector or a callable u(q) (regulator).
-    The Jacobian is finite-differenced from the residual; steps use a
-    backtracking line search on its norm.  An iterate counts as converged
-    when the residual norm is below ``tol`` and the Newton correction that
-    the Jacobian in hand predicts from it is below ``tol * max(1, |q|)``: where
-    the stiffness is small, a small residual alone leaves q far from the
-    root.  Trial points where the chain cannot be evaluated (a typed
-    :class:`SoftIDError`) make the line search backtrack; where no trial
-    point lowers the norm, the whole step is taken.  Without convergence the
-    best iterate is returned with ``converged = False`` (an unevaluable guess
-    with zero iterations and an infinite residual).
+    The Jacobian is finite-differenced from the residual
+    (:func:`_statics_jacobian`): each column evaluates only the link it
+    steps and takes every other link's stages, dynamics and actuation, from
+    the residual already computed at the iterate.  Steps use a
+    backtracking line search on the residual norm.  An iterate counts as
+    converged when the residual norm is below ``tol`` and the Newton
+    correction that the Jacobian in hand predicts from it is below
+    ``tol * max(1, |q|)``: where the stiffness is small, a small residual
+    alone leaves q far from the root.  Trial points where the chain cannot
+    be evaluated (a typed :class:`SoftIDError`) make the line search
+    backtrack; where no trial point lowers the norm, the whole step is
+    taken.  Without convergence the best iterate is returned with
+    ``converged = False`` (an unevaluable guess with zero iterations and an
+    infinite residual).
     """
     (q,) = chain.check_state(q_guess)
     q = q.copy()
-    n = chain.n
-
-    def residual(qv):
-        """Equilibrium residual; None marks an unevaluable trial point."""
-        try:
-            r = inverse_dynamics(chain, qv, None, None)
-            if actuation is not None:
-                uv = u(qv) if callable(u) else (np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float))
-                r = r - actuation.matrix(chain, qv) @ uv
-        except (SoftIDError, np.linalg.LinAlgError):
-            return None
-        return r if np.all(np.isfinite(r)) else None
-
-    def jacobian(qv):
-        """Finite-difference Jacobian; None if some column is unevaluable."""
-        J = np.empty((n, n))
-        for k in range(n):
-            for step in (1e-6, 1e-8):  # the smaller step where the larger one leaves the domain
-                dq = np.zeros(n)
-                dq[k] = step * max(1.0, abs(float(qv[k])))
-                rp, rm = residual(qv + dq), residual(qv - dq)
-                if rp is not None and rm is not None:
-                    break
-            else:
-                return None
-            J[:, k] = (rp - rm) / (2.0 * dq[k])
-        return J
+    residual = _equilibrium(chain, actuation, u)
 
     def newton_step(J, rv):
         try:
@@ -307,7 +359,7 @@ def solve_statics(
         logger.warning("statics stopped: %s; best residual %.3e", why, best[0])
         return StaticsResult(q=best[1], converged=False, residual_norm=float(best[0]), iterations=iterations)
 
-    r = residual(q)
+    r, stages = residual(q)
     best = (np.inf if r is None else np.linalg.norm(r), q.copy())
     if r is None:
         return stopped("the residual is not evaluable at the initial guess", 0)
@@ -317,10 +369,10 @@ def solve_statics(
         rn = np.linalg.norm(r)
         at_q = rn < tol and J is None  # a root at the guess: its own Jacobian decides
         if at_q:
-            J = jacobian(q)
+            J = _statics_jacobian(residual, q, stages)
         if rn < tol and J is not None and np.linalg.norm(newton_step(J, r)) <= tol * max(1.0, float(np.linalg.norm(q))):
             return StaticsResult(q=q, converged=True, residual_norm=float(rn), iterations=it - 1)
-        J = J if at_q else jacobian(q)
+        J = J if at_q else _statics_jacobian(residual, q, stages)
         if J is None:
             return stopped("a Jacobian column is not evaluable", it - 1)
         step = newton_step(J, r)
@@ -330,15 +382,16 @@ def solve_statics(
         alpha = 1.0
         while alpha > 1e-6:
             cand = q + alpha * step
-            r_cand = residual(cand)
+            r_cand, st_cand = residual(cand)
             if r_cand is not None and np.linalg.norm(r_cand) < (1.0 - 1e-4 * alpha) * rn:
-                q, r = cand, r_cand
+                q, r, stages = cand, r_cand, st_cand
                 break
             alpha *= 0.5
         else:
             # no trial point lowers |r| (a kink of the residual can hold the
             # search): take the whole step, the best iterate being kept
-            q, r = q + step, residual(q + step)
+            q = q + step
+            r, stages = residual(q)
             if r is None:
                 return stopped("no evaluable step lowers the residual", it)
         if np.linalg.norm(r) < best[0]:

@@ -12,7 +12,10 @@ Relative velocities and accelerations come from configuration Jacobians of
 the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
 Jacobian map along the velocity direction.  Every configuration visited is
-one solve of the body map (:meth:`BodyHandle.evaluate`).
+one solve of the body map (:meth:`BodyHandle.evaluate`).  All of a link's
+terms that depend on its own coordinate block alone form its stage
+(:func:`link_stage`); only the forward recursion couples the links, so a
+caller that changes one block can pass the other links' stages unchanged.
 """
 
 from __future__ import annotations
@@ -235,6 +238,20 @@ class ChainModel:
     def slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
 
+    def stages(self, stage, base=None, k=None) -> list:
+        """``stage(i)`` for every link i.
+
+        ``base`` holds the stages of a state that differs from this one only
+        in coordinate k: the link owning k is staged again and every other
+        stage is taken from ``base``.
+        """
+        if base is None:
+            return [stage(i) for i in range(len(self.links))]
+        out = list(base)
+        i = int(np.searchsorted(self._offsets, k, side="right")) - 1
+        out[i] = stage(i)
+        return out
+
     def split(self, i: int, q: Array) -> tuple[Array, Array]:
         """(joint, body) sub-vectors of body i's coordinate block."""
         qi = q[self.slice(i)]
@@ -320,6 +337,43 @@ def unit_rate(fn, q: Array, qd: Array, at_q):
 
 # -- forward pass --------------------------------------------------------------
 
+class LinkStage(NamedTuple):
+    """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone.
+
+    The link transform, its Jacobians and their time rates, and the body's
+    integrals (which carry its evaluation); only the forward recursion
+    couples the links.
+    """
+
+    R_rel: Array
+    t_rel: Array
+    Jt: Array
+    Jw: Array
+    Jt_dot: Array
+    Jw_dot: Array
+    data: integrals.BodyInertialData
+
+
+def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> LinkStage:
+    """Stage of link i at the checked state vectors (q, qd, qdd).
+
+    The link is evaluated at q_i and, when it moves, at q_i +- h u.
+    """
+    lk = chain.links[i]
+    sl = chain.slice(i)
+    qi, qdi, qddi = q[sl], qd[sl], qdd[sl]
+    nj = lk.joint.n_dof
+
+    def state(qs):
+        ev_s = lk.body.evaluate(qs[nj:])
+        return (*link_jacobians(lk.joint, ev_s.frame, qs), ev_s.jac, ev_s)
+
+    R_rel, t_rel, Jt, Jw, Jp, ev = state(qi)
+    Jt_dot, Jw_dot, Jp_dot = unit_rate(lambda qs: state(qs)[2:5], qi, qdi, (Jt, Jw, Jp))
+    data = integrals.body_integrals(lk.body, ev, Jp_dot, qdi[nj:], qddi[nj:])
+    return LinkStage(R_rel, t_rel, Jt, Jw, Jt_dot, Jw_dot, data)
+
+
 @dataclass
 class BodyKin:
     """Per-body kinematic state produced by the forward pass (body frame {S_i})."""
@@ -345,23 +399,28 @@ class BodyKin:
 class KinematicsCache:
     bodies: list[BodyKin]
     base_accel: Array
+    stages: list[LinkStage]
 
     def __getitem__(self, i: int) -> BodyKin:
         return self.bodies[i]
 
 
-def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> KinematicsCache:
+def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
+                 stages=None) -> KinematicsCache:
     """Forward recursion producing all body-frame velocities and accelerations.
 
     ``base_accel`` seeds the base linear acceleration; None selects -gravity,
     which folds the gravitational force into the inertial terms.  Pass zeros
     to compute purely inertial kinematics (the dynamics algorithms do, and
-    add explicit gravity terms instead).
+    add explicit gravity terms instead).  ``stages`` are the links'
+    :class:`LinkStage` at this state, computed here when None.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     if base_accel is None:
         base_accel = -chain.gravity
     base_accel = np.asarray(base_accel, dtype=float)
+    if stages is None:
+        stages = chain.stages(lambda i: link_stage(chain, i, q, qd, qdd))
 
     bodies: list[BodyKin] = []
     R_parent = chain.base.rotation
@@ -371,23 +430,15 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
     a_p = base_accel.copy()
     wd_p = np.zeros(3)
 
-    for i, lk in enumerate(chain.links):
+    for i, st in enumerate(stages):
         sl = chain.slice(i)
-        qi, qdi, qddi = q[sl], qd[sl], qdd[sl]
-        nj = lk.joint.n_dof
-
-        def state(qs):
-            ev_s = lk.body.evaluate(qs[nj:])
-            return (*link_jacobians(lk.joint, ev_s.frame, qs), ev_s.jac, ev_s)
-
-        # the link is evaluated at qi and, when it moves, at qi +- h u
-        R_rel, t_rel, Jt, Jw, Jp, ev = state(qi)
-        Jt_dot, Jw_dot, Jp_dot = unit_rate(lambda qs: state(qs)[2:5], qi, qdi, (Jt, Jw, Jp))
+        qdi, qddi = qd[sl], qdd[sl]
+        R_rel, t_rel, Jt, Jw, data = st.R_rel, st.t_rel, st.Jt, st.Jw, st.data
 
         v_rel = Jt @ qdi
         w_rel = Jw @ qdi
-        a_rel = Jt @ qddi + Jt_dot @ qdi
-        wdot_rel = Jw @ qddi + Jw_dot @ qdi
+        a_rel = Jt @ qddi + st.Jt_dot @ qdi
+        wdot_rel = Jw @ qddi + st.Jw_dot @ qdi
 
         RT = R_rel.T
         v = RT @ (v_p + cross(w_p, t_rel) + v_rel)
@@ -401,7 +452,6 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         )
         wdot = RT @ (wd_p + cross(w_p, w_rel) + wdot_rel)
 
-        data = integrals.body_integrals(lk.body, ev, Jp_dot, qdi[nj:], qddi[nj:])
         v_com = v + cross(w, data.p_com) + data.pdot_com
         a_com = (
             a
@@ -422,7 +472,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None) -> Ki
         t_parent = bodies[-1].t_base
         v_p, w_p, a_p, wd_p = v, w, a, wdot
 
-    return KinematicsCache(bodies=bodies, base_accel=base_accel)
+    return KinematicsCache(bodies=bodies, base_accel=base_accel, stages=stages)
 
 
 def projection_matrices(chain: ChainModel, q, i: int) -> tuple[Array, Array]:

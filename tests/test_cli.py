@@ -85,8 +85,9 @@ def test_verify_passes_on_pendulum(pendulum_file, capsys):
 
 
 def test_verify_rejects_zero_trials(pendulum_file):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exit_:
         main(["verify", "--trials", "0", str(pendulum_file)])
+    assert exit_.value.code == 2
 
 
 def test_verify_rejects_large_models(tmp_path, capsys):
@@ -187,6 +188,26 @@ def test_unread_flag_exits_2(argv, pcc_file):
     with pytest.raises(SystemExit) as exit_:
         main([str(pcc_file) if a == "MODEL" else a for a in argv])
     assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "-1", "MODEL"],
+    ["simulate", "--t-end", "inf", "MODEL"],
+    ["simulate", "--dt", "0", "MODEL"],
+    ["simulate", "--dt", "nan", "MODEL"],
+    ["simulate", "--dt", "-1e-3", "MODEL"],
+    ["verify", "--trials", "-2", "MODEL"],
+    ["statics", "--tol", "-1", "MODEL"],
+    ["statics", "--tol", "nan", "MODEL"],
+    ["benchmark", "--trials", "3"],
+    ["benchmark", "--sizes", "a"],
+    ["benchmark", "--sizes", "2,0"],
+], ids=lambda argv: "".join(argv[:3]))
+def test_out_of_range_number_exits_2(argv, pendulum_file, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([str(pendulum_file) if a == "MODEL" else a for a in argv])
+    assert exit_.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_missing_model_file(capsys):

@@ -1,20 +1,30 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from softid import presets
-from softid.dynamics import inverse_dynamics, miid
+from softid import model_io, presets
+from softid.actuation import ChamberActuation, TendonActuation
+from softid.bodies import CosseratRodBody
+from softid.bodies.base import central_difference
+from softid.dynamics import chain_dynamics, inverse_dynamics, miid
 from softid.errors import BodyDomainError, NonFiniteDynamicsError, SingularMassError
 from softid.harness import (
+    FORCE_JACOBIAN_STEP,
     PDPlusController,
     Trajectory,
+    _equilibrium,
+    _force_jacobians,
+    _statics_jacobian,
     benchmark_scaling,
     forward_dynamics,
     pd_plus,
     simulate,
     solve_statics,
 )
+from softid.quadrature import ReferenceDomain
 
-from conftest import sample_state
+from conftest import in_domain, sample_state
 
 
 # -- forward dynamics ---------------------------------------------------------
@@ -160,12 +170,133 @@ def test_simulate_rejects_bad_dt(pcc2):
         simulate(pcc2, np.zeros(6), np.zeros(6), method="leapfrog")
 
 
+@pytest.mark.parametrize("t_end, dt", [(-1.0, 1e-3), (np.inf, 1e-3), (np.nan, 1e-3),
+                                       (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)])
+def test_simulate_rejects_bad_times(pcc2, t_end, dt):
+    with pytest.raises(ValueError):
+        simulate(pcc2, np.zeros(6), np.zeros(6), t_end=t_end, dt=dt)
+
+
 def test_trajectory_shape(pcc2):
     traj = simulate(pcc2, np.zeros(6), np.zeros(6), t_end=0.01, dt=1e-3,
                     method="semi_implicit")
     assert isinstance(traj, Trajectory)
     assert traj.q.shape == (len(traj), 6)
     assert traj.qd.shape == traj.q.shape
+
+
+# -- finite-difference columns ------------------------------------------------------
+
+def three_tendons(chain):
+    """Three tendons 120 degrees apart, from the base through every rod's tip."""
+    routes = []
+    for angle in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):
+        a, b = 0.008 * np.cos(angle), 0.008 * np.sin(angle)
+        routes.append([(-1, [a, b, 0.0])] + [(i, [a, b, lk.body.model.length])
+                                             for i, lk in enumerate(chain.links)])
+    return TendonActuation(routes)
+
+
+def joint_chain():
+    # a revolute joint ahead of the first rod, a prismatic joint ahead of the second
+    doc = presets.pcc_description(2, C=1e5, eta=0.05, along_y=False, order=(2, 6, 5))
+    doc["links"][0]["joint"] = {"kind": "revolute", "axis": [0.3, 1.0, 0.2]}
+    doc["links"][1]["joint"] = {"kind": "prismatic", "axis": [0.2, -0.4, 1.0]}
+    return model_io.parse_chain(doc)
+
+
+FD_CHAINS = {
+    "pcc_3": lambda: presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5)),
+    "revolute_prismatic": joint_chain,
+    "variable_radius_3": lambda: presets.variable_radius_chain(3, order=(2, 4, 3)),
+    "lvp_1": presets.lvp_chain,
+}
+
+
+def fd_state(chain, seed, scale=0.4):
+    """A state whose configuration lies inside every body map's domain."""
+    rng = np.random.default_rng(seed)
+    while True:
+        q = rng.uniform(-scale, scale, chain.n)
+        if in_domain(chain, q):
+            return q, rng.uniform(-2.0, 2.0, chain.n)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    original = CosseratRodBody.solve
+
+    def counted(self, x, q):
+        calls.append(self)
+        return original(self, x, q)
+
+    monkeypatch.setattr(CosseratRodBody, "solve", counted)
+    return calls
+
+
+def test_force_jacobians_stage_only_the_stepped_link(monkeypatch):
+    chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5))
+    q, qd = fd_state(chain, 1)
+    base = chain_dynamics(chain, q, qd, None, mass=True).stages
+    calls = count_solves(monkeypatch)
+    _force_jacobians(chain, q, qd, base)
+    # K and D columns of two points each; a moving link is solved at q_i and
+    # q_i +- h u (a full sweep per point would solve all three links)
+    assert Counter(calls) == Counter({lk.body.model: 2 * lk.n_dof * 2 * 3 for lk in chain.links})
+
+
+def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
+    chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5))
+    act = three_tendons(chain)
+    residual = _equilibrium(chain, act, np.array([1.0, 0.5, 0.2]))
+    q, _ = fd_state(chain, 2)
+    _, base = residual(q)
+    calls = count_solves(monkeypatch)
+    assert _statics_jacobian(residual, q, base) is not None
+    # columns of two points; at rest the dynamics and the tendons solve the
+    # stepped link once each
+    assert Counter(calls) == Counter({lk.body.model: lk.n_dof * 2 * 2 for lk in chain.links})
+
+
+@pytest.mark.parametrize("name", sorted(FD_CHAINS))
+def test_force_jacobians_equal_full_sweep_differences(name):
+    chain = FD_CHAINS[name]()
+    q, qd = fd_state(chain, 3)
+    K, D = _force_jacobians(chain, q, qd, chain_dynamics(chain, q, qd, None, mass=True).stages)
+    h = FORCE_JACOBIAN_STEP
+    K_full = central_difference(lambda qs: chain_dynamics(chain, qs, qd, None).force,
+                                q, h * np.maximum(1.0, np.abs(q)))
+    D_full = central_difference(lambda vs: chain_dynamics(chain, q, vs, None).force,
+                                qd, h * np.maximum(1.0, np.abs(qd)))
+    assert np.array_equal(K, K_full)
+    assert np.array_equal(D, D_full)
+
+
+def statics_case(name):
+    """(chain, actuation, u) for the statics Jacobian checks."""
+    chain = FD_CHAINS[name]()
+    if name == "pcc_3":
+        return chain, three_tendons(chain), np.array([1.0, 0.5, 0.2])
+    if name == "revolute_prismatic":
+        cavity = ReferenceDomain.cylinder(0.005, 0.3)
+        return chain, ChamberActuation([(0, cavity), (1, cavity)], quadrature_order=(3, 6, 4)), \
+            np.array([2e3, 1e3])
+    return chain, None, None
+
+
+@pytest.mark.parametrize("name", sorted(FD_CHAINS))
+def test_statics_jacobian_equals_full_residual_differences(name):
+    chain, act, u = statics_case(name)
+    q, _ = fd_state(chain, 4)
+    residual = _equilibrium(chain, act, u)
+    _, base = residual(q)
+
+    def full(qs):
+        r = inverse_dynamics(chain, qs, None, None)
+        return r if act is None else r - act.matrix(chain, qs) @ u
+
+    J_full = central_difference(full, q, 1e-6 * np.maximum(1.0, np.abs(q)))
+    assert np.array_equal(_statics_jacobian(residual, q, base), J_full)
 
 
 # -- statics ---------------------------------------------------------------------

@@ -4,6 +4,9 @@
   is the one a reader sees at the top of each file (no hidden cycles).
 - The body-model library (``softid/bodies``) depends on nothing of the
   package but the quadrature rules, the spatial algebra and the errors.
+- No reuse is keyed on object identity or bytes: the package calls neither
+  ``.tobytes()`` nor the builtin ``id()``, so what a computation reuses is
+  passed to it explicitly.
 """
 
 import ast
@@ -62,3 +65,17 @@ def test_bodies_import_only_lower_layers():
                 if top != "bodies" and top not in BODIES_MAY_IMPORT:
                     found.append(f"{path.name}:{node.lineno} imports {name or 'softid'}")
     assert not found, f"bodies/ reaches above its layer: {found}"
+
+
+def test_no_identity_or_bytes_keys():
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "tobytes") or \
+                    (isinstance(f, ast.Name) and f.id == "id"):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, f"calls of .tobytes() or id() in the package: {found}"
