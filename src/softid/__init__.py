@@ -13,18 +13,15 @@ from .kinematics import (
     ChainModel,
     Joint,
     Link,
-    contact_frame,
     fixed_joint,
     forward_kinematics,
     forward_pass,
-    link_transform,
     prismatic_joint,
-    projection_matrices,
     revolute_joint,
     rotated_base_joint,
 )
 from .quadrature import QuadratureRule1D, ReferenceDomain, gauss_legendre, integrate_volume
-from .spatial import Transform, compose, skew, vec_kron_contract, vee
+from .spatial import Transform, compose, skew, vee
 
 __version__ = "0.1.0"
 
@@ -39,7 +36,6 @@ __all__ = [
     "Transform",
     "chain_dynamics",
     "compose",
-    "contact_frame",
     "fixed_joint",
     "forward_kinematics",
     "forward_pass",
@@ -47,14 +43,11 @@ __all__ = [
     "iid",
     "integrate_volume",
     "inverse_dynamics",
-    "link_transform",
     "mid",
     "miid",
     "prismatic_joint",
-    "projection_matrices",
     "revolute_joint",
     "rotated_base_joint",
     "skew",
-    "vec_kron_contract",
     "vee",
 ]

@@ -64,6 +64,8 @@ class TendonActuation(ActuationMap):
             raise ValueError("a tendon needs at least two via points")
         self.n_inputs = len(tendons)
         self.owner = np.array([int(bi) for routing in tendons for bi, _ in routing])  # -1: base
+        if self.owner.min() < -1:
+            raise ValueError(f"via-point body index must be -1 (base) or >= 0, got {self.owner.min()}")
         self.points = np.array([x for routing in tendons for _, x in routing], dtype=float)
         tendon = np.repeat(np.arange(self.n_inputs), [len(routing) for routing in tendons])
         # segment k runs from via point starts[k] to the next one on the same tendon

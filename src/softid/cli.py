@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import model_io
-from .dynamics import chain_dynamics
+from .dynamics import DynamicsResult, iid, inverse_dynamics, mid, miid
 from .errors import SoftIDError
 from .harness import benchmark_scaling, simulate, solve_statics
 from .verify import run_suite
@@ -32,6 +32,7 @@ EXIT_NONCONVERGENCE = 4
 
 VERIFY_MAX_DOF = 24
 BENCHMARK_MIN_TRIALS = 10  # benchmark_scaling's minimum
+ALGORITHMS = {"iid": iid, "id": inverse_dynamics, "miid": miid, "mid": mid}
 
 
 def _at_least(convert, low, *, strict=False):
@@ -110,22 +111,19 @@ def cmd_validate(args) -> int:
 def cmd_eval(args) -> int:
     chain = _load_model(args)
     q, qd, qdd = _load_state(args.state, chain.n)
-    want_mass = args.algorithm in ("miid", "mid")
-    inertial_only = args.algorithm in ("iid", "miid")
     t0 = time.perf_counter()
-    res = chain_dynamics(chain, q, qd, qdd,
-                         gravity=not inertial_only, stress=not inertial_only,
-                         mass=want_mass)
+    res = ALGORITHMS[args.algorithm](chain, q, qd, qdd)
     elapsed = time.perf_counter() - t0
+    force, mass = (res.force, res.mass) if isinstance(res, DynamicsResult) else (res, None)
     payload = {
         "model": str(args.model),
         "algorithm": args.algorithm,
         "q": q.tolist(), "qd": qd.tolist(), "qdd": qdd.tolist(),
-        "force": res.force.tolist(),
+        "force": force.tolist(),
         "elapsed_seconds": elapsed,
     }
-    if want_mass:
-        payload["mass_matrix"] = res.mass.tolist()
+    if mass is not None:
+        payload["mass_matrix"] = mass.tolist()
     _write_json(args.output, payload)
     return EXIT_OK
 
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("validate", cmd_validate, "parse a model file and check its invariants")
 
     p = command("eval", cmd_eval, "evaluate one algorithm at a state", output=True)
-    p.add_argument("--algorithm", choices=("iid", "id", "miid", "mid"), required=True)
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), required=True)
     p.add_argument("--state", required=True, help="JSON file with q, qd, qdd arrays")
 
     p = command("verify", cmd_verify, "run the numerical verification suite", seed=True)

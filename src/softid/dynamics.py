@@ -17,32 +17,24 @@ The per-body terms read the forward pass's integrals of each body
 (``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
 differences a body map again.  A link's kinematic stage and its stress
 terms depend on its own coordinates alone and form its
-:class:`DynamicsStage`, which a sweep takes as an argument or computes.
+:class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`),
+which a sweep takes as an argument or builds before its forward pass; the
+result's ``cache.stages`` holds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
 from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
-from .spatial import cross, skew, vec_kron_contract
+from .spatial import cross, skew
 
 Array = np.ndarray
 
 _COMPONENTS = ("inertial", "gravity", "elastic", "damping")
-
-
-class DynamicsStage(NamedTuple):
-    """Link i's part of a sweep that depends on its own block alone: the
-    kinematic stage and, in a sweep with stress, the stress terms of an
-    elastic body (None otherwise)."""
-
-    kin: LinkStage
-    stress: tuple | None
 
 
 @dataclass
@@ -53,7 +45,6 @@ class DynamicsResult:
     mass: Array | None = None
     components: dict[str, Array] | None = None
     cache: KinematicsCache | None = None
-    stages: list[DynamicsStage] | None = None
 
 
 # -- per-body wrench terms -----------------------------------------------------
@@ -75,11 +66,11 @@ def inertial_terms(data: BodyInertialData, w: Array, wdot: Array, a_com: Array,
         - cross(w, data.mom_rd)
         - data.mom_rdd
     )
-    n = data.jac_com.shape[1]
-    stack = data.inertia_grad.transpose(0, 2, 1).reshape(n, 9).T  # column-wise vec
     pi_body = (
         -data.jac_mom_rd.T @ wdot
-        + vec_kron_contract(w, stack)
+        # ½ ωᵀ (∂I/∂q_k)ᵀ ω = ½ ωᵀ (∂I/∂q_k) ω, summed over the row index
+        # innermost as the paper's column-wise vec(∂I/∂q_k) orders it
+        + 0.5 * np.einsum("a,kba,b->k", w, data.inertia_grad, w)
         + 2.0 * data.proj_cor @ w
         - data.proj_rdd
         + data.jac_com.T @ F
@@ -169,27 +160,28 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
 
 # -- main evaluation pipeline ---------------------------------------------------
 
-def _stage(chain: ChainModel, i: int, kin: LinkStage, q: Array, qd: Array,
-           stress: bool) -> DynamicsStage:
+def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> LinkStage:
+    """Stage of link i at the checked state, with the stress terms of an
+    elastic body when ``stress``."""
+    st = link_stage(chain, i, q, qd, qdd)
     lk = chain.links[i]
     if not (stress and lk.body.model.elastic_modulus is not None):
-        return DynamicsStage(kin, None)
+        return st
     _, qb = chain.split(i, q)
     _, qdb = chain.split(i, qd)
-    return DynamicsStage(kin, stress_terms(lk.body, kin.data, qb, qdb, lk.joint.n_dof))
+    return st._replace(stress=stress_terms(lk.body, st.data, qb, qdb, lk.joint.n_dof))
 
 
-def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -> list[DynamicsStage]:
-    """The links' :class:`DynamicsStage` at a state, stress terms included,
-    for :func:`chain_dynamics`.
+def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -> list[LinkStage]:
+    """The links' stages at a state, stress terms included, for
+    :func:`chain_dynamics`.
 
     ``base`` holds the stages of a state that differs from this one only in
     coordinate k; then only the link owning k is staged again
     (:meth:`ChainModel.stages`).
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    return chain.stages(lambda i: _stage(chain, i, link_stage(chain, i, q, qd, qdd), q, qd, True),
-                        base, k)
+    return chain.stages(lambda i: _stage(chain, i, q, qd, qdd, True), base, k)
 
 
 def chain_dynamics(
@@ -210,16 +202,16 @@ def chain_dynamics(
     terms.  Seeding ``base_accel = -chain.gravity`` with ``gravity=False``
     reproduces the same forces through the inertial path (cross-check mode).
     ``stages`` are the links' stages at this state (:func:`link_stages`),
-    computed here when None; the result carries them.
+    built here when None; the result's ``cache.stages`` holds them.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
+    if stages is None:
+        stages = chain.stages(lambda i: _stage(chain, i, q, qd, qdd, stress))
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),
-        stages=None if stages is None else [st.kin for st in stages],
+        stages=stages,
     )
-    if stages is None:
-        stages = [_stage(chain, i, kin, q, qd, stress) for i, kin in enumerate(cache.stages)]
     n_rows = 4 + (chain.n if mass else 0)
     cases = _mass_matrix(chain, cache) if mass else None
     wrenches = []
@@ -254,7 +246,7 @@ def chain_dynamics(
         force += components["elastic"] + components["damping"]
 
     M = rows[4:].T if mass else None
-    return DynamicsResult(force=force, mass=M, components=components, cache=cache, stages=stages)
+    return DynamicsResult(force=force, mass=M, components=components, cache=cache)
 
 
 def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:

@@ -104,10 +104,10 @@ def _force_jacobians(chain, q, qd, base):
 
     Central differences at steps ``FORCE_JACOBIAN_STEP * max(1, |x_k|)``.
     ``base`` are the stages of the sweep at (q, qd) with zero acceleration
-    (``DynamicsResult.stages``).  A column that steps coordinate k stages
-    only the link that owns k again and takes every other link's stage from
-    ``base``: those depend on their own coordinates alone, so K and D are
-    bitwise equal to differences of full sweeps.
+    (``DynamicsResult.cache.stages``).  A column that steps coordinate k
+    stages only the link that owns k again and takes every other link's
+    stage from ``base``: those depend on their own coordinates alone, so K
+    and D are bitwise equal to differences of full sweeps.
     """
     h = FORCE_JACOBIAN_STEP
     n = chain.n
@@ -155,6 +155,8 @@ def simulate(
         raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
     if method not in ("rk4", "semi_implicit"):
         raise ValueError(f"unknown integration method {method!r}")
+    if not (isinstance(jacobian_every, (int, np.integer)) and jacobian_every >= 1):
+        raise ValueError(f"jacobian_every must be an integer >= 1, got {jacobian_every!r}")
     q, qd = (v.copy() for v in chain.check_state(q0, qd0))
     steps = int(round(t_end / dt))
     n = chain.n
@@ -217,12 +219,12 @@ def simulate(
                 # refresh the linearization after drifting away from its state
                 stale = (
                     K is None
-                    or k % max(jacobian_every, 1) == 0
+                    or k % jacobian_every == 0
                     or np.linalg.norm(q - q_lin) > 0.02 * max(1.0, np.linalg.norm(q_lin))
                     or np.linalg.norm(qd - qd_lin) > 0.1 * max(1.0, np.linalg.norm(qd_lin))
                 )
                 if stale:
-                    K, D = _force_jacobians(chain, q, qd, res1.stages)
+                    K, D = _force_jacobians(chain, q, qd, res1.cache.stages)
                     q_lin, qd_lin = q.copy(), qd.copy()
                 M = res1.mass
                 lhs = M + dt * D + dt * dt * K

@@ -14,8 +14,11 @@ derivative supply, and their time rates by central differencing of the
 Jacobian map along the velocity direction.  Every configuration visited is
 one solve of the body map (:meth:`BodyHandle.evaluate`).  All of a link's
 terms that depend on its own coordinate block alone form its stage
-(:func:`link_stage`); only the forward recursion couples the links, so a
-caller that changes one block can pass the other links' stages unchanged.
+(:class:`LinkStage`, which also carries the stress terms of a dynamics
+sweep); only the forward recursion couples the links, so a caller that
+changes one block can pass the other links' stages unchanged.  Outside the
+recursion, :func:`forward_kinematics` is the one walk of the chain: frame
+poses and base-frame images of material points, one body solve per body.
 """
 
 from __future__ import annotations
@@ -161,10 +164,6 @@ class BodyHandle:
         sol, frame, f, jq = self.place(qb, self.points[self.n_anchors:])
         return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
 
-    def frame(self, qb: Array):
-        """Contact-frame data at qb from a solve at the anchors alone."""
-        return self.place(qb, np.zeros((0, 3)))[1]
-
     # -- contact frame -------------------------------------------------------
 
     def contact_frame_data(self, f: Array, jq: Array):
@@ -270,21 +269,7 @@ class ChainModel:
         return out
 
 
-# -- single-link transforms ---------------------------------------------------
-
-def contact_frame(body: BodyHandle, qb: Array) -> Transform:
-    """Transform from {S_i} to {S_J_i} built from the deformed anchor images."""
-    R, t, _, _ = body.frame(np.asarray(qb, dtype=float))
-    return Transform(R, t)
-
-
-def link_transform(joint: Joint, body: BodyHandle, qi: Array) -> Transform:
-    """Transform from {S_i} to {S_{i-1}}: joint transform then contact frame."""
-    qi = np.asarray(qi, dtype=float)
-    nj = joint.n_dof
-    Rj, tj = joint.transform(qi[:nj])
-    return Transform(Rj, tj).compose(contact_frame(body, qi[nj:]))
-
+# -- link Jacobians and their rates --------------------------------------------
 
 def link_jacobians(joint: Joint, frame, qi: Array):
     """Link transform with its translation and angular-velocity Jacobians.
@@ -340,8 +325,9 @@ def unit_rate(fn, q: Array, qd: Array, at_q):
 class LinkStage(NamedTuple):
     """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone.
 
-    The link transform, its Jacobians and their time rates, and the body's
-    integrals (which carry its evaluation); only the forward recursion
+    The link transform, its Jacobians and their time rates, the body's
+    integrals (which carry its evaluation) and, in a dynamics sweep with
+    stress, the stress terms of an elastic body; only the forward recursion
     couples the links.
     """
 
@@ -352,6 +338,7 @@ class LinkStage(NamedTuple):
     Jt_dot: Array
     Jw_dot: Array
     data: integrals.BodyInertialData
+    stress: tuple | None = None
 
 
 def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> LinkStage:
@@ -475,32 +462,10 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
     return KinematicsCache(bodies=bodies, base_accel=base_accel, stages=stages)
 
 
-def projection_matrices(chain: ChainModel, q, i: int) -> tuple[Array, Array]:
-    """Partial-velocity projections (dv_i/dqd_i, dw_i/dqd_i), each (n_i, 3)."""
-    (q,) = chain.check_state(q)
-    lk = chain.links[i]
-    qi = q[chain.slice(i)]
-    R_rel, _, Jt, Jw = link_jacobians(lk.joint, lk.body.frame(qi[lk.joint.n_dof:]), qi)
-    return Jt.T @ R_rel, Jw.T @ R_rel
-
-
-def forward_kinematics(chain: ChainModel, q) -> list[dict]:
-    """Base-frame poses of every joint frame {S_J_i} and contact frame {S_i}."""
-    (q,) = chain.check_state(q)
-    out = []
-    T = chain.base
-    for i, lk in enumerate(chain.links):
-        qi = q[chain.slice(i)]
-        nj = lk.joint.n_dof
-        Rj, tj = lk.joint.transform(qi[:nj])
-        T_joint = T.compose(Transform(Rj, tj))
-        T = T_joint.compose(contact_frame(lk.body, qi[nj:]))
-        out.append({"joint": T_joint, "body": T})
-    return out
-
-
-def chain_points(chain: ChainModel, q, points_per_body: list[Array]) -> list[Array]:
-    """Base-frame positions of material points, one array (m_i, 3) per body.
+def forward_kinematics(chain: ChainModel, q, points_per_body=None) -> list[dict]:
+    """Base-frame poses of every joint frame {S_J_i} ("joint") and contact
+    frame {S_i} ("body"), and the base-frame images ("points", (m_i, 3)) of
+    the material points ``points_per_body[i]`` (none when None).
 
     Each body is solved once, at its anchors and its points together.
     """
@@ -509,8 +474,9 @@ def chain_points(chain: ChainModel, q, points_per_body: list[Array]) -> list[Arr
     T = chain.base
     for i, lk in enumerate(chain.links):
         qj, qb = chain.split(i, q)
-        _, (Rc, tc, _, _), f, _ = lk.body.place(qb, np.asarray(points_per_body[i], dtype=float))
-        T = T.compose(Transform(*lk.joint.transform(qj)))
-        out.append(T.apply(f))
-        T = T.compose(Transform(Rc, tc))
+        x = np.zeros((0, 3)) if points_per_body is None else np.asarray(points_per_body[i], dtype=float)
+        _, (Rc, tc, _, _), f, _ = lk.body.place(qb, x)
+        T_joint = T.compose(Transform(*lk.joint.transform(qj)))
+        T = T_joint.compose(Transform(Rc, tc))
+        out.append({"joint": T_joint, "body": T, "points": T_joint.apply(f)})
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _div_green
-from .kinematics import ChainModel, chain_points, forward_kinematics
+from .kinematics import ChainModel, forward_kinematics
 
 Array = np.ndarray
 
@@ -37,6 +37,11 @@ def _node_sets(chain: ChainModel):
         pts.append(p)
         wm.append(w * lk.body.model.rho)
     return pts, wm
+
+
+def chain_points(chain: ChainModel, q, points_per_body) -> list[Array]:
+    """Base-frame positions of material points, one array (m_i, 3) per body."""
+    return [fr["points"] for fr in forward_kinematics(chain, q, points_per_body)]
 
 
 def _conf_gradient(fn, q: Array) -> Array:

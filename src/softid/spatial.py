@@ -141,25 +141,3 @@ def compose(a: Transform, b: Transform) -> Transform:
     """Functional form of :meth:`Transform.compose`."""
     return a.compose(b)
 
-
-def vec_kron_contract(omega, didq_stack) -> Array:
-    """Quadratic-form contraction of a stack of 3x3 matrices against omega.
-
-    ``didq_stack`` is a 9 x n matrix whose k-th column is the column-wise
-    vectorization of a 3x3 matrix D_k.  Returns the n-vector with components
-    0.5 * omega^T D_k omega, which is the evaluation of
-    0.5 [I_n (x) (w^T (w^T (x) I_3))] vec(stack^T) without materializing the
-    9n-sized Kronecker intermediate.
-    """
-    omega = np.asarray(omega, dtype=float)
-    didq_stack = np.asarray(didq_stack, dtype=float)
-    if omega.shape != (3,):
-        raise ValueError(f"omega must have shape (3,), got {omega.shape}")
-    if didq_stack.ndim != 2 or didq_stack.shape[0] != 9:
-        raise ValueError(
-            f"didq_stack must have shape (9, n), got {didq_stack.shape}"
-        )
-    n = didq_stack.shape[1]
-    # column-wise vec: D_k = didq_stack[:, k].reshape(3, 3, order="F")
-    mats = didq_stack.T.reshape(n, 3, 3).transpose(0, 2, 1)
-    return 0.5 * np.einsum("a,kab,b->k", omega, mats, omega)

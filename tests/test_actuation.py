@@ -193,3 +193,9 @@ def test_chamber_volume_responds_for_compressible_map(pcc2):
 def test_tendon_needs_two_points():
     with pytest.raises(ValueError):
         TendonActuation([[(-1, [0, 0, 0])]])
+
+
+def test_tendon_rejects_body_index_below_base():
+    # -1 is the base; no lower index names anything
+    with pytest.raises(ValueError, match="via-point body index"):
+        TendonActuation([[(-2, [0.008, 0, 0]), (0, [0.008, 0, 0.3])]])

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from softid import presets
+from softid import model_io, presets
 from softid.cli import main
+from softid.dynamics import inverse_dynamics, mid
 
 
 @pytest.fixture()
@@ -70,6 +71,26 @@ def test_eval_miid_outputs_mass(pcc_file, tmp_path):
     M = np.array(payload["mass_matrix"])
     assert M.shape == (6, 6)
     assert np.abs(M - M.T).max() < 1e-9 * np.abs(M).max()
+
+
+@pytest.mark.parametrize("algorithm", ["id", "mid"])
+def test_eval_matches_library(algorithm, pcc_file, tmp_path):
+    q, qd, qdd = [0.2, -0.1, 0.01, 0.3, 0.2, -0.02], [0.5, -1.0, 0.1, 0.3, 0.2, 0.0], [1.0] * 6
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"q": q, "qd": qd, "qdd": qdd}))
+    out = tmp_path / "result.json"
+    assert main(["eval", "--algorithm", algorithm, "--state", str(state),
+                 "-o", str(out), str(pcc_file)]) == 0
+    payload = json.loads(out.read_text())
+    chain = model_io.load_chain(pcc_file)
+    if algorithm == "id":
+        force, mass = inverse_dynamics(chain, q, qd, qdd), None
+        assert "mass_matrix" not in payload
+    else:
+        res = mid(chain, q, qd, qdd)
+        force, mass = res.force, res.mass
+        assert np.array_equal(np.array(payload["mass_matrix"]), mass)
+    assert np.array_equal(np.array(payload["force"]), force)
 
 
 def test_eval_dimension_mismatch(pcc_file, tmp_path, capsys):

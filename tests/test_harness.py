@@ -177,6 +177,12 @@ def test_simulate_rejects_bad_times(pcc2, t_end, dt):
         simulate(pcc2, np.zeros(6), np.zeros(6), t_end=t_end, dt=dt)
 
 
+@pytest.mark.parametrize("every", [0, -1, 2.5, 5.0, None])
+def test_simulate_rejects_bad_jacobian_every(pcc2, every):
+    with pytest.raises(ValueError):
+        simulate(pcc2, np.zeros(6), np.zeros(6), method="semi_implicit", jacobian_every=every)
+
+
 def test_trajectory_shape(pcc2):
     traj = simulate(pcc2, np.zeros(6), np.zeros(6), t_end=0.01, dt=1e-3,
                     method="semi_implicit")
@@ -237,7 +243,7 @@ def count_solves(monkeypatch):
 def test_force_jacobians_stage_only_the_stepped_link(monkeypatch):
     chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5))
     q, qd = fd_state(chain, 1)
-    base = chain_dynamics(chain, q, qd, None, mass=True).stages
+    base = chain_dynamics(chain, q, qd, None, mass=True).cache.stages
     calls = count_solves(monkeypatch)
     _force_jacobians(chain, q, qd, base)
     # K and D columns of two points each; a moving link is solved at q_i and
@@ -262,7 +268,7 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
 def test_force_jacobians_equal_full_sweep_differences(name):
     chain = FD_CHAINS[name]()
     q, qd = fd_state(chain, 3)
-    K, D = _force_jacobians(chain, q, qd, chain_dynamics(chain, q, qd, None, mass=True).stages)
+    K, D = _force_jacobians(chain, q, qd, chain_dynamics(chain, q, qd, None, mass=True).cache.stages)
     h = FORCE_JACOBIAN_STEP
     K_full = central_difference(lambda qs: chain_dynamics(chain, qs, qd, None).force,
                                 q, h * np.maximum(1.0, np.abs(q)))

@@ -8,15 +8,13 @@ from softid.kinematics import (
     BodyHandle,
     ChainModel,
     Joint,
-    contact_frame,
     fixed_joint,
     forward_kinematics,
     forward_pass,
-    link_transform,
     prismatic_joint,
-    projection_matrices,
     revolute_joint,
 )
+from softid.oracle import chain_points
 from softid.quadrature import ReferenceDomain
 from softid.spatial import Transform, rodrigues
 
@@ -37,18 +35,24 @@ def rigid_handle(length=1.0, radius=0.02):
     return BodyHandle(model, x_j=[0, 0, length], x_a=[radius, 0, length], x_b=[0, radius, length])
 
 
+def link_frame(hb, qi, joint=None):
+    """Body frame {S_i} of a one-link chain: the contact frame behind a fixed
+    joint, the link transform behind any other."""
+    return forward_kinematics(ChainModel([(joint or fixed_joint(), hb)]), qi)[0]["body"]
+
+
 # -- contact frames -------------------------------------------------------------
 
 def test_rigid_contact_frame_constant():
     hb = rigid_handle()
-    t = contact_frame(hb, np.zeros(0))
+    t = link_frame(hb, np.zeros(0))
     assert np.allclose(t.rotation, np.eye(3))
     assert np.allclose(t.translation, [0, 0, 1.0])
 
 
 def test_pcc_straight_contact_frame():
     hb = pcc_handle()
-    t = contact_frame(hb, np.zeros(3))
+    t = link_frame(hb, np.zeros(3))
     assert np.allclose(t.rotation, np.eye(3), atol=1e-14)
     assert np.allclose(t.translation, [0, 0, L0], atol=1e-14)
 
@@ -56,7 +60,7 @@ def test_pcc_straight_contact_frame():
 def test_pcc_arc_contact_frame():
     hb = pcc_handle()
     q = np.array([np.pi / 2, 0.0, 0.0])
-    t = contact_frame(hb, q)
+    t = link_frame(hb, q)
     radius = L0 / (np.pi / 2)
     assert abs(abs(t.translation[1]) - radius * (1 - np.cos(np.pi / 2))) < 1e-12
     assert abs(t.translation[2] - radius * np.sin(np.pi / 2)) < 1e-12
@@ -68,7 +72,7 @@ def test_contact_frame_orthonormal_random(rng):
     hb = pcc_handle()
     for _ in range(20):
         q = rng.uniform(-np.pi, np.pi, 3)
-        t = contact_frame(hb, q)
+        t = link_frame(hb, q)
         assert np.abs(t.rotation.T @ t.rotation - np.eye(3)).max() < 1e-12
 
 
@@ -94,25 +98,36 @@ def test_degenerate_contact_detected():
 
 def test_fixed_joint_rigid_body_constant():
     hb = rigid_handle()
-    t1 = link_transform(fixed_joint(), hb, np.zeros(0))
+    t1 = link_frame(hb, np.zeros(0), fixed_joint())
     assert np.allclose(t1.rotation, np.eye(3))
     assert np.allclose(t1.translation, [0, 0, 1.0])
 
 
 def test_revolute_half_turn():
     hb = rigid_handle()
-    t = link_transform(revolute_joint([0, 0, 1]), hb, np.array([np.pi]))
+    t = link_frame(hb, np.array([np.pi]), revolute_joint([0, 0, 1]))
     assert np.allclose(t.rotation, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
 
-def test_link_transform_composition_matches_forward_kinematics(rng):
-    chain = presets.pcc_chain(2)
+WALK_CHAINS = {
+    "pcc_2": presets.pcc_chain,
+    "rigid_2r": presets.rigid_2r_chain,
+    "revolute_prismatic": lambda: ChainModel([(revolute_joint([0.3, 1.0, 0.2]), pcc_handle((2, 6, 5))),
+                                              (prismatic_joint([0.2, -0.4, 1.0]), rigid_handle())]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CHAINS))
+def test_forward_kinematics_matches_forward_pass(name, rng):
+    """The walk outside the recursion and the recursion place every body alike."""
+    chain = WALK_CHAINS[name]()
     q, _, _ = sample_state(rng, chain.n)
-    frames = forward_kinematics(chain, q)
-    t = chain.base
-    for i, lk in enumerate(chain.links):
-        t = t.compose(link_transform(lk.joint, lk.body, q[chain.slice(i)]))
-        assert np.abs(t.as_matrix() - frames[i]["body"].as_matrix()).max() < 1e-12
+    nodes = [lk.body.model.nodes()[0] for lk in chain.links]
+    frames = forward_kinematics(chain, q, nodes)
+    for fr, kin in zip(frames, forward_pass(chain, q).bodies):
+        assert np.abs(fr["body"].rotation - kin.R_base).max() < 1e-12
+        assert np.abs(fr["body"].translation - kin.t_base).max() < 1e-12
+        assert np.abs(fr["points"] - (kin.data.ev.points @ kin.R_base.T + kin.t_base)).max() < 1e-12
 
 
 def test_joint_kinds():
@@ -151,8 +166,6 @@ def test_single_revolute_rigid_link(rng):
 def _fd_velocity_check(chain, q, qd, dt=1e-6):
     """Base-frame material point velocity versus central differences."""
     pts = [lk.body.model.nodes()[0][:5] for lk in chain.links]
-    from softid.kinematics import chain_points
-
     plus = chain_points(chain, q + dt * qd, pts)
     minus = chain_points(chain, q - dt * qd, pts)
     return [(a - b) / (2 * dt) for a, b in zip(plus, minus)]
@@ -183,7 +196,6 @@ def test_accelerations_match_position_differences(rng):
     qdd = rng.uniform(-5, 5, 6)
     dt = 5e-5
     pts = [lk.body.model.nodes()[0][:4] for lk in chain.links]
-    from softid.kinematics import chain_points
 
     def pos(t):
         return chain_points(chain, q + t * qd + 0.5 * t * t * qdd, pts)
@@ -217,15 +229,16 @@ def test_accelerations_match_position_differences(rng):
 
 def test_projection_matrices_prismatic():
     chain = ChainModel([(prismatic_joint([0, 0, 1]), rigid_handle())], gravity=[0, 0, 0])
-    pv, pw = projection_matrices(chain, np.array([0.2]), 0)
-    assert np.allclose(pv, [[0, 0, 1.0]])
-    assert np.allclose(pw, np.zeros((1, 3)))
+    kin = forward_pass(chain, np.array([0.2]))[0]
+    assert np.allclose(kin.Pv, [[0, 0, 1.0]])
+    assert np.allclose(kin.Pw, np.zeros((1, 3)))
 
 
 def test_projection_matrices_match_fd(rng):
     chain = presets.pcc_chain(1)
     q = rng.uniform(-1, 1, 3)
-    pv, pw = projection_matrices(chain, q, 0)
+    kin = forward_pass(chain, q)[0]
+    pv, pw = kin.Pv, kin.Pw
     h = 1e-7
     for k in range(3):
         dqd = np.zeros(3)

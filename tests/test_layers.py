@@ -7,6 +7,11 @@
 - No reuse is keyed on object identity or bytes: the package calls neither
   ``.tobytes()`` nor the builtin ``id()``, so what a computation reuses is
   passed to it explicitly.
+- The oracle stays independent of the recursion it checks: from the package
+  it imports only the chain and its walk (``ChainModel``,
+  ``forward_kinematics``) and the shared constitutive law (``_div_green``),
+  nothing that runs a sweep (``forward_pass``, ``link_stage(s)``,
+  ``chain_dynamics``, ``iid``, ...).
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softid"
 BODIES_MAY_IMPORT = {"quadrature", "spatial", "errors"}
+ORACLE_MAY_IMPORT = {"kinematics": {"ChainModel", "forward_kinematics"}, "dynamics": {"_div_green"}}
 
 
 def _sources():
@@ -79,3 +85,17 @@ def test_no_identity_or_bytes_keys():
                     (isinstance(f, ast.Name) and f.id == "id"):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"calls of .tobytes() or id() in the package: {found}"
+
+
+def test_oracle_imports_no_recursion():
+    path = PACKAGE / "oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for module in _package_imports(path, node):
+            names = {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else {"*"}
+            extra = names - ORACLE_MAY_IMPORT.get(module, set())
+            if extra:
+                found.append(f"oracle.py:{node.lineno} imports {sorted(extra)} from {module or 'softid'}")
+    assert not found, f"the oracle reaches into the recursion: {found}"

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from softid.spatial import (
     Transform,
@@ -8,7 +7,6 @@ from softid.spatial import (
     rodrigues,
     rotation_from_quaternion,
     skew,
-    vec_kron_contract,
     vee,
 )
 
@@ -108,29 +106,3 @@ def test_transform_apply_batch(rng):
     single = np.stack([t.apply(p) for p in pts])
     assert np.allclose(t.apply(pts), single)
 
-
-def test_vec_kron_contract_zero_omega(rng):
-    stack = rng.normal(size=(9, 4))
-    assert np.array_equal(vec_kron_contract(np.zeros(3), stack), np.zeros(4))
-
-
-def test_vec_kron_contract_identity_matrix():
-    stack = np.eye(3).reshape(9, 1, order="F")
-    out = vec_kron_contract(np.array([1.0, 2.0, 3.0]), stack)
-    assert np.allclose(out, [7.0])
-
-
-def test_vec_kron_contract_matches_loop(rng):
-    n = 5
-    mats = rng.normal(size=(n, 3, 3))
-    stack = np.stack([m.reshape(9, order="F") for m in mats], axis=1)
-    omega = rng.normal(size=3)
-    expected = np.array([0.5 * omega @ m @ omega for m in mats])
-    assert np.abs(vec_kron_contract(omega, stack) - expected).max() < 1e-13
-
-
-def test_vec_kron_contract_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        vec_kron_contract(np.zeros(2), np.zeros((9, 1)))
-    with pytest.raises(ValueError):
-        vec_kron_contract(np.zeros(3), np.zeros((8, 1)))
