@@ -78,8 +78,9 @@ class TendonActuation(ActuationMap):
         transform with its Jacobians (:func:`link_jacobians`)."""
         lk = chain.links[i]
         qj, qb = chain.split(i, q)
-        _, frame, f, jq = lk.body.place(qb, self.points[self.owner == i])
-        return (f, jq, *lk.joint.transform(qj), *link_jacobians(lk.joint, frame, q[chain.slice(i)]))
+        _, frame, f, jq = lk.body.place(qb[None], self.points[self.owner == i])
+        R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, frame, q[None, chain.slice(i)])
+        return (f[0], jq[0], *lk.joint.transform(qj), R_rel[0], t_rel[0], Jt[0], Jw[0])
 
     def _via_points(self, chain: ChainModel, stages) -> tuple[Array, Array]:
         """Base-frame via points (m, 3) and their q-Jacobians (m, 3, n),
@@ -151,7 +152,7 @@ class ChamberActuation(ActuationMap):
         out = []
         for dom in (dom for bi, dom in self.chambers if bi == i):
             pts, w = dom.nodes(self.order)
-            sol = model.solve(pts, qb)
+            sol = model.solve_one(pts, qb)
             F = model.jac_x(pts, qb, sol)
             # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
             cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
@@ -161,6 +162,9 @@ class ChamberActuation(ActuationMap):
         return out
 
     def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
+        last = max((bi for bi, _ in self.chambers), default=-1)
+        if last >= len(chain):
+            raise ValueError(f"a chamber is on body {last} of a {len(chain)}-body chain")
         volumes = np.empty(self.n_inputs)
         grad = np.zeros((self.n_inputs, chain.n))
         per_body = [iter(st) for st in stages]

@@ -6,6 +6,15 @@ mass density and material parameters.  Derivatives default to central finite
 differences; concrete models override them with analytic expressions, which
 the recursive dynamics needs for tight oracle agreement (finite-difference
 Jacobians inject ~1e-9 noise that the velocity-rate differencing amplifies).
+
+The configuration map takes a stack: :meth:`BodyModel.solve`,
+:meth:`~BodyModel.position` and :meth:`~BodyModel.jac_q` evaluate the points
+x (m, 3) at every row of q (b, n_dof) in one call, and every array they
+return has that leading row axis.  Row r of a result is the value at q[r]
+alone, bitwise, whatever the other rows are, so one call serves any number
+of states.  The material derivatives (:meth:`~BodyModel.jac_x`,
+:meth:`~BodyModel.jac_x_dq`, :meth:`~BodyModel.hess_x`) take one
+configuration (n_dof,) and one row of a solution.
 """
 
 from __future__ import annotations
@@ -30,12 +39,19 @@ def central_difference(fn, x: Array, steps) -> Array:
     return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
 
 
+def solution_part(sol, index):
+    """The part of a body solution at ``index`` along its leading axis: the
+    rows of a stacked solution, or the points of one row; None stays None."""
+    return None if sol is None else tuple(a[index] for a in sol)
+
+
 class BodyModel:
     """Base class for body kinematic models.
 
     Subclasses must set ``n_dof``, ``domain``, ``rho`` and implement
-    :meth:`position`.  ``elastic_modulus`` (C, [Pa]) and ``viscosity``
-    (eta, [s]) may be None for bodies without a stress model.
+    :meth:`position` for a stack of configurations.  ``elastic_modulus``
+    (C, [Pa]) and ``viscosity`` (eta, [s]) may be None for bodies without a
+    stress model.
     """
 
     n_dof: int = 0
@@ -48,27 +64,39 @@ class BodyModel:
     _node_cache: tuple[Array, Array] | None = None
 
     def solve(self, x: Array, q: Array):
-        """Solution of the body map at (x, q) that the methods below take as
-        ``sol`` instead of solving again.
+        """Solution of the body map at the points x for the stack q (b, n_dof)
+        that the methods below take as ``sol`` instead of solving again.
 
         A solution is None (the default: nothing shared) or a tuple of arrays
-        with one leading row per point of x, so the rows of a subset of the
-        points are the solution at that subset.
+        with one leading row per configuration, then one row per point of x:
+        ``solution_part(sol, r)`` is the solution at q[r], and the rows of a
+        subset of the points in it are the solution at that subset.
         """
         return None
 
     def position(self, x: Array, q: Array, sol=None) -> Array:
-        """Deformed position f(x, q) for material points x (m, 3) -> (m, 3)."""
+        """Deformed positions f(x, q[r]) of the points x (m, 3), shape (b, m, 3)."""
         raise NotImplementedError
 
     def jac_q(self, x: Array, q: Array, sol=None) -> Array:
-        """Configuration Jacobian df/dq, shape (m, 3, n_dof)."""
-        q = np.asarray(q, dtype=float)
-        return central_difference(lambda qs: self.position(x, qs), q, self._q_steps(q))
+        """Configuration Jacobians df/dq, shape (b, m, 3, n_dof).
+
+        Default: central differences of :meth:`position`, with the 2 n_dof
+        stepped configurations of every row in one call.
+        """
+        q = self.check_q(q)
+        b, n = q.shape
+        h = FD_Q_STEP * np.maximum(1.0, np.linalg.norm(q, axis=1))
+        dq = h[:, None, None] * np.eye(n)  # row r, step k: h_r e_k
+        f = self.position(x, np.concatenate([q[:, None] + dq, q[:, None] - dq], axis=1).reshape(2 * b * n, n))
+        f = f.reshape((b, 2, n) + f.shape[1:])
+        return np.moveaxis((f[:, 0] - f[:, 1]) / (2.0 * h[:, None, None, None]), 1, -1)
 
     def jac_x(self, x: Array, q: Array, sol=None) -> Array:
-        """Material Jacobian df/dx (deformation gradient), shape (m, 3, 3)."""
-        return central_difference(lambda d: self.position(x + d, q), np.zeros(3), self._x_steps())
+        """Material Jacobian df/dx (deformation gradient) at one configuration
+        q (n_dof,), shape (m, 3, 3)."""
+        q = self.check_q([q])
+        return central_difference(lambda d: self.position(x + d, q)[0], np.zeros(3), self._x_steps())
 
     def jac_x_dq(self, x: Array, q: Array, sol=None) -> Array:
         """Configuration derivative of the deformation gradient, (m, 3, 3, n_dof).
@@ -76,7 +104,7 @@ class BodyModel:
         Entry [p, a, b, j] is d^2 f_a / dx_b dq_j.  Default: central
         differences of :meth:`jac_x`.
         """
-        q = np.asarray(q, dtype=float)
+        q = self.check_q([q])[0]
         return central_difference(lambda qs: self.jac_x(x, qs), q, self._q_steps(q))
 
     def hess_x(self, x: Array, q: Array, sol=None) -> Array:
@@ -105,12 +133,18 @@ class BodyModel:
         return float(self.rho * np.sum(w))
 
     def check_q(self, q) -> Array:
-        q = np.asarray(q, dtype=float).reshape(-1)
-        if q.shape != (self.n_dof,):
-            raise ValueError(f"expected {self.n_dof} body coordinates, got {q.shape[0]}")
-        if not np.all(np.isfinite(q)):
+        """The stack q as a float array (b, n_dof) of finite rows; one
+        configuration is checked as the stack ``[q]``."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 2 or q.shape[1] != self.n_dof:
+            raise ValueError(f"expected a stack of configurations of shape (b, {self.n_dof}), got {q.shape}")
+        if not np.isfinite(q).all():
             raise ValueError("body coordinates must be finite")
         return q
+
+    def solve_one(self, x: Array, q: Array, sol=None):
+        """``sol``, or the solution at the one configuration q (n_dof,)."""
+        return solution_part(self.solve(x, q[None]), 0) if sol is None else sol
 
 
 class RigidBody(BodyModel):
@@ -126,10 +160,11 @@ class RigidBody(BodyModel):
     viscosity = None
 
     def position(self, x, q, sol=None):
-        return np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return np.repeat(x[None], self.check_q(q).shape[0], axis=0)
 
     def jac_q(self, x, q, sol=None):
-        return np.zeros((x.shape[0], 3, 0))
+        return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
 
     def jac_x(self, x, q, sol=None):
         return np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()

@@ -379,15 +379,16 @@ class LvpBody(BodyModel):
         self.quadrature_order = quadrature_order
 
     def position(self, x, q, sol=None):
-        y = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        for p in self.primitives:
-            y = p.apply(y, q)
-        return y
+        x = np.asarray(x, dtype=float)
+        return np.stack([self._position(x, qr) for qr in self.check_q(q)])
+
+    def jac_q(self, x, q, sol=None):
+        x = np.asarray(x, dtype=float)
+        return np.stack([self._jac_q(x, qr) for qr in self.check_q(q)])
 
     def jac_x(self, x, q, sol=None):
         y = np.asarray(x, dtype=float)
-        q = self.check_q(q)
+        q = self.check_q([q])[0]
         m = y.shape[0]
         total = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
         for p in self.primitives:
@@ -395,11 +396,15 @@ class LvpBody(BodyModel):
             y = p.apply(y, q)
         return total
 
-    def jac_q(self, x, q, sol=None):
-        y = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        m = y.shape[0]
-        total = np.zeros((m, 3, self.n_dof))
+    # the primitives take one configuration: a stack is composed row by row
+
+    def _position(self, y: Array, q: Array) -> Array:
+        for p in self.primitives:
+            y = p.apply(y, q)
+        return y
+
+    def _jac_q(self, y: Array, q: Array) -> Array:
+        total = np.zeros((y.shape[0], 3, self.n_dof))
         for p in self.primitives:
             fp = p.jac_x(y, q)
             total = np.einsum("mab,mbj->maj", fp, total)

@@ -14,6 +14,12 @@ Constant-strain bases (PCC, PCS) use the closed-form solution of the frame
 ODE, g(s) = exp(s xi); s-varying bases (PAC, PGC) compose fourth-order
 Magnus steps on SE(3), so frames stay on SO(3) to rounding.  Both
 differentiate the discrete map exactly for the configuration Jacobians.
+
+A solve serves a stack of configurations q (b, n): the closed form takes one
+exponential over all b x k (row, arclength) twists, the Magnus rods one
+exponential over every step of every row and compose the steps with the row
+axis carried along.  Every operation either acts elementwise or on one
+row's own small matrices, so a row's frames do not depend on the others.
 """
 
 from __future__ import annotations
@@ -39,14 +45,27 @@ _GAUSS_2 = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 # double precision at the switch); above it the closed forms no longer cancel.
 # Every kernel is accurate to a few ulps for all t.
 _SERIES_SWITCH = 2.0
-_SERIES_POWERS = np.arange(13)
 _SERIES = np.array([
-    [(-1.0) ** j / factorial(2 * j + 1) for j in _SERIES_POWERS],
-    [(-1.0) ** j / factorial(2 * j + 2) for j in _SERIES_POWERS],
-    [(-1.0) ** j / factorial(2 * j + 3) for j in _SERIES_POWERS],
-    [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 4) for j in _SERIES_POWERS],
-    [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 5) for j in _SERIES_POWERS],
+    [(-1.0) ** j / factorial(2 * j + 1) for j in range(13)],
+    [(-1.0) ** j / factorial(2 * j + 2) for j in range(13)],
+    [(-1.0) ** j / factorial(2 * j + 3) for j in range(13)],
+    [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 4) for j in range(13)],
+    [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 5) for j in range(13)],
 ])
+# the coefficients of even and odd powers, zero-padded to 16 terms: (2, 8, 5, 1)
+_SERIES_PAIRS = np.concatenate([_SERIES.T, np.zeros((3, 5))]).reshape(8, 2, 5, 1).swapaxes(0, 1)
+
+
+def _series(t: Array) -> Array:
+    """The kernels' Taylor series at angles t (k,), (5, k), by Estrin's
+    scheme in t^2: elementwise, so each angle's value depends on that angle
+    alone (a matrix product sums in an order that depends on k)."""
+    x = t * t
+    out = _SERIES_PAIRS[0] + _SERIES_PAIRS[1] * x
+    while out.shape[0] > 1:
+        x = x * x
+        out = out[0::2] + out[1::2] * x
+    return out[0]
 
 
 def _so3_kernels(t) -> Array:
@@ -58,10 +77,10 @@ def _so3_kernels(t) -> Array:
     t = np.abs(np.asarray(t, dtype=float))
     small = t < _SERIES_SWITCH
     if small.all():
-        return _SERIES @ (t[None, :] ** (2 * _SERIES_POWERS[:, None]))
+        return _series(t)
     out = np.empty((5,) + t.shape)
     if small.any():
-        out[:, small] = _SERIES @ (t[small][None, :] ** (2 * _SERIES_POWERS[:, None]))
+        out[:, small] = _series(t[small])
     b = t[~small]
     sn = np.sin(b)
     omc = 2.0 * np.sin(0.5 * b) ** 2  # 1 - cos(b) without cancellation
@@ -95,9 +114,9 @@ def _se3_exp(w: Array, v: Array, d: Array):
     direction (angular, linear) per coordinate.  The rotation is
     exp(w) = I + alpha W + beta W^2 and the translation J_l(w) v, with the
     left Jacobian J_l = I + beta W + gamma W^2; d exp(w) = skew(J_l dw) exp(w).
-    Returns (R (k,3,3), p (k,3), dR (k,3,3,n), dp (k,3,n)).
+    Returns (R (k,3,3), p (k,3), dR (k,n,3,3), dp (k,n,3)).
     """
-    kern = _so3_kernels(np.linalg.norm(w, axis=1))
+    kern = _so3_kernels(np.sqrt((w * w).sum(1)))
     alpha, beta, gamma, dbeta, dgamma = kern[:, :, None, None]
     W = _skew_batch(w)
     W2 = W @ W
@@ -117,7 +136,7 @@ def _se3_exp(w: Array, v: Array, d: Array):
     A = np.concatenate([u[:, :, None] * w[:, None, :] - B, Jl], axis=2)  # (k, 3, 6)
     dp = d @ np.swapaxes(A, 1, 2)
     dR = _skew_batch(d[..., :3] @ np.swapaxes(Jl, 1, 2)) @ R[:, None]
-    return R, p, np.moveaxis(dR, 1, -1), np.moveaxis(dp, 1, -1)
+    return R, p, dR, dp
 
 
 def _se3_bracket(a: Array, b: Array) -> Array:
@@ -282,11 +301,15 @@ class CosseratRodBody(BodyModel):
     # -- frame solution ------------------------------------------------------
 
     def _frames_closed_form(self, s: Array, q: Array):
-        """Constant strain: the frame at s is exp(s xi), one exponential per point."""
+        """Constant strain: the frame at s is exp(s xi), one exponential per
+        arclength and row, all in one call."""
         phi = self.basis.matrix(np.zeros(1))[0]  # (6, n), constant
-        xi = phi @ q + _STRAIN_OFFSET
-        return _se3_exp(s[:, None] * xi[None, :3], s[:, None] * xi[None, 3:],
-                        s[:, None, None] * phi.T[None])
+        (b, n), k = q.shape, s.shape[0]
+        xi = (phi @ q[:, :, None])[..., 0] + _STRAIN_OFFSET  # (b, 6)
+        twist = s[:, None] * xi[:, None]  # (b, k, 6)
+        d = np.concatenate([s[:, None, None] * phi.T] * b)  # (b k, n, 6)
+        frames = _se3_exp(twist[..., :3].reshape(-1, 3), twist[..., 3:].reshape(-1, 3), d)
+        return tuple(a.reshape((b, k) + a.shape[1:]) for a in frames)
 
     def _frames_magnus(self, s_sorted: Array, q: Array):
         """s-varying strain: fourth-order Magnus steps on SE(3).
@@ -297,10 +320,11 @@ class CosseratRodBody(BodyModel):
         xi_2) + sqrt(3) h^2/12 [xi_1, xi_2], xi_1 and xi_2 the strains at the
         step's two Gauss points, so every frame is a product of exact
         rotations.  Omega is quadratic in q, and the q-Jacobians are the exact
-        derivatives of this discrete map.  All step exponentials are one
-        vectorized call; only the whole steps compose in sequence.
+        derivatives of this discrete map.  All step exponentials of all rows
+        are one vectorized call; only the whole steps compose in sequence,
+        every row at once.
         """
-        n = self.n_dof
+        b, n = q.shape
         h_whole = self.length / BACKBONE_STEPS
         whole = np.floor(s_sorted / h_whole).astype(int)
         count = int(whole.max(initial=0))
@@ -308,39 +332,43 @@ class CosseratRodBody(BodyModel):
         h = np.concatenate([np.full(count, h_whole), s_sorted - whole * h_whole])
         starts = np.concatenate([h_whole * np.arange(count), whole * h_whole])
         s_g = (starts[:, None] + h[:, None] * _GAUSS_2).reshape(-1)
-        phi = self.basis.matrix(s_g).reshape(h.shape[0], 2, 6, n)
-        xi = phi @ q + _STRAIN_OFFSET  # (steps, 2, 6)
+        steps = h.shape[0]
+        phi = self.basis.matrix(s_g).reshape(steps, 2, 6, n)
+        xi = (phi @ q[:, None, None, :, None])[..., 0] + _STRAIN_OFFSET  # (b, steps, 2, 6)
         phi_t = np.swapaxes(phi, 2, 3)  # (steps, 2, n, 6)
         c2 = (np.sqrt(3.0) / 12.0) * h**2
-        omega = (0.5 * h[:, None] * (xi[:, 0] + xi[:, 1])
-                 + c2[:, None] * _se3_bracket(xi[:, 0], xi[:, 1]))
+        omega = (0.5 * h[:, None] * (xi[:, :, 0] + xi[:, :, 1])
+                 + c2[:, None] * _se3_bracket(xi[:, :, 0], xi[:, :, 1]))
         d_omega = (0.5 * h[:, None, None] * (phi_t[:, 0] + phi_t[:, 1])
-                   + c2[:, None, None] * (_se3_bracket(phi_t[:, 0], xi[:, None, 1])
-                                          + _se3_bracket(xi[:, None, 0], phi_t[:, 1])))
-        R_s, p_s, dR_s, dp_s = _se3_exp(omega[:, :3], omega[:, 3:], d_omega)
-        # homogeneous step transforms and their q-derivatives (n leading)
-        G = np.zeros((h.shape[0], 4, 4))
-        G[:, :3, :3] = R_s
-        G[:, :3, 3] = p_s
-        G[:, 3, 3] = 1.0
-        dG = np.zeros((h.shape[0], n, 4, 4))
-        dG[:, :, :3, :3] = np.moveaxis(dR_s, -1, 1)
-        dG[:, :, :3, 3] = np.moveaxis(dp_s, -1, 1)
-        T = np.zeros((count + 1, 4, 4))
-        dT = np.zeros((count + 1, n, 4, 4))
-        T[0] = np.eye(4)
+                   + c2[:, None, None] * (_se3_bracket(phi_t[:, 0], xi[:, :, None, 1])
+                                          + _se3_bracket(xi[:, :, None, 0], phi_t[:, 1])))
+        R_s, p_s, dR_s, dp_s = _se3_exp(omega[..., :3].reshape(-1, 3), omega[..., 3:].reshape(-1, 3),
+                                        d_omega.reshape(-1, n, 6))
+        # homogeneous step transforms and their q-derivatives (n after the step axis)
+        G = np.zeros((b, steps, 4, 4))
+        G[..., :3, :3] = R_s.reshape(b, steps, 3, 3)
+        G[..., :3, 3] = p_s.reshape(b, steps, 3)
+        G[..., 3, 3] = 1.0
+        dG = np.zeros((b, steps, n, 4, 4))
+        dG[..., :3, :3] = dR_s.reshape(b, steps, n, 3, 3)
+        dG[..., :3, 3] = dp_s.reshape(b, steps, n, 3)
+        T = np.zeros((b, count + 1, 4, 4))
+        dT = np.zeros((b, count + 1, n, 4, 4))
+        T[:, 0] = np.eye(4)
         for m in range(count):
-            T[m + 1] = T[m] @ G[m]
-            dT[m + 1] = dT[m] @ G[m] + T[m] @ dG[m]
-        T, dT = T[whole] @ G[count:], dT[whole] @ G[count:, None] + T[whole][:, None] @ dG[count:]
-        return (T[:, :3, :3], T[:, :3, 3],
-                np.moveaxis(dT[:, :, :3, :3], 1, -1), np.moveaxis(dT[:, :, :3, 3], 1, -1))
+            T[:, m + 1] = T[:, m] @ G[:, m]
+            dT[:, m + 1] = dT[:, m] @ G[:, m, None] + T[:, m, None] @ dG[:, m]
+        T_w = T[:, whole]
+        T, dT = T_w @ G[:, count:], dT[:, whole] @ G[:, count:, None] + T_w[:, :, None] @ dG[:, count:]
+        return T[..., :3, :3], T[..., :3, 3], dT[..., :3, :3], dT[..., :3, 3]
 
     def solve(self, x, q):
-        """Backbone frames and their q-Jacobians at the arclengths x3 of x.
+        """Backbone frames and their q-Jacobians at the arclengths x3 of x,
+        for every row of the stack q (b, n).
 
-        One frame solve over the distinct arclengths, spread back to the
-        points: (R (m,3,3), c (m,3), dR (m,3,3,n), dc (m,3,n)).
+        One frame solve over the distinct arclengths and all rows, spread
+        back to the points: (R (b,m,3,3), c (b,m,3), dR (b,m,n,3,3),
+        dc (b,m,n,3)), the coordinate axis before the matrix axes.
         """
         q = self.check_q(q)
         s_unique, inv = np.unique(np.asarray(x, dtype=float)[:, 2], return_inverse=True)
@@ -348,45 +376,47 @@ class CosseratRodBody(BodyModel):
             raise ValueError("material x3 outside [0, L0]")
         s_unique = np.clip(s_unique, 0.0, self.length)
         frames = self._frames_closed_form if self.basis.is_constant else self._frames_magnus
-        R, c, dR, dc = frames(s_unique, q)
-        return R[inv], c[inv], dR[inv], dc[inv]
+        return tuple(np.take(a, inv, axis=1) for a in frames(s_unique, q))
 
     # -- kinematic map ---------------------------------------------------------
 
     def cross_section(self, x: Array, q: Array) -> Array:
-        """In-plane part of the material point carried by the backbone frame."""
+        """In-plane part of the material points carried by the backbone
+        frame, (b, m, 3) for the stack q; a leading axis of 1 serves every
+        row."""
         u = np.array(x, dtype=float)
         u[:, 2] = 0.0
-        return u
+        return u[None]
 
     def cross_section_jac_q(self, x: Array, q: Array) -> Array | None:
-        """dq-Jacobian of :meth:`cross_section`; None when independent of q."""
+        """dq-Jacobian of :meth:`cross_section`, (b, m, 3, n); None when
+        independent of q.  A leading axis of 1 serves every row."""
         return None
 
     def position(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
         R, c, _, _ = self.solve(x, q) if sol is None else sol
-        return c + np.einsum("kab,kb->ka", R, self.cross_section(x, q))
+        return c + np.einsum("rkab,rkb->rka", R, self.cross_section(x, q))
 
     def jac_q(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
         R, _, dR, dc = self.solve(x, q) if sol is None else sol
         u = self.cross_section(x, q)
-        out = dc + np.einsum("kabj,kb->kaj", dR, u)
+        out = dc.swapaxes(2, 3) + np.einsum("rkjab,rkb->rkaj", dR, u)
         du = self.cross_section_jac_q(x, q)
         if du is not None:
-            out = out + np.einsum("kab,kbj->kaj", R, du)
+            out = out + np.einsum("rkab,rkbj->rkaj", R, du)
         return out
 
     def jac_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, _, _, _ = self.solve(x, q) if sol is None else sol
+        q = self.check_q([q])[0]
+        R, _, _, _ = self.solve_one(x, q, sol)
         s = x[:, 2]
         xi = self.basis.strains(s, q)
-        u = self.cross_section(x, q)
+        u = self.cross_section(x, q[None])[0]
         # f' along s: R (sigma + kappa x u); transverse: R e1, R e2
         tangent = xi[:, 3:] + cross(xi[:, :3], u)
         out = np.empty((x.shape[0], 3, 3))
@@ -397,29 +427,29 @@ class CosseratRodBody(BodyModel):
 
     def jac_x_dq(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, _, dR, _ = self.solve(x, q) if sol is None else sol
+        q = self.check_q([q])[0]
+        R, _, dR, _ = self.solve_one(x, q, sol)
         s = x[:, 2]
         xi = self.basis.strains(s, q)
         phi = self.basis.matrix(s)  # (m, 6, n)
-        u = self.cross_section(x, q)
+        u = self.cross_section(x, q[None])[0]
         tangent = xi[:, 3:] + cross(xi[:, :3], u)
         d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[:, None, :]).transpose(0, 2, 1)
         out = np.empty((x.shape[0], 3, 3, self.n_dof))
-        out[:, :, 0] = dR[:, :, 0]
-        out[:, :, 1] = dR[:, :, 1]
-        out[:, :, 2] = np.einsum("kabj,kb->kaj", dR, tangent) + R @ d_tangent
+        out[:, :, 0] = dR[..., 0].swapaxes(1, 2)
+        out[:, :, 1] = dR[..., 1].swapaxes(1, 2)
+        out[:, :, 2] = np.einsum("kjab,kb->kaj", dR, tangent) + R @ d_tangent
         return out
 
     def hess_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, _, _, _ = self.solve(x, q) if sol is None else sol
+        q = self.check_q([q])[0]
+        R, _, _, _ = self.solve_one(x, q, sol)
         s = x[:, 2]
         xi = self.basis.strains(s, q)
         dxi = self.basis.strains_ds(s, q)
         kap, sig = xi[:, :3], xi[:, 3:]
-        u = self.cross_section(x, q)
+        u = self.cross_section(x, q[None])[0]
         out = np.zeros((x.shape[0], 3, 3, 3))
         d13 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([1.0, 0, 0], kap.shape)))
         d23 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([0, 1.0, 0], kap.shape)))
@@ -476,10 +506,10 @@ class VariableRadiusPccBody(CosseratRodBody):
 
     def cross_section(self, x, q):
         g = self._radial_gain(x)
-        fac = 1.0 + (g @ q[2:]) / self.radius
-        u = np.array(x, dtype=float)
-        u[:, :2] *= fac[:, None]
-        u[:, 2] = 0.0
+        fac = 1.0 + (g @ q[:, 2:, None])[..., 0] / self.radius  # (b, m)
+        u = np.repeat(np.asarray(x, dtype=float)[None], q.shape[0], axis=0)
+        u[..., :2] *= fac[..., None]
+        u[..., 2] = 0.0
         return u
 
     def cross_section_jac_q(self, x, q):
@@ -487,11 +517,11 @@ class VariableRadiusPccBody(CosseratRodBody):
         du = np.zeros((x.shape[0], 3, self.n_dof))
         du[:, 0, 2:] = x[:, 0, None] * g / self.radius
         du[:, 1, 2:] = x[:, 1, None] * g / self.radius
-        return du
+        return du[None]
 
     def jac_x(self, x, q, sol=None):
         # radial gain varies with x; fall back to differences of the position map
-        return BodyModel.jac_x(self, np.asarray(x, dtype=float), self.check_q(q))
+        return BodyModel.jac_x(self, np.asarray(x, dtype=float), q)
 
     def jac_x_dq(self, x, q, sol=None):
         return BodyModel.jac_x_dq(self, x, q)

@@ -76,14 +76,26 @@ def _load_model(args):
 
 
 def _load_state(path, n):
-    with open(path) as fh:
-        doc = json.load(fh)
+    """(q, qd, qdd) from a JSON object whose present fields are arrays of n
+    finite numbers; an absent field is zeros.  Anything else is a ModelError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise model_io.ModelError(f"state file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise model_io.ModelError("state file must hold a JSON object with q, qd, qdd arrays")
     out = []
     for key in ("q", "qd", "qdd"):
-        v = np.asarray(doc.get(key, np.zeros(n)), dtype=float)
-        if v.shape != (n,):
-            raise model_io.ModelError(f"state field {key!r} must have length {n}, got {v.shape}")
-        out.append(v)
+        v = doc.get(key, [0.0] * n)
+        try:
+            ok = (isinstance(v, list) and len(v) == n and not any(isinstance(x, bool) for x in v)
+                  and all(math.isfinite(x) for x in v))
+        except (TypeError, OverflowError):  # not a number, or an integer beyond float range
+            ok = False
+        if not ok:
+            raise model_io.ModelError(f"state field {key!r} must be an array of {n} finite numbers")
+        out.append(np.array(v, dtype=float))
     return out
 
 

@@ -17,9 +17,10 @@ The per-body terms read the forward pass's integrals of each body
 (``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
 differences a body map again.  A link's kinematic stage and its stress
 terms depend on its own coordinates alone and form its
-:class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`),
-which a sweep takes as an argument or builds before its forward pass; the
-result's ``cache.stages`` holds them.
+:class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`
+for any number of states of the link from one body solve), which a sweep
+takes as an argument or builds before its forward pass; the result's
+``cache.stages`` holds them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies.base import solution_part
 from .bodies.integrals import BodyInertialData
 from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
 from .spatial import cross, skew
@@ -112,8 +114,7 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
     model = handle.model
     # the sweep's solve at the nodes alone: differences in x would step the
     # end-face anchors off the domain
-    sol = data.ev.sol
-    sol = None if sol is None else tuple(a[handle.n_anchors:] for a in sol)
+    sol = solution_part(data.ev.sol, slice(handle.n_anchors, None))
 
     w = data.weights_mass / model.rho
     C = model.elastic_modulus
@@ -160,16 +161,17 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
 
 # -- main evaluation pipeline ---------------------------------------------------
 
-def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> LinkStage:
-    """Stage of link i at the checked state, with the stress terms of an
-    elastic body when ``stress``."""
-    st = link_stage(chain, i, q, qd, qdd)
+def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> list[LinkStage]:
+    """Stages of link i at the rows of the checked states (b, n), one body
+    solve for all (:func:`~softid.kinematics.link_stage`), with the stress
+    terms of an elastic body, row by row, when ``stress``."""
+    stages = link_stage(chain, i, q, qd, qdd)
     lk = chain.links[i]
     if not (stress and lk.body.model.elastic_modulus is not None):
-        return st
-    _, qb = chain.split(i, q)
-    _, qdb = chain.split(i, qd)
-    return st._replace(stress=stress_terms(lk.body, st.data, qb, qdb, lk.joint.n_dof))
+        return stages
+    body = slice(chain.slice(i).start + lk.joint.n_dof, chain.slice(i).stop)
+    return [st._replace(stress=stress_terms(lk.body, st.data, qr[body], qdr[body], lk.joint.n_dof))
+            for st, qr, qdr in zip(stages, q, qd)]
 
 
 def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -> list[LinkStage]:
@@ -181,7 +183,7 @@ def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -
     (:meth:`ChainModel.stages`).
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    return chain.stages(lambda i: _stage(chain, i, q, qd, qdd, True), base, k)
+    return chain.stages(lambda i: _stage(chain, i, q[None], qd[None], qdd[None], True)[0], base, k)
 
 
 def chain_dynamics(
@@ -206,7 +208,7 @@ def chain_dynamics(
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     if stages is None:
-        stages = chain.stages(lambda i: _stage(chain, i, q, qd, qdd, stress))
+        stages = chain.stages(lambda i: _stage(chain, i, q[None], qd[None], qdd[None], stress)[0])
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),

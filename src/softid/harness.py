@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
+from .dynamics import _stage, chain_dynamics, iid, inverse_dynamics, link_stages
 from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
 from .oracle import oracle_kane
@@ -104,22 +104,33 @@ def _force_jacobians(chain, q, qd, base):
 
     Central differences at steps ``FORCE_JACOBIAN_STEP * max(1, |x_k|)``.
     ``base`` are the stages of the sweep at (q, qd) with zero acceleration
-    (``DynamicsResult.cache.stages``).  A column that steps coordinate k
-    stages only the link that owns k again and takes every other link's
-    stage from ``base``: those depend on their own coordinates alone, so K
-    and D are bitwise equal to differences of full sweeps.
+    (``DynamicsResult.cache.stages``).  The 4 n_i column points of link i,
+    (q +- h e_k, qd) and (q, qd +- h e_k) for its coordinates k, are staged
+    in one call (one body solve); each point's sweep takes every other
+    link's stage from ``base``.  Those depend on their own coordinates alone
+    and a stacked stage equals the stage alone, so K and D are bitwise equal
+    to differences of full sweeps.
     """
-    h = FORCE_JACOBIAN_STEP
     n = chain.n
     K, D = np.empty((n, n)), np.empty((n, n))
-
-    def force(qs, vs, k):
-        stages = link_stages(chain, qs, vs, base=base, k=k)
-        return chain_dynamics(chain, qs, vs, None, stages=stages).force
-
-    for k in range(n):
-        K[:, k] = _fd_column(lambda qs: force(qs, qd, k), q, k, h * max(1.0, abs(q[k])))
-        D[:, k] = _fd_column(lambda vs: force(q, vs, k), qd, k, h * max(1.0, abs(qd[k])))
+    for i in range(len(chain)):
+        cols = np.arange(n)[chain.slice(i)]
+        m = cols.size
+        if not m:
+            continue
+        hq = FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(q[cols]))
+        hv = FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(qd[cols]))
+        # point blocks K plus, K minus, D plus, D minus; row e of a block steps cols[e]
+        e = np.arange(m)
+        dq, dv = np.zeros((2, 4, m, n))
+        dq[0, e, cols], dq[1, e, cols] = hq, -hq
+        dv[2, e, cols], dv[3, e, cols] = hv, -hv
+        qs, vs = (q + dq).reshape(4 * m, n), (qd + dv).reshape(4 * m, n)
+        F = np.array([chain_dynamics(chain, qp, vp, None, stages=base[:i] + [st] + base[i + 1:]).force
+                      for qp, vp, st in zip(qs, vs, _stage(chain, i, qs, vs, np.zeros_like(qs), True))])
+        F = F.reshape(4, m, n)
+        K[:, cols] = ((F[0] - F[1]) / (2.0 * hq[:, None])).T
+        D[:, cols] = ((F[2] - F[3]) / (2.0 * hv[:, None])).T
     return K, D
 
 

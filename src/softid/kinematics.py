@@ -11,14 +11,21 @@ accelerations follow by the standard forward recursion seeded at the base.
 Relative velocities and accelerations come from configuration Jacobians of
 the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
-Jacobian map along the velocity direction.  Every configuration visited is
-one solve of the body map (:meth:`BodyHandle.evaluate`).  All of a link's
-terms that depend on its own coordinate block alone form its stage
-(:class:`LinkStage`, which also carries the stress terms of a dynamics
-sweep); only the forward recursion couples the links, so a caller that
-changes one block can pass the other links' stages unchanged.  Outside the
-recursion, :func:`forward_kinematics` is the one walk of the chain: frame
-poses and base-frame images of material points, one body solve per body.
+Jacobian map along the velocity direction.  All of a link's terms that
+depend on its own coordinate block alone form its stage (:class:`LinkStage`,
+which also carries the stress terms of a dynamics sweep); only the forward
+recursion couples the links, so a caller that changes one block can pass the
+other links' stages unchanged.  Outside the recursion,
+:func:`forward_kinematics` is the one walk of the chain: frame poses and
+base-frame images of material points, one body solve per body.
+
+The body evaluation, the contact frame and the link Jacobians carry a
+leading row axis, one row per configuration of a stack, and
+:func:`link_stage` stages any number of states of one link from one solve of
+its body (:meth:`BodyHandle.evaluate`): every state's q_i and, for each
+moving state, the two points q_i +- h u of its rates (:func:`unit_rate`).  A
+row's values do not depend on the other rows, so a state staged in a stack
+equals the state staged alone, bitwise.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
 from .errors import DegenerateContactError
-from .spatial import Transform, cross, rodrigues, skew, vee
+from .spatial import Transform, cross, rodrigues, vee
 
 Array = np.ndarray
 
@@ -65,12 +72,16 @@ class Joint:
         return 1 if self.kind in ("revolute", "prismatic") else 0
 
     def transform(self, qj: Array) -> tuple[Array, Array]:
-        """Rotation and translation of the joint frame for joint coordinates qj."""
+        """Rotation and translation of the joint frame for joint coordinates
+        qj (..., n_dof), with the leading axes of qj (or of length 1)."""
+        lead = np.shape(qj)[:-1]
         if self.kind == "revolute":
-            return rodrigues(self.axis, float(qj[0])), np.zeros(3)
+            return rodrigues(self.axis, qj[..., 0]), np.zeros(lead + (3,))
+        # a transform that is the same for every row keeps axes of length 1
+        ones = (None,) * len(lead)
         if self.kind == "prismatic":
-            return np.eye(3), self.axis * float(qj[0])
-        return self.rotation, self.translation
+            return np.eye(3)[ones], self.axis * qj[..., :1]
+        return self.rotation[ones], self.translation[ones]
 
 
 def fixed_joint() -> Joint:
@@ -91,14 +102,27 @@ def rotated_base_joint(rotation, translation=(0.0, 0.0, 0.0)) -> Joint:
 
 
 class BodyEval(NamedTuple):
-    """One body-map solve at one configuration: the model's solution on the
-    handle's points, the contact-frame data, and the nodes in {S_i} with
-    their configuration Jacobian."""
+    """One body-map solve at a stack of configurations: the model's solution
+    on the handle's points, the contact-frame data, and the nodes in {S_i}
+    with their configuration Jacobian, every field with one leading row per
+    configuration."""
 
     sol: object
     frame: tuple
     points: Array
     jac: Array
+
+    def take(self, rows) -> "BodyEval":
+        """The evaluation at ``rows``: an index gives one configuration's
+        fields without the row axis, an index array a stack of those rows.
+        Every array is a C-contiguous copy: the layout of a row, like its
+        values, does not depend on the rows it was solved with (numpy and
+        BLAS may sum in a different order for another layout), and a kept
+        row does not keep the whole stack alive."""
+        def part(arrays):
+            return None if arrays is None else tuple(a[rows].copy() for a in arrays)
+
+        return BodyEval(part(self.sol), part(self.frame), *part((self.points, self.jac)))
 
 
 class BodyHandle:
@@ -108,7 +132,8 @@ class BodyHandle:
     the contact frame degenerates to the identity and the anchor
     orthogonality check is skipped.  ``points`` stacks the anchors (none for
     a free tip) over the quadrature nodes.  A rigid body depends on no
-    configuration, so its evaluation and integrals are computed here, once.
+    configuration, so its evaluation (one row) and integrals are computed
+    here, once.
     """
 
     def __init__(self, model, x_j=None, x_a=None, x_b=None, free_tip: bool = False):
@@ -138,8 +163,8 @@ class BodyHandle:
         self.points = np.concatenate([anchors, model.nodes()[0]])
         self.rigid = None
         if model.n_dof == 0:
-            ev = self.evaluate(np.zeros(0))
-            self.rigid = (ev, integrals.body_integrals(self, ev, np.zeros_like(ev.jac),
+            ev = self.evaluate(np.zeros((1, 0)))
+            self.rigid = (ev, integrals.body_integrals(self, ev.take(0), np.zeros_like(ev.jac[0]),
                                                        np.zeros(0), np.zeros(0)))
 
     @property
@@ -147,60 +172,68 @@ class BodyHandle:
         return self.model.n_dof
 
     def place(self, qb: Array, x: Array):
-        """One solve of the body map at the anchors and x (m, 3) together.
+        """One solve of the body map at the anchors and x (m, 3) together,
+        for every row of the stack qb (b, n).
 
-        Returns the model's solution, the contact-frame data, f(x, qb) and df/dq at x.
+        Returns the model's solution, the contact-frame data, f(x, qb)
+        (b, m, 3) and df/dq at x (b, m, 3, n).
         """
         k = self.n_anchors
         xs = np.concatenate([self.points[:k], x])
         sol = self.model.solve(xs, qb)
         f, jq = self.model.position(xs, qb, sol), self.model.jac_q(xs, qb, sol)
-        return sol, self.contact_frame_data(f[:k], jq[:k]), f[k:], jq[k:]
+        return sol, self.contact_frame_data(f[:, :k], jq[:, :k]), f[:, k:], jq[:, k:]
 
     def evaluate(self, qb: Array) -> BodyEval:
-        """One solve of the body map at qb on :attr:`points`."""
+        """One solve of the body map at the stack qb (b, n) on :attr:`points`."""
         if self.rigid is not None:
-            return self.rigid[0]
+            return self.rigid[0].take(np.zeros(len(qb), dtype=int))
         sol, frame, f, jq = self.place(qb, self.points[self.n_anchors:])
         return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
 
     # -- contact frame -------------------------------------------------------
 
     def contact_frame_data(self, f: Array, jq: Array):
-        """Contact frame (R_c, t_c, dR_c (n,3,3), dt_c (3,n)) from the anchor
-        images f (3, 3) and their q-Jacobian jq (3, 3, n); none for a free tip."""
-        n = self.n_dof
+        """Contact frames (R_c (b,3,3), t_c (b,3), dR_c (b,n,3,3), dt_c (b,3,n))
+        from the anchor images f (b, 3, 3) and their q-Jacobians jq
+        (b, 3, 3, n), one per row; the identity for a free tip.  A row whose
+        anchor images collapse raises :class:`DegenerateContactError`."""
+        b, n = f.shape[0], self.n_dof
         if self.free_tip:
-            return np.eye(3), np.zeros(3), np.zeros((n, 3, 3)), np.zeros((3, n))
-        da = f[1] - f[0]
-        db = f[2] - f[0]
-        la, lb = np.linalg.norm(da), np.linalg.norm(db)
-        if la < DEGENERATE_TOL or lb < DEGENERATE_TOL:
+            return (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)),
+                    np.zeros((b, n, 3, 3)), np.zeros((b, 3, n)))
+        da = f[:, 1] - f[:, 0]
+        db = f[:, 2] - f[:, 0]
+        la, lb = np.sqrt((da * da).sum(1)), np.sqrt((db * db).sum(1))
+        if (la < DEGENERATE_TOL).any() or (lb < DEGENERATE_TOL).any():
             raise DegenerateContactError(
                 "contact frame collapsed: anchor image coincides with the pivot image "
                 "(deformed contact area violates the rigid-contact assumption)"
             )
-        n1, n2 = da / la, db / lb
+        n1, n2 = da / la[:, None], db / lb[:, None]
         n3 = cross(n1, n2)
-        R = np.stack([n1, n2, n3], axis=1)
-        d_da = jq[1] - jq[0]  # (3, n)
-        d_db = jq[2] - jq[0]
-        # unit-vector derivatives: d(u/|u|) = (I - nn^T)/|u| du
-        dn1 = (np.eye(3) - np.outer(n1, n1)) @ d_da / la
-        dn2 = (np.eye(3) - np.outer(n2, n2)) @ d_db / lb
-        dn3 = cross(dn1.T, n2) + cross(n1, dn2.T)
-        return R, f[0], np.stack([dn1.T, dn2.T, dn3], axis=2), jq[0]
+        R = np.stack([n1, n2, n3], axis=2)
+        d_da = jq[:, 1] - jq[:, 0]  # (b, 3, n)
+        d_db = jq[:, 2] - jq[:, 0]
+        # unit-vector derivatives: d(u/|u|) = (du - n (n . du))/|u|
+        dn1 = (d_da - n1[:, :, None] * (n1[:, None] @ d_da)) / la[:, None, None]
+        dn2 = (d_db - n2[:, :, None] * (n2[:, None] @ d_db)) / lb[:, None, None]
+        dn1_t, dn2_t = dn1.swapaxes(1, 2), dn2.swapaxes(1, 2)  # (b, n, 3)
+        dn3 = cross(dn1_t, n2[:, None]) + cross(n1[:, None], dn2_t)
+        return R, f[:, 0], np.stack([dn1_t, dn2_t, dn3], axis=3), jq[:, 0]
 
     # -- body points in the contact frame -------------------------------------
 
     def framed_jacobian(self, f: Array, jq: Array, frame):
-        """Body points in {S_i}, R_c^T (f - t_c), and their q-Jacobian, from
-        the images f (m, 3), their q-Jacobian jq (m, 3, n) and the frame."""
+        """Body points in {S_i}, R_c^T (f - t_c), and their q-Jacobians, from
+        the images f (b, m, 3), their q-Jacobians jq (b, m, 3, n) and the
+        frames, one per row."""
         R, t, dR, dt = frame
-        ip = (f - t) @ R
-        jac = np.einsum("maj,ab->mbj", jq - dt[None, :, :], R)
+        rel = f - t[:, None]
+        ip = rel @ R
+        jac = np.einsum("rmaj,rab->rmbj", jq - dt[:, None], R)
         if not self.free_tip:
-            jac = jac + np.einsum("ma,jab->mbj", f - t, dR)
+            jac = jac + np.einsum("rma,rjab->rmbj", rel, dR)
         return ip, jac
 
 
@@ -272,52 +305,64 @@ class ChainModel:
 # -- link Jacobians and their rates --------------------------------------------
 
 def link_jacobians(joint: Joint, frame, qi: Array):
-    """Link transform with its translation and angular-velocity Jacobians.
+    """Link transforms with their translation and angular-velocity Jacobians,
+    one per row of qi (b, n_i).
 
     ``frame`` is the body's contact-frame data (R_c, t_c, dR_c, dt_c) at the
-    body part of qi.  Returns (R_rel, t_rel, Jt (3,n_i), Jw (3,n_i)); columns
-    are ordered joint coordinates first, then body coordinates.  Jw maps q̇_i
-    to the relative angular velocity expressed in the parent frame {S_{i-1}}.
+    body parts of the rows.  Returns (R_rel (b,3,3), t_rel (b,3),
+    Jt (b,3,n_i), Jw (b,3,n_i)); columns are ordered joint coordinates
+    first, then body coordinates.  Jw maps q̇_i to the relative angular
+    velocity expressed in the parent frame {S_{i-1}}.
     """
     qi = np.asarray(qi, dtype=float)
     Rc, tc, dRc, dtc = frame
-    nj, nb = joint.n_dof, dRc.shape[0]
-    n = nj + nb
-    Rj, tj = joint.transform(qi[:nj])
+    nj, nb = joint.n_dof, dRc.shape[1]
+    Rj, tj = joint.transform(qi[:, :nj])
     R_rel = Rj @ Rc
-    t_rel = tj + Rj @ tc
-    Jt = np.zeros((3, n))
-    Jw = np.zeros((3, n))
+    Rj_tc = (Rj @ tc[..., None])[..., 0]
+    t_rel = tj + Rj_tc
+    Jt = np.zeros((qi.shape[0], 3, nj + nb))
+    Jw = np.zeros((qi.shape[0], 3, nj + nb))
     if nj:
         if joint.kind == "revolute":
-            Jt[:, 0] = skew(joint.axis) @ (Rj @ tc)
-            Jw[:, 0] = joint.axis
+            Jt[:, :, 0] = cross(joint.axis, Rj_tc)
+            Jw[:, :, 0] = joint.axis
         else:  # prismatic
-            Jt[:, 0] = joint.axis
+            Jt[:, :, 0] = joint.axis
     if nb:
-        Jt[:, nj:] = Rj @ dtc
-        RcT_RjT = R_rel.T
-        for k in range(nb):
-            d = (Rj @ dRc[k]) @ RcT_RjT
-            Jw[:, nj + k] = vee(d)
+        Jt[:, :, nj:] = Rj @ dtc
+        d = (Rj[:, None] @ dRc) @ R_rel.swapaxes(1, 2)[:, None]  # (b, nb, 3, 3)
+        Jw[:, :, nj:] = vee(d).swapaxes(1, 2)
     return R_rel, t_rel, Jt, Jw
 
 
-def unit_rate(fn, q: Array, qd: Array, at_q):
-    """Time rates of the arrays ``fn(q)`` along a path through q with velocity qd.
+def unit_rate(q: Array, qd: Array):
+    """Where to evaluate the arrays whose time rates along paths through the
+    rows of q (b, n) with velocities qd (b, n) are wanted, and the rates.
 
-    The rates are linear in qd: one central difference along qd/|qd|,
+    The rates are linear in qd: one central difference along u = qd/|qd|,
     scaled by |qd|, keeps the cancellation noise independent of |qd|.
-    ``at_q`` is fn(q); it sets the shapes of the zero rates at rest.
+    Returns (points, rate): ``points`` stacks the rows of q and then, for
+    every moving row, q + h u and q - h u (a row at rest adds none and has
+    zero rates); ``rate(a)`` maps an array evaluated at ``points`` (leading
+    axis) to the rates at the rows of q.
     """
-    speed = float(np.linalg.norm(qd))
-    if speed == 0.0:
-        return [np.zeros_like(a) for a in at_q]
-    h = JAC_RATE_STEP * max(1.0, float(np.linalg.norm(q)))
-    unit = qd / speed
-    plus, minus = fn(q + h * unit), fn(q - h * unit)
-    scale = speed / (2.0 * h)
-    return [scale * (p - m) for p, m in zip(plus, minus)]
+    b = q.shape[0]
+    if not qd.any():
+        return q, lambda a: np.zeros((b,) + a.shape[1:])
+    speed = np.sqrt((qd * qd).sum(1))
+    moving = np.flatnonzero(speed)
+    h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((q[moving] * q[moving]).sum(1)))
+    step = h[:, None] * (qd[moving] / speed[moving, None])
+    scale = speed[moving] / (2.0 * h)
+    k = moving.size
+
+    def rate(a):
+        out = np.zeros((b,) + a.shape[1:])
+        out[moving] = scale.reshape((k,) + (1,) * (a.ndim - 1)) * (a[b:b + k] - a[b + k:])
+        return out
+
+    return np.concatenate([q, q[moving] + step, q[moving] - step]), rate
 
 
 # -- forward pass --------------------------------------------------------------
@@ -341,24 +386,27 @@ class LinkStage(NamedTuple):
     stress: tuple | None = None
 
 
-def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> LinkStage:
-    """Stage of link i at the checked state vectors (q, qd, qdd).
+def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> list[LinkStage]:
+    """Stages of link i at the rows of the checked states q, qd, qdd (b, n),
+    one per row.
 
-    The link is evaluated at q_i and, when it moves, at q_i +- h u.
+    One body evaluation serves every row: at each row's q_i and, for each
+    moving row, at q_i +- h u (:func:`unit_rate`).  The integrals stay per
+    row.
     """
     lk = chain.links[i]
     sl = chain.slice(i)
-    qi, qdi, qddi = q[sl], qd[sl], qdd[sl]
+    qi, qdi, qddi = q[:, sl], qd[:, sl], qdd[:, sl]
     nj = lk.joint.n_dof
-
-    def state(qs):
-        ev_s = lk.body.evaluate(qs[nj:])
-        return (*link_jacobians(lk.joint, ev_s.frame, qs), ev_s.jac, ev_s)
-
-    R_rel, t_rel, Jt, Jw, Jp, ev = state(qi)
-    Jt_dot, Jw_dot, Jp_dot = unit_rate(lambda qs: state(qs)[2:5], qi, qdi, (Jt, Jw, Jp))
-    data = integrals.body_integrals(lk.body, ev, Jp_dot, qdi[nj:], qddi[nj:])
-    return LinkStage(R_rel, t_rel, Jt, Jw, Jt_dot, Jw_dot, data)
+    points, rate = unit_rate(qi, qdi)
+    ev = lk.body.evaluate(points[:, nj:])
+    R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, ev.frame, points)
+    Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
+    rows = [ev.take(r) for r in range(qi.shape[0])]
+    del ev  # the rows are copies: the solve at the rate points is freed here
+    return [LinkStage(R_rel[r], t_rel[r], Jt[r], Jw[r], Jt_dot[r], Jw_dot[r],
+                      integrals.body_integrals(lk.body, row, Jp_dot[r], qdi[r, nj:], qddi[r, nj:]))
+            for r, row in enumerate(rows)]
 
 
 @dataclass
@@ -407,7 +455,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
         base_accel = -chain.gravity
     base_accel = np.asarray(base_accel, dtype=float)
     if stages is None:
-        stages = chain.stages(lambda i: link_stage(chain, i, q, qd, qdd))
+        stages = chain.stages(lambda i: link_stage(chain, i, q[None], qd[None], qdd[None])[0])
 
     bodies: list[BodyKin] = []
     R_parent = chain.base.rotation
@@ -475,8 +523,8 @@ def forward_kinematics(chain: ChainModel, q, points_per_body=None) -> list[dict]
     for i, lk in enumerate(chain.links):
         qj, qb = chain.split(i, q)
         x = np.zeros((0, 3)) if points_per_body is None else np.asarray(points_per_body[i], dtype=float)
-        _, (Rc, tc, _, _), f, _ = lk.body.place(qb, x)
+        _, (Rc, tc, _, _), f, _ = lk.body.place(qb[None], x)
         T_joint = T.compose(Transform(*lk.joint.transform(qj)))
-        T = T_joint.compose(Transform(Rc, tc))
-        out.append({"joint": T_joint, "body": T, "points": T_joint.apply(f)})
+        T = T_joint.compose(Transform(Rc[0], tc[0]))
+        out.append({"joint": T_joint, "body": T, "points": T_joint.apply(f[0])})
     return out

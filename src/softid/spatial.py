@@ -30,6 +30,11 @@ def skew(v) -> Array:
     ])
 
 
+# cross(a, b) = a[1, 2, 0] * b[2, 0, 1] - a[2, 0, 1] * b[1, 2, 0] componentwise
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def cross(a, b) -> Array:
     """Cross product over the last axis with broadcasting.
 
@@ -38,33 +43,30 @@ def cross(a, b) -> Array:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def vee(m) -> Array:
-    """Inverse of :func:`skew`, with antisymmetric projection of the input.
+    """Inverse of :func:`skew` over the last two axes, with antisymmetric
+    projection of the input.
 
     The input is first projected to (m - m.T)/2, which suppresses symmetric
     noise from finite differencing before the axial vector is read off.
     """
     m = np.asarray(m, dtype=float)
-    a = 0.5 * (m - m.T)
-    return np.array([a[2, 1], a[0, 2], a[1, 0]])
+    a = 0.5 * (m - m.swapaxes(-1, -2))
+    return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
 
 
-def rodrigues(axis, angle: float) -> Array:
-    """Rotation by ``angle`` [rad] about the (non-zero) ``axis``."""
+def rodrigues(axis, angle) -> Array:
+    """Rotation by ``angle`` [rad] about the (non-zero) ``axis``; an array of
+    angles gives one rotation per angle, shape angle.shape + (3, 3)."""
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n == 0.0:
         raise ValueError("rotation axis must be non-zero")
     k = skew(axis / n)
+    angle = np.asarray(angle, dtype=float)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

@@ -53,7 +53,7 @@ def in_domain(chain, q):
     try:
         for i, lk in enumerate(chain.links):
             model = lk.body.model
-            model.position(model.nodes()[0], chain.split(i, q)[1])
+            model.position(model.nodes()[0], [chain.split(i, q)[1]])
     except BodyDomainError:
         return False
     return True

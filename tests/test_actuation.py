@@ -199,3 +199,10 @@ def test_tendon_rejects_body_index_below_base():
     # -1 is the base; no lower index names anything
     with pytest.raises(ValueError, match="via-point body index"):
         TendonActuation([[(-2, [0.008, 0, 0]), (0, [0.008, 0, 0.3])]])
+
+
+def test_chamber_rejects_body_index_beyond_chain():
+    chain = presets.pcc_chain(2)
+    chambers = ChamberActuation([(5, ReferenceDomain.cylinder(0.005, 0.3))])
+    with pytest.raises(ValueError, match="body 5 of a 2-body chain"):
+        chambers.matrix(chain, np.zeros(chain.n))

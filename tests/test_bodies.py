@@ -51,7 +51,7 @@ def fd_jac_q(model, x, q, h=1e-7):
     for k in range(model.n_dof):
         dq = np.zeros(model.n_dof)
         dq[k] = h
-        out[:, :, k] = (model.position(x, q + dq) - model.position(x, q - dq)) / (2 * h)
+        out[:, :, k] = (model.position(x, [q + dq])[0] - model.position(x, [q - dq])[0]) / (2 * h)
     return out
 
 
@@ -60,7 +60,7 @@ def fd_jac_x(model, x, q, h=1e-6):
     for c in range(3):
         dx = np.zeros(3)
         dx[c] = h
-        out[:, :, c] = (model.position(x + dx, q) - model.position(x - dx, q)) / (2 * h)
+        out[:, :, c] = (model.position(x + dx, [q])[0] - model.position(x - dx, [q])[0]) / (2 * h)
     return out
 
 
@@ -70,9 +70,9 @@ def test_rigid_identity(rng):
     dom = ReferenceDomain.box([0.1, 0.1, 0.1])
     body = RigidBody(dom, 1000.0)
     x = rng.uniform(-0.1, 0.1, (10, 3))
-    assert np.array_equal(body.position(x, np.zeros(0)), x)
+    assert np.array_equal(body.position(x, np.zeros((1, 0)))[0], x)
     assert np.allclose(body.jac_x(x, np.zeros(0)), np.eye(3))
-    assert body.jac_q(x, np.zeros(0)).shape == (10, 3, 0)
+    assert body.jac_q(x, np.zeros((1, 0))).shape == (1, 10, 3, 0)
 
 
 def test_pcc_zero_strain_is_identity(rng):
@@ -80,14 +80,14 @@ def test_pcc_zero_strain_is_identity(rng):
     x = np.column_stack([
         rng.uniform(-R0, R0, 20), rng.uniform(-R0, R0, 20), rng.uniform(0, L0, 20)
     ])
-    assert np.abs(body.position(x, np.zeros(3)) - x).max() < 1e-14
+    assert np.abs(body.position(x, np.zeros((1, 3)))[0] - x).max() < 1e-14
 
 
 def test_pcc_quarter_circle_tip():
     # kappa * L0 = pi/2, no elongation: tip on the closed-form arc
     body = make_pcc()
     q = np.array([np.pi / 2, 0.0, 0.0])
-    tip = body.position(np.array([[0.0, 0.0, L0]]), q)[0]
+    tip = body.position(np.array([[0.0, 0.0, L0]]), [q])[0, 0]
     radius = L0 / (np.pi / 2)
     assert abs(abs(tip[1]) - radius * (1 - np.cos(np.pi / 2))) < 1e-12
     assert abs(tip[2] - radius * np.sin(np.pi / 2)) < 1e-12
@@ -97,7 +97,7 @@ def test_pcc_half_circle_tip():
     # kappa * L0 = pi: tip at 2 L0 / pi off-axis, zero height
     body = make_pcc()
     q = np.array([np.pi, 0.0, 0.0])
-    tip = body.position(np.array([[0.0, 0.0, L0]]), q)[0]
+    tip = body.position(np.array([[0.0, 0.0, L0]]), [q])[0, 0]
     assert abs(abs(tip[1]) - 2 * L0 / np.pi) < 1e-12
     assert abs(tip[2]) < 1e-12
     assert abs(tip[0]) < 1e-12
@@ -143,7 +143,7 @@ def test_backbone_frames_orthonormal(kind, rng):
     s = np.linspace(0.0, L0, 17)
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, body.n_dof)
-        R, _, _, _ = body.solve(np.column_stack([0 * s, 0 * s, s]), q)
+        R = body.solve(np.column_stack([0 * s, 0 * s, s]), [q])[0][0]
         gram = np.einsum("kab,kac->kbc", R, R)
         assert np.abs(gram - np.eye(3)).max() < 1e-13
         assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-13
@@ -158,10 +158,10 @@ def test_backbone_frame_independent_of_other_points(name):
     for i, lk in enumerate(chain.links):
         handle, qb = lk.body, chain.split(i, q)[1]
         anchors = handle.points[:handle.n_anchors]
-        alone = handle.model.solve(anchors, qb)
-        together = handle.model.solve(handle.points, qb)
+        alone = handle.model.solve(anchors, [qb])
+        together = handle.model.solve(handle.points, [qb])
         for a, b in zip(alone, together):
-            assert np.abs(a - b[:handle.n_anchors]).max() <= 1e-15 * max(1.0, np.abs(a).max())
+            assert np.abs(a - b[:, :handle.n_anchors]).max() <= 1e-15 * max(1.0, np.abs(a).max())
 
 
 @pytest.mark.parametrize("kind", ["pcc", "pac", "pcs", "pgc"])
@@ -172,7 +172,7 @@ def test_strain_jacobians_match_fd(kind, rng):
         rng.uniform(0, L0, 8)
     ])
     q = rng.uniform(-1.0, 1.0, body.n_dof)
-    jq = body.jac_q(x, q)
+    jq = body.jac_q(x, [q])[0]
     ref = fd_jac_q(body, x, q)
     assert np.abs(jq - ref).max() / max(np.abs(ref).max(), 1.0) < 1e-6
     jx = body.jac_x(x, q)
@@ -271,8 +271,8 @@ def test_mass_constant_in_configuration(rng):
 def test_centroid_failure_on_nan():
     class BrokenBody(RigidBody):
         def position(self, x, q, sol=None):
-            out = np.array(x, dtype=float)
-            out[0, 0] = np.nan
+            out = super().position(x, q)
+            out[:, 0, 0] = np.nan
             return out
 
     dom = ReferenceDomain.cylinder(R0, L0)
@@ -306,7 +306,7 @@ def test_variable_radius_jac_matches_fd(rng):
     # radial weights are ~exp(-4/L0): scale coordinates up so they matter
     q = np.array([0.4, 0.02, 2e7, -1e7])
     ref = fd_jac_q(body, x, q, h=1e-2)
-    jq = body.jac_q(x, q)
+    jq = body.jac_q(x, [q])[0]
     assert np.abs(jq - ref).max() / np.abs(ref).max() < 1e-5
 
 
@@ -315,7 +315,7 @@ def test_variable_radius_end_faces_rigid():
     body = VariableRadiusPccBody(L0, R0, dom, RHO)
     q = np.array([0.0, 0.0, 3e7, 1e7])
     face = np.array([[R0, 0, L0], [0, R0, L0], [R0 / 2, R0 / 2, 0.0]])
-    assert np.abs(body.position(face, q) - face).max() < 1e-12
+    assert np.abs(body.position(face, [q])[0] - face).max() < 1e-12
 
 
 # -- LVP primitives --------------------------------------------------------------
@@ -390,7 +390,7 @@ def test_lvp_composition_jac_q_matches_fd(rng):
     x = lvp_points(rng)
     q = rng.uniform(-0.8, 0.8, 3)
     ref = fd_jac_q(body, x, q)
-    assert np.abs(body.jac_q(x, q) - ref).max() < 1e-6
+    assert np.abs(body.jac_q(x, [q])[0] - ref).max() < 1e-6
 
 
 def test_lvp_zero_configuration_identity(rng):
@@ -400,7 +400,7 @@ def test_lvp_zero_configuration_identity(rng):
         3, dom, 960.0,
     )
     x = lvp_points(rng)
-    assert np.abs(body.position(x, np.zeros(3)) - x).max() < 1e-12
+    assert np.abs(body.position(x, np.zeros((1, 3)))[0] - x).max() < 1e-12
 
 
 def test_lvp_stretch_volume_preserved_in_mass(rng):

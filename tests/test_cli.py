@@ -99,6 +99,30 @@ def test_eval_dimension_mismatch(pcc_file, tmp_path, capsys):
     assert main(["eval", "--algorithm", "iid", "--state", str(state), str(pcc_file)]) == 2
 
 
+BAD_STATES = {
+    "list": "[0.5]",
+    "non_numeric": '{"q": ["up"]}',
+    "nan": '{"q": [NaN]}',
+    "infinite": '{"q": [Infinity]}',
+    "boolean": '{"q": [true]}',
+    "nested": '{"q": [[0.5]]}',
+    "huge_integer": '{"q": [1' + "0" * 400 + ']}',
+    "null_field": '{"q": null}',
+    "not_json": "q = 0.5",
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "statics"])
+@pytest.mark.parametrize("kind", sorted(BAD_STATES))
+def test_bad_state_file_exits_2(command, kind, pendulum_file, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(BAD_STATES[kind])
+    extra = ["--algorithm", "iid"] if command == "eval" else []
+    argv = [command, *extra, "--state", str(state), "-o", str(tmp_path / "out"), str(pendulum_file)]
+    assert main(argv) == 2
+    assert "state" in capsys.readouterr().err
+
+
 def test_verify_passes_on_pendulum(pendulum_file, capsys):
     assert main(["verify", "--trials", "4", str(pendulum_file)]) == 0
     out = capsys.readouterr().out

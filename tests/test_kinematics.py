@@ -86,7 +86,7 @@ def test_anchor_orthogonality_enforced():
 def test_degenerate_contact_detected():
     class CollapsingBody(RigidBody):
         def position(self, x, q, sol=None):
-            return np.zeros_like(np.asarray(x, dtype=float))
+            return np.zeros((len(q),) + np.shape(x))
 
     dom = ReferenceDomain.cylinder(R0, L0)
     # a rigid handle builds its constant contact frame on construction
@@ -213,8 +213,8 @@ def test_accelerations_match_position_differences(rng):
         # local second rate: use finite differences of the framed jacobian
         h = 1e-6 / max(1.0, np.linalg.norm(qdb))
         body = chain.links[i].body
-        jp = body.evaluate(chain.split(i, q)[1] + h * qdb).jac[:4]
-        jm = body.evaluate(chain.split(i, q)[1] - h * qdb).jac[:4]
+        jp = body.evaluate([chain.split(i, q)[1] + h * qdb]).jac[0, :4]
+        jm = body.evaluate([chain.split(i, q)[1] - h * qdb]).jac[0, :4]
         jdot = (jp - jm) / (2 * h)
         jc_dot = data.jacdot_com
         rddot = (np.einsum("maj,j->ma", data.ev.jac[:4] - data.jac_com[None], qddb)

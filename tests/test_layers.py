@@ -7,6 +7,8 @@
 - No reuse is keyed on object identity or bytes: the package calls neither
   ``.tobytes()`` nor the builtin ``id()``, so what a computation reuses is
   passed to it explicitly.
+- No control flow rests on ``assert``: the package has no assert statement,
+  so every check also holds under ``python -O``.
 - The oracle stays independent of the recursion it checks: from the package
   it imports only the chain and its walk (``ChainModel``,
   ``forward_kinematics``) and the shared constitutive law (``_div_green``),
@@ -99,3 +101,12 @@ def test_oracle_imports_no_recursion():
             if extra:
                 found.append(f"oracle.py:{node.lineno} imports {sorted(extra)} from {module or 'softid'}")
     assert not found, f"the oracle reaches into the recursion: {found}"
+
+
+def test_no_assert_statements():
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package (stripped under python -O): {found}"
