@@ -8,17 +8,19 @@ r_dot = (dr/dq) qd; accelerations add the Jacobian rate, which the forward
 pass differences along the velocity direction together with the link
 Jacobians.  The forward pass hands over its own evaluation of the body and
 that rate (a rigid body's handle does so once, at zero rates), so nothing
-here evaluates or differences a body.
+here evaluates or differences a body.  The integrals of a stack of states
+are taken in one call, every array with the stack's row axis; a row's sums
+run in the order of one state's, so a row equals the state alone, bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import CentroidConsistencyError
-from ..spatial import cross
+from ..spatial import cross, matvec
 
 Array = np.ndarray
 
@@ -30,7 +32,8 @@ class BodyInertialData:
     """Inertial integrals of one body at a given (q, qd, qdd).
 
     Shapes use n for the body dof count; Jacobian-like quantities are zero
-    for rigid bodies (n = 0).
+    for rigid bodies (n = 0).  At a stack of states every array but the mass,
+    the nodes and their weights has a leading row axis.
     """
 
     mass: float
@@ -55,13 +58,24 @@ class BodyInertialData:
     rdot: Array = field(repr=False, default=None)
     ev: "BodyEval" = field(repr=False, default=None)  # noqa: F821  (kinematics) framed nodes
 
+    def take(self, row) -> "BodyInertialData":
+        """The integrals at ``row`` of a stack, with that row of the
+        evaluation copied by :meth:`BodyEval.take`."""
+        shared = ("mass", "nodes", "weights_mass")
+        return BodyInertialData(**{
+            f.name: getattr(self, f.name) if f.name in shared else getattr(self, f.name)[row]
+            for f in fields(self) if f.name != "ev"
+        }, ev=self.ev.take(row))
+
 
 def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
-    """Evaluate all inertial integrals of one framed body at one state.
+    """Evaluate all inertial integrals of one framed body at one state or at
+    a stack of states.
 
     ``handle`` is the kinematics.BodyHandle, ``ev`` its evaluation at the
     body coordinates, ``jac_rate`` the time rate of the node Jacobian
-    ``ev.jac``, and ``qdb``, ``qddb`` the body velocity and acceleration.
+    ``ev.jac``, and ``qdb``, ``qddb`` the body velocity and acceleration,
+    each with the states' leading axes.
     """
     if handle.rigid is not None:
         return handle.rigid[1]
@@ -72,46 +86,48 @@ def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
     ip, Jp, Jp_dot = ev.points, ev.jac, jac_rate
 
     p_com = (wm @ ip) / mass
-    jac_com = np.einsum("m,maj->aj", wm, Jp) / mass
-    jacdot_com = np.einsum("m,maj->aj", wm, Jp_dot) / mass
-    r = ip - p_com
-    Jr = Jp - jac_com
-    Jr_dot = Jp_dot - jacdot_com
+    jac_com = np.einsum("m,...maj->...aj", wm, Jp) / mass
+    jacdot_com = np.einsum("m,...maj->...aj", wm, Jp_dot) / mass
+    r = ip - p_com[..., None, :]
+    Jr = Jp - jac_com[..., None, :, :]
+    Jr_dot = Jp_dot - jacdot_com[..., None, :, :]
 
-    pdot_com = jac_com @ qdb
-    pddot_com = jac_com @ qddb + jacdot_com @ qdb
-    rdot = np.einsum("maj,j->ma", Jr, qdb)
-    rddot = np.einsum("maj,j->ma", Jr, qddb) + np.einsum("maj,j->ma", Jr_dot, qdb)
+    pdot_com = matvec(jac_com, qdb)
+    pddot_com = matvec(jac_com, qddb) + matvec(jacdot_com, qdb)
+    rdot = np.einsum("...maj,...j->...ma", Jr, qdb)
+    rddot = np.einsum("...maj,...j->...ma", Jr, qddb) + np.einsum("...maj,...j->...ma", Jr_dot, qdb)
 
     scale = mass * max(model.domain.length_scale, 1e-12)
-    rate_scale = scale * max(1.0, float(np.linalg.norm(qdb)))
-    res_r = np.linalg.norm(wm @ r)
-    res_rd = np.linalg.norm(wm @ rdot)
-    if not np.isfinite(res_r + res_rd) or res_r > CENTROID_TOL * scale or res_rd > CENTROID_TOL * rate_scale:
+    rate_scale = scale * np.maximum(1.0, np.sqrt((qdb * qdb).sum(-1)))
+    res_r, res_rd = (np.sqrt((c * c).sum(-1)) for c in (wm @ r, wm @ rdot))
+    # a non-finite residual compares false as well
+    if not ((res_r <= CENTROID_TOL * scale) & (res_rd <= CENTROID_TOL * rate_scale)).all():
         raise CentroidConsistencyError(
-            f"centroid integrals violated: |int r dm| = {res_r:.3e}, "
-            f"|int r_dot dm| = {res_rd:.3e} (limit {CENTROID_TOL * scale:.3e}); "
+            f"centroid integrals violated: |int r dm| = {np.max(res_r):.3e}, "
+            f"|int r_dot dm| = {np.max(res_rd):.3e} (limit {CENTROID_TOL * scale:.3e}); "
             "quadrature rule too coarse or body map returned non-finite values"
         )
 
-    rr = np.einsum("m,ma,mb->ab", wm, r, r)
-    inertia = np.trace(rr) * np.eye(3) - rr
-    r_rd = np.einsum("m,ma,mb->ab", wm, rdot, r)
-    inertia_rate = 2.0 * np.trace(r_rd) * np.eye(3) - r_rd - r_rd.T
+    eye = np.eye(3)
+    rr = np.einsum("m,...ma,...mb->...ab", wm, r, r)
+    inertia = np.trace(rr, axis1=-2, axis2=-1)[..., None, None] * eye - rr
+    r_rd = np.einsum("m,...ma,...mb->...ab", wm, rdot, r)
+    inertia_rate = (2.0 * np.trace(r_rd, axis1=-2, axis2=-1)[..., None, None] * eye
+                    - r_rd - r_rd.swapaxes(-1, -2))
 
-    mom_rd = np.einsum("m,ma->a", wm, cross(r, rdot))
-    mom_rdd = np.einsum("m,ma->a", wm, cross(r, rddot))
-    Jr_rows = Jr.transpose(0, 2, 1)  # (m, n, 3)
-    jac_mom_rd = np.einsum("m,mja->aj", wm, cross(r[:, None, :], Jr_rows))
-    proj_rdd = np.einsum("m,maj,ma->j", wm, Jr, rddot)
-    proj_cor = -np.einsum("m,mja->ja", wm, cross(rdot[:, None, :], Jr_rows))
+    mom_rd = np.einsum("m,...ma->...a", wm, cross(r, rdot))
+    mom_rdd = np.einsum("m,...ma->...a", wm, cross(r, rddot))
+    Jr_rows = Jr.swapaxes(-1, -2)  # (..., m, n, 3)
+    jac_mom_rd = np.einsum("m,...mja->...aj", wm, cross(r[..., None, :], Jr_rows))
+    proj_rdd = np.einsum("m,...maj,...ma->...j", wm, Jr, rddot)
+    proj_cor = -np.einsum("m,...mja->...ja", wm, cross(rdot[..., None, :], Jr_rows))
 
     # d inertia / d q_k = int 2 (u_k . r) I - r u_k^T - u_k r^T dm, u_k = dr/dq_k
-    ur = np.einsum("m,maj,ma->j", wm, Jr, r)
-    r_uk = np.einsum("m,ma,mbj->jab", wm, r, Jr)
-    inertia_grad = 2.0 * ur[:, None, None] * np.eye(3)[None] - r_uk - r_uk.transpose(0, 2, 1)
+    ur = np.einsum("m,...maj,...ma->...j", wm, Jr, r)
+    r_uk = np.einsum("m,...ma,...mbj->...jab", wm, r, Jr)
+    inertia_grad = 2.0 * ur[..., None, None] * eye - r_uk - r_uk.swapaxes(-1, -2)
 
-    gram = np.einsum("m,maj,mak->jk", wm, Jr, Jr)
+    gram = np.einsum("m,...maj,...mak->...jk", wm, Jr, Jr)
 
     return BodyInertialData(
         mass=mass,

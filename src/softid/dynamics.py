@@ -18,9 +18,16 @@ The per-body terms read the forward pass's integrals of each body
 differences a body map again.  A link's kinematic stage and its stress
 terms depend on its own coordinates alone and form its
 :class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`
-for any number of states of the link from one body solve), which a sweep
-takes as an argument or builds before its forward pass; the result's
-``cache.stages`` holds them.
+for one state or a stack of states of the link from one body solve), which
+a sweep takes as an argument or builds before its forward pass; the
+result's ``cache.stages`` holds them.
+
+Every function here takes one state or a stack of states (b, n), whose row
+axis leads every array; a stage without rows broadcasts against stacked
+ones.  :func:`chain_dynamics` at a stack is one sweep whose row r equals the
+sweep at state r alone, bitwise, so a finite-difference block of states
+that differ in one link's block is one sweep over that link's stacked stage
+and the other links' stages of the unstepped state.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from .bodies.base import solution_part
 from .bodies.integrals import BodyInertialData
 from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
-from .spatial import cross, skew
+from .spatial import cross, matvec, skew
 
 Array = np.ndarray
 
@@ -62,31 +69,34 @@ def inertial_terms(data: BodyInertialData, w: Array, wdot: Array, a_com: Array,
     """
     F = -data.mass * a_com
     T = (
-        -data.inertia @ wdot
-        - cross(w, data.inertia @ w)
-        - data.inertia_rate @ w
+        matvec(-data.inertia, wdot)
+        - cross(w, matvec(data.inertia, w))
+        - matvec(data.inertia_rate, w)
         - cross(w, data.mom_rd)
         - data.mom_rdd
     )
     pi_body = (
-        -data.jac_mom_rd.T @ wdot
+        matvec(-data.jac_mom_rd.swapaxes(-1, -2), wdot)
         # ½ ωᵀ (∂I/∂q_k)ᵀ ω = ½ ωᵀ (∂I/∂q_k) ω, summed over the row index
         # innermost as the paper's column-wise vec(∂I/∂q_k) orders it
-        + 0.5 * np.einsum("a,kba,b->k", w, data.inertia_grad, w)
-        + 2.0 * data.proj_cor @ w
+        + 0.5 * np.einsum("...a,...kba,...b->...k", w, data.inertia_grad, w)
+        + 2.0 * matvec(data.proj_cor, w)
         - data.proj_rdd
-        + data.jac_com.T @ F
+        + matvec(data.jac_com.swapaxes(-1, -2), F)
     )
-    pi = np.concatenate([np.zeros(n_joint), pi_body])
-    return F, T, pi
+    return F, T, _joint_rows(pi_body, n_joint)
 
 
 def gravity_terms(data: BodyInertialData, R_base: Array, gravity: Array, n_joint: int = 0):
     """Gravity force in the body frame and its generalized projection."""
-    g_body = R_base.T @ np.asarray(gravity, dtype=float)
+    g_body = matvec(R_base.swapaxes(-1, -2), np.asarray(gravity, dtype=float))
     F = data.mass * g_body
-    pi = np.concatenate([np.zeros(n_joint), data.jac_com.T @ F])
-    return F, pi
+    return F, _joint_rows(matvec(data.jac_com.swapaxes(-1, -2), F), n_joint)
+
+
+def _joint_rows(pi_body: Array, n_joint: int) -> Array:
+    """A body's projection with ``n_joint`` leading zeros for its joint."""
+    return np.concatenate([np.zeros(pi_body.shape[:-1] + (n_joint,)), pi_body], axis=-1)
 
 
 def _div_green(model, x: Array, qb: Array, sol=None) -> Array:
@@ -107,8 +117,9 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
     deformation gradient F = df/dx, giving the generalized force
     dR/dqd = 2 eta C int (dF/dq) : F_dot dV.  It acts on the body's own
     coordinates only (no wrench) and is positive semi-definite.  ``data`` is
-    the forward pass's integrals of the body at (qb, qdb), whose evaluation
-    the stress pass reuses; the body must have an elastic modulus.  Returns
+    the forward pass's integrals of the body at one state (qb, qdb), whose
+    evaluation the stress pass reuses; the body must have an elastic
+    modulus.  Returns
     ((F_e, T_e, pi_e), (F_d, T_d, pi_d)) with pi the active projections.
     """
     model = handle.model
@@ -123,11 +134,11 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
     if model.viscosity is not None and np.any(qdb):
         dF = model.jac_x_dq(data.nodes, qb, sol)  # (m, 3, 3, n_body)
         pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,mabj,mab->j", w, dF, dF @ qdb)
-    damping = (np.zeros(3), np.zeros(3), np.concatenate([np.zeros(n_joint), pi_d]))
+    damping = (np.zeros(3), np.zeros(3), _joint_rows(pi_d, n_joint))
 
     dens_e = dens_e @ data.ev.frame[0]  # rotate per-node densities into {S_i}
     pi_e = np.einsum("m,maj,ma->j", w, data.ev.jac, dens_e)
-    elastic = (w @ dens_e, w @ cross(data.r, dens_e), np.concatenate([np.zeros(n_joint), pi_e]))
+    elastic = (w @ dens_e, w @ cross(data.r, dens_e), _joint_rows(pi_e, n_joint))
     return elastic, damping
 
 
@@ -135,9 +146,10 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
     """Backward sweep of the wrench recursion; returns per-body projections.
 
     ``wrenches`` is one (F, F_star, T, T_star) tuple per body; entries may be
-    stacked (..., 3) arrays to propagate several independent load cases in
-    one sweep (the recursion is linear in all arguments).  The output list
-    holds arrays of shape (..., n_i).
+    stacked (..., k, 3) arrays to propagate k independent load cases in one
+    sweep (the recursion is linear in all arguments), after the cache's row
+    axis if it has one.  The output list holds arrays of shape (..., k, n_i),
+    or (n_i,) for single (3,) wrenches.
     """
     N = len(chain)
     out = [None] * N
@@ -147,43 +159,52 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
         F, F_star, T, T_star = (np.asarray(a, dtype=float) for a in wrenches[i])
         kin = cache[i]
         Fc = F + F_star
-        Tc = T + T_star + cross(kin.data.p_com, Fc)
+        Tc = T + T_star + cross(_cases(kin.data.p_com, Fc), Fc)
         if acc_F is None:
             acc_F, acc_T = Fc, Tc
         else:
             nxt = cache[i + 1]
-            rot_F = acc_F @ nxt.R_rel.T
-            acc_T = Tc + acc_T @ nxt.R_rel.T + cross(nxt.t_rel, rot_F)
+            RT = nxt.R_rel.swapaxes(-1, -2)
+            rot_F = acc_F @ RT
+            acc_T = Tc + acc_T @ RT + cross(_cases(nxt.t_rel, rot_F), rot_F)
             acc_F = Fc + rot_F
-        out[i] = acc_F @ kin.Pv.T + acc_T @ kin.Pw.T
+        out[i] = acc_F @ kin.Pv.swapaxes(-1, -2) + acc_T @ kin.Pw.swapaxes(-1, -2)
     return out
+
+
+def _cases(v: Array, stack: Array) -> Array:
+    """The vectors v (..., 3) with a load-case axis where ``stack`` has one."""
+    return v.reshape(v.shape[:-1] + (1,) * (stack.ndim - v.ndim) + (3,))
 
 
 # -- main evaluation pipeline ---------------------------------------------------
 
-def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> list[LinkStage]:
-    """Stages of link i at the rows of the checked states (b, n), one body
-    solve for all (:func:`~softid.kinematics.link_stage`), with the stress
-    terms of an elastic body, row by row, when ``stress``."""
-    stages = link_stage(chain, i, q, qd, qdd)
+def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> LinkStage:
+    """Stage of link i at the checked states, one state (n,) or a stack
+    (b, n), from one body solve (:func:`~softid.kinematics.link_stage`), with
+    the stress terms of an elastic body, row by row, when ``stress``."""
+    st = link_stage(chain, i, q, qd, qdd)
     lk = chain.links[i]
     if not (stress and lk.body.model.elastic_modulus is not None):
-        return stages
-    body = slice(chain.slice(i).start + lk.joint.n_dof, chain.slice(i).stop)
-    return [st._replace(stress=stress_terms(lk.body, st.data, qr[body], qdr[body], lk.joint.n_dof))
-            for st, qr, qdr in zip(stages, q, qd)]
+        return st
+    nj = lk.joint.n_dof
+    body = slice(chain.slice(i).start + nj, chain.slice(i).stop)
+    if q.ndim == 1:
+        return st._replace(stress=stress_terms(lk.body, st.data, q[body], qd[body], nj))
+    rows = [stress_terms(lk.body, st.data.take(r), q[r, body], qd[r, body], nj) for r in range(q.shape[0])]
+    return st._replace(stress=tuple(tuple(np.stack(part) for part in zip(*wrench)) for wrench in zip(*rows)))
 
 
-def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, k=None) -> list[LinkStage]:
-    """The links' stages at a state, stress terms included, for
-    :func:`chain_dynamics`.
+def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None) -> list[LinkStage]:
+    """The links' stages at a state or a stack of states, stress terms
+    included, for :func:`chain_dynamics`.
 
-    ``base`` holds the stages of a state that differs from this one only in
-    coordinate k; then only the link owning k is staged again
+    ``base`` holds the stages of a state that differs from these only in
+    the block of link ``link``; then only that link is staged again
     (:meth:`ChainModel.stages`).
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    return chain.stages(lambda i: _stage(chain, i, q[None], qd[None], qdd[None], True)[0], base, k)
+    return chain.stages(lambda i: _stage(chain, i, q, qd, qdd, True), base, link)
 
 
 def chain_dynamics(
@@ -204,11 +225,13 @@ def chain_dynamics(
     terms.  Seeding ``base_accel = -chain.gravity`` with ``gravity=False``
     reproduces the same forces through the inertial path (cross-check mode).
     ``stages`` are the links' stages at this state (:func:`link_stages`),
-    built here when None; the result's ``cache.stages`` holds them.
+    built here when None; the result's ``cache.stages`` holds them.  At a
+    stack of states (b, n) the force, M and components have the row axis.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
+    lead = q.shape[:-1]
     if stages is None:
-        stages = chain.stages(lambda i: _stage(chain, i, q[None], qd[None], qdd[None], stress)[0])
+        stages = chain.stages(lambda i: _stage(chain, i, q, qd, qdd, stress))
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),
@@ -223,23 +246,26 @@ def chain_dynamics(
         data = kin.data
         nj = lk.joint.n_dof
         # rows: inertial, gravity, elastic, damping, then M's unit-acceleration cases
-        F, F_star, T, T_star = (np.zeros((n_rows, 3)) for _ in range(4))
-        pi = np.zeros((n_rows, lk.n_dof))
-        F_star[0], T_star[0], pi[0] = inertial_terms(data, kin.w, kin.wdot, kin.a_com, nj)
+        F, F_star, T, T_star = (np.zeros(lead + (n_rows, 3)) for _ in range(4))
+        pi = np.zeros(lead + (n_rows, lk.n_dof))
+        F_star[..., 0, :], T_star[..., 0, :], pi[..., 0, :] = inertial_terms(
+            data, kin.w, kin.wdot, kin.a_com, nj)
         if gravity:
-            F[1], pi[1] = gravity_terms(data, kin.R_base, chain.gravity, nj)
+            F[..., 1, :], pi[..., 1, :] = gravity_terms(data, kin.R_base, chain.gravity, nj)
         if stress and stages[i].stress is not None:
-            (F[2], T[2], pi[2]), (F[3], T[3], pi[3]) = stages[i].stress
+            elastic, damping = stages[i].stress
+            F[..., 2, :], T[..., 2, :], pi[..., 2, :] = elastic
+            F[..., 3, :], T[..., 3, :], pi[..., 3, :] = damping
         if mass:
-            F_star[4:], T_star[4:], pi[4:] = cases[i]
+            F_star[..., 4:, :], T_star[..., 4:, :], pi[..., 4:, :] = cases[i]
         wrenches.append((F, F_star, T, T_star))
         pis.append(pi)
 
     proj = backward_recursion(chain, wrenches, cache)
-    rows = np.empty((n_rows, chain.n))
+    rows = np.empty(lead + (n_rows, chain.n))
     for i in range(len(chain)):
-        rows[:, chain.slice(i)] = -(pis[i] + proj[i])
-    components = dict(zip(_COMPONENTS, rows))
+        rows[..., chain.slice(i)] = -(pis[i] + proj[i])
+    components = {name: rows[..., c, :] for c, name in enumerate(_COMPONENTS)}
 
     force = components["inertial"].copy()
     if gravity:
@@ -247,7 +273,7 @@ def chain_dynamics(
     if stress:
         force += components["elastic"] + components["damping"]
 
-    M = rows[4:].T if mass else None
+    M = rows[..., 4:, :].swapaxes(-1, -2) if mass else None
     return DynamicsResult(force=force, mass=M, components=components, cache=cache)
 
 
@@ -256,8 +282,8 @@ def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:
 
     Case k is qdd = e_k at rest.  The zero-velocity Jacobians A, W of the
     acceleration recursion give each body's inertial force and torque for
-    every case, (n, 3) each, and its own projection, (n, n_i); the backward
-    recursion turns them into the columns of M.
+    every case, (..., n, 3) each, and its own projection, (..., n, n_i); the
+    backward recursion turns them into the columns of M.
     """
     n = chain.n
     A = np.zeros((3, n))
@@ -270,24 +296,24 @@ def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:
         nj = lk.joint.n_dof
         body_cols = slice(sl.start + nj, sl.stop)
 
-        dv_rel = np.zeros((3, n))
-        dw_rel = np.zeros((3, n))
-        dv_rel[:, sl] = kin.Jt
-        dw_rel[:, sl] = kin.Jw
-        RT = kin.R_rel.T
+        dv_rel = np.zeros(kin.Jt.shape[:-2] + (3, n))
+        dw_rel = np.zeros(kin.Jw.shape[:-2] + (3, n))
+        dv_rel[..., sl] = kin.Jt
+        dw_rel[..., sl] = kin.Jw
+        RT = kin.R_rel.swapaxes(-1, -2)
         A = RT @ (A - skew(kin.t_rel) @ W + dv_rel)
         W = RT @ (W + dw_rel)
         A_com = A - skew(data.p_com) @ W
-        A_com[:, body_cols] += data.jac_com
+        A_com[..., body_cols] += data.jac_com
 
         jF = -data.mass * A_com
         jT = -data.inertia @ W
-        jT[:, body_cols] -= data.jac_mom_rd
-        jp = -data.jac_mom_rd.T @ W + data.jac_com.T @ jF
-        jp[:, body_cols] -= data.gram
-        pi = np.zeros((n, lk.n_dof))
-        pi[:, nj:] = jp.T
-        cases.append((jF.T, jT.T, pi))
+        jT[..., body_cols] -= data.jac_mom_rd
+        jp = -data.jac_mom_rd.swapaxes(-1, -2) @ W + data.jac_com.swapaxes(-1, -2) @ jF
+        jp[..., body_cols] -= data.gram
+        pi = np.zeros(jp.shape[:-2] + (n, lk.n_dof))
+        pi[..., nj:] = jp.swapaxes(-1, -2)
+        cases.append((jF.swapaxes(-1, -2), jT.swapaxes(-1, -2), pi))
     return cases
 
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dynamics import _stage, chain_dynamics, iid, inverse_dynamics, link_stages
+from .dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
 from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
 from .oracle import oracle_kane
 from .presets import planar_pcc_chain
+from .spatial import matvec
 
 Array = np.ndarray
 
@@ -88,28 +89,17 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def _fd_column(fn, x: Array, k: int, h: float):
-    """Central difference (fn(x + h e_k) - fn(x - h e_k)) / 2h, or None where
-    ``fn`` returns None at either point (both points are evaluated)."""
-    dx = np.zeros_like(x)
-    dx[k] = h
-    plus, minus = fn(x + dx), fn(x - dx)
-    if plus is None or minus is None:
-        return None
-    return (plus - minus) / (2.0 * h)
-
-
 def _force_jacobians(chain, q, qd, base):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s.
 
     Central differences at steps ``FORCE_JACOBIAN_STEP * max(1, |x_k|)``.
     ``base`` are the stages of the sweep at (q, qd) with zero acceleration
     (``DynamicsResult.cache.stages``).  The 4 n_i column points of link i,
-    (q +- h e_k, qd) and (q, qd +- h e_k) for its coordinates k, are staged
-    in one call (one body solve); each point's sweep takes every other
+    (q +- h e_k, qd) and (q, qd +- h e_k) for its coordinates k, are one
+    stacked stage (one body solve) and one sweep, which takes every other
     link's stage from ``base``.  Those depend on their own coordinates alone
-    and a stacked stage equals the stage alone, so K and D are bitwise equal
-    to differences of full sweeps.
+    and a row of a stacked sweep equals the sweep at that point alone, so K
+    and D are bitwise equal to differences of full sweeps.
     """
     n = chain.n
     K, D = np.empty((n, n)), np.empty((n, n))
@@ -126,9 +116,9 @@ def _force_jacobians(chain, q, qd, base):
         dq[0, e, cols], dq[1, e, cols] = hq, -hq
         dv[2, e, cols], dv[3, e, cols] = hv, -hv
         qs, vs = (q + dq).reshape(4 * m, n), (qd + dv).reshape(4 * m, n)
-        F = np.array([chain_dynamics(chain, qp, vp, None, stages=base[:i] + [st] + base[i + 1:]).force
-                      for qp, vp, st in zip(qs, vs, _stage(chain, i, qs, vs, np.zeros_like(qs), True))])
-        F = F.reshape(4, m, n)
+        # no name holds the stage: the next link is staged without it
+        F = chain_dynamics(chain, qs, vs, None,
+                           stages=link_stages(chain, qs, vs, base=base, link=i)).force.reshape(4, m, n)
         K[:, cols] = ((F[0] - F[1]) / (2.0 * hq[:, None])).T
         D[:, cols] = ((F[2] - F[3]) / (2.0 * hv[:, None])).T
     return K, D
@@ -279,22 +269,26 @@ def simulate(
 def _equilibrium(chain: ChainModel, actuation, u):
     """The equilibrium residual r(q) = ID(q, 0, 0) - A(q) u of :func:`solve_statics`.
 
-    Returns residual(qv, base=(None, None), k=None) -> (r, stages), where
-    stages pairs the dynamics stages (:func:`link_stages`) with the
-    actuation map's; (None, None) marks a point where the chain cannot be
-    evaluated.  ``base`` and ``k``: the stages of a residual at a point that
-    differs from qv only in coordinate k, of which only the link owning k is
-    staged again.
+    Returns residual(qv, base=(None, None), link=None) -> (r, stages) at one
+    state or at a stack of states (b, n), where stages pairs the dynamics
+    stages (:func:`link_stages`) with the actuation map's; (None, None)
+    marks points where the chain cannot be evaluated (a typed error or a
+    non-finite row).  ``base`` and ``link``: the stages of a residual at a
+    point that differs from qv only in the block of link ``link``, which
+    alone is staged again.
     """
-    def residual(qv, base=(None, None), k=None):
+    def residual(qv, base=(None, None), link=None):
         try:
-            dyn = link_stages(chain, qv, base=base[0], k=k)
+            dyn = link_stages(chain, qv, base=base[0], link=link)
             r = inverse_dynamics(chain, qv, None, None, stages=dyn)
             act = None
             if actuation is not None:
-                uv = u(qv) if callable(u) else (np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float))
-                act = actuation.stages(chain, qv, base[1], k)
-                r = r - actuation.matrix(chain, qv, act) @ uv
+                if callable(u):
+                    uv = np.apply_along_axis(u, -1, qv)
+                else:
+                    uv = np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float)
+                act = actuation.stages(chain, qv, base[1], link)
+                r = r - matvec(actuation.matrix(chain, qv, act), uv)
         except (SoftIDError, np.linalg.LinAlgError):
             return None, None
         return (r, (dyn, act)) if np.all(np.isfinite(r)) else (None, None)
@@ -302,25 +296,55 @@ def _equilibrium(chain: ChainModel, actuation, u):
     return residual
 
 
+def _fd_columns(residual, q: Array, base, link: int, cols: Array, h: Array):
+    """Central-difference columns (r(q + h_k e_k) - r(q - h_k e_k)) / 2 h_k
+    of the residual for the coordinates ``cols`` of link ``link``, from one
+    residual call on the 2 m stacked points; None where it cannot be
+    evaluated."""
+    m, n = cols.size, q.shape[0]
+    e = np.arange(m)
+    dq = np.zeros((2, m, n))
+    dq[0, e, cols], dq[1, e, cols] = h, -h
+    r = residual((q + dq).reshape(2 * m, n), base, link)[0]
+    if r is None:
+        return None
+    r = r.reshape(2, m, n)
+    return ((r[0] - r[1]) / (2.0 * h[:, None])).T
+
+
 def _statics_jacobian(residual, q: Array, base):
     """Finite-difference Jacobian of an :func:`_equilibrium` residual at q,
     whose stages are ``base``; None if some column is unevaluable.
 
-    Column k steps q_k by 1e-6 max(1, |q_k|), or by 1e-8 max(1, |q_k|) where
-    the larger step leaves the domain, and stages only the link that owns
-    q_k again: the Jacobian is bitwise equal to differences of full
-    residuals.
+    Column k steps q_k by 1e-6 max(1, |q_k|).  The columns of one link are
+    one stacked residual that stages only that link again; if that stack
+    leaves the domain, its columns are taken one at a time, each by 1e-8
+    max(1, |q_k|) where the larger step leaves the domain.  A row of a stack
+    equals the residual at that point alone, so the Jacobian is bitwise
+    equal to differences of full residuals.
     """
     n = q.shape[0]
     J = np.empty((n, n))
-    for k in range(n):
-        for step in (1e-6, 1e-8):
-            col = _fd_column(lambda qs: residual(qs, base, k)[0], q, k, step * max(1.0, abs(float(q[k]))))
-            if col is not None:
-                break
-        else:
-            return None
-        J[:, k] = col
+    stop = 0
+    for i, st in enumerate(base[0]):
+        # link i owns the coordinates of its stage's Jacobian columns
+        cols = np.arange(stop, stop + st.Jt.shape[-1])
+        stop += cols.size
+        if not cols.size:
+            continue
+        block = _fd_columns(residual, q, base, i, cols, 1e-6 * np.maximum(1.0, np.abs(q[cols])))
+        if block is not None:
+            J[:, cols] = block
+            continue
+        for k in cols:
+            one = np.array([k])
+            for step in (1e-6, 1e-8):
+                col = _fd_columns(residual, q, base, i, one, step * np.maximum(1.0, np.abs(q[one])))
+                if col is not None:
+                    break
+            else:
+                return None
+            J[:, k] = col[:, 0]
     return J
 
 
@@ -344,9 +368,10 @@ def solve_statics(
 
     ``u`` may be a constant input vector or a callable u(q) (regulator).
     The Jacobian is finite-differenced from the residual
-    (:func:`_statics_jacobian`): each column evaluates only the link it
-    steps and takes every other link's stages, dynamics and actuation, from
-    the residual already computed at the iterate.  Steps use a
+    (:func:`_statics_jacobian`): the columns of one link are one residual
+    at their stacked points, which stages only that link again and takes
+    every other link's stages, dynamics and actuation, from the residual
+    already computed at the iterate.  Steps use a
     backtracking line search on the residual norm.  An iterate counts as
     converged when the residual norm is below ``tol`` and the Newton
     correction that the Jacobian in hand predicts from it is below

@@ -19,13 +19,18 @@ other links' stages unchanged.  Outside the recursion,
 :func:`forward_kinematics` is the one walk of the chain: frame poses and
 base-frame images of material points, one body solve per body.
 
-The body evaluation, the contact frame and the link Jacobians carry a
-leading row axis, one row per configuration of a stack, and
-:func:`link_stage` stages any number of states of one link from one solve of
-its body (:meth:`BodyHandle.evaluate`): every state's q_i and, for each
-moving state, the two points q_i +- h u of its rates (:func:`unit_rate`).  A
-row's values do not depend on the other rows, so a state staged in a stack
-equals the state staged alone, bitwise.
+A state is one vector (n,) or a stack of states (b, n), and every array of
+a stage, of the integrals it carries and of the forward pass has the
+state's leading axes: none for one state, one row per state of a stack.  A
+stage without rows broadcasts against stacked ones, so a sweep over states
+that differ in one link's block takes that link's stage as a stack and the
+other links' stages of one state.  :func:`link_stage` stages a stack from
+one solve of its body (:meth:`BodyHandle.evaluate`), at every state's q_i
+and, for each moving state, at the two points q_i +- h u of its rates
+(:func:`unit_rate`), and takes the integrals once over the stack.  A row's
+values do not depend on the other rows (every product is taken row by row
+in the order of a single state), so a state swept in a stack equals the
+state swept alone, bitwise.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
 from .errors import DegenerateContactError
-from .spatial import Transform, cross, rodrigues, vee
+from .spatial import Transform, cross, matvec, rodrigues, vee
 
 Array = np.ndarray
 
@@ -270,19 +275,16 @@ class ChainModel:
     def slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
 
-    def stages(self, stage, base=None, k=None) -> list:
+    def stages(self, stage, base=None, link=None) -> list:
         """``stage(i)`` for every link i.
 
-        ``base`` holds the stages of a state that differs from this one only
-        in coordinate k: the link owning k is staged again and every other
-        stage is taken from ``base``.
+        ``base`` holds the stages of a state that differs from these states
+        only in the block of link ``link``: that link is staged again and
+        every other stage is taken from ``base``.
         """
         if base is None:
             return [stage(i) for i in range(len(self.links))]
-        out = list(base)
-        i = int(np.searchsorted(self._offsets, k, side="right")) - 1
-        out[i] = stage(i)
-        return out
+        return base[:link] + [stage(link)] + base[link + 1:]
 
     def split(self, i: int, q: Array) -> tuple[Array, Array]:
         """(joint, body) sub-vectors of body i's coordinate block."""
@@ -291,11 +293,18 @@ class ChainModel:
         return qi[:nj], qi[nj:]
 
     def check_state(self, *vectors) -> list[Array]:
+        """The vectors as finite float arrays of one shape: one state (n,) or
+        a stack of states (b, n); None gives zeros."""
+        vs = [None if v is None else np.asarray(v, dtype=float) for v in vectors]
+        vs = [v if v is None or v.ndim == 2 else v.reshape(-1) for v in vs]
+        shape = next((v.shape for v in vs if v is not None), (self.n,))
         out = []
-        for v in vectors:
-            v = np.zeros(self.n) if v is None else np.asarray(v, dtype=float).reshape(-1)
-            if v.shape != (self.n,):
-                raise ValueError(f"state vector must have length {self.n}, got {v.shape[0]}")
+        for v in vs:
+            v = np.zeros(shape) if v is None else v
+            if v.shape[-1] != self.n:
+                raise ValueError(f"state vector must have length {self.n}, got {v.shape[-1]}")
+            if v.shape != shape:
+                raise ValueError(f"state vectors must have one shape, got {v.shape} and {shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError("state vectors must be finite")
             out.append(v)
@@ -368,7 +377,8 @@ def unit_rate(q: Array, qd: Array):
 # -- forward pass --------------------------------------------------------------
 
 class LinkStage(NamedTuple):
-    """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone.
+    """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone,
+    with the leading axes of the states they were staged at.
 
     The link transform, its Jacobians and their time rates, the body's
     integrals (which carry its evaluation) and, in a dynamics sweep with
@@ -386,32 +396,32 @@ class LinkStage(NamedTuple):
     stress: tuple | None = None
 
 
-def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> list[LinkStage]:
-    """Stages of link i at the rows of the checked states q, qd, qdd (b, n),
-    one per row.
+def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> LinkStage:
+    """Stage of link i at the checked states q, qd, qdd: one state (n,) or a
+    stack (b, n).
 
-    One body evaluation serves every row: at each row's q_i and, for each
-    moving row, at q_i +- h u (:func:`unit_rate`).  The integrals stay per
-    row.
+    One body evaluation serves every state: at each state's q_i and, for
+    each moving state, at q_i +- h u (:func:`unit_rate`).  The integrals are
+    taken once, over the states' rows of that evaluation.
     """
     lk = chain.links[i]
     sl = chain.slice(i)
-    qi, qdi, qddi = q[:, sl], qd[:, sl], qdd[:, sl]
     nj = lk.joint.n_dof
+    rows = 0 if q.ndim == 1 else slice(0, q.shape[0])
+    qi, qdi, qddi = ((v[None] if v.ndim == 1 else v)[:, sl] for v in (q, qd, qdd))
     points, rate = unit_rate(qi, qdi)
     ev = lk.body.evaluate(points[:, nj:])
     R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, ev.frame, points)
     Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
-    rows = [ev.take(r) for r in range(qi.shape[0])]
-    del ev  # the rows are copies: the solve at the rate points is freed here
-    return [LinkStage(R_rel[r], t_rel[r], Jt[r], Jw[r], Jt_dot[r], Jw_dot[r],
-                      integrals.body_integrals(lk.body, row, Jp_dot[r], qdi[r, nj:], qddi[r, nj:]))
-            for r, row in enumerate(rows)]
+    ev = ev.take(rows)  # copies: the solve at the rate points is freed here
+    data = integrals.body_integrals(lk.body, ev, Jp_dot[rows], qdi[rows, nj:], qddi[rows, nj:])
+    return LinkStage(R_rel[rows], t_rel[rows], Jt[rows], Jw[rows], Jt_dot[rows], Jw_dot[rows], data)
 
 
 @dataclass
 class BodyKin:
-    """Per-body kinematic state produced by the forward pass (body frame {S_i})."""
+    """Per-body kinematic state produced by the forward pass (body frame {S_i}),
+    with the state's leading axes."""
 
     R_rel: Array
     t_rel: Array
@@ -448,14 +458,15 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
     which folds the gravitational force into the inertial terms.  Pass zeros
     to compute purely inertial kinematics (the dynamics algorithms do, and
     add explicit gravity terms instead).  ``stages`` are the links'
-    :class:`LinkStage` at this state, computed here when None.
+    :class:`LinkStage` at this state, computed here when None.  The state
+    may be a stack (b, n); then every array of the result has the row axis.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     if base_accel is None:
         base_accel = -chain.gravity
     base_accel = np.asarray(base_accel, dtype=float)
     if stages is None:
-        stages = chain.stages(lambda i: link_stage(chain, i, q[None], qd[None], qdd[None])[0])
+        stages = chain.stages(lambda i: link_stage(chain, i, q, qd, qdd))
 
     bodies: list[BodyKin] = []
     R_parent = chain.base.rotation
@@ -467,25 +478,25 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
 
     for i, st in enumerate(stages):
         sl = chain.slice(i)
-        qdi, qddi = qd[sl], qdd[sl]
+        qdi, qddi = qd[..., sl], qdd[..., sl]
         R_rel, t_rel, Jt, Jw, data = st.R_rel, st.t_rel, st.Jt, st.Jw, st.data
 
-        v_rel = Jt @ qdi
-        w_rel = Jw @ qdi
-        a_rel = Jt @ qddi + st.Jt_dot @ qdi
-        wdot_rel = Jw @ qddi + st.Jw_dot @ qdi
+        v_rel = matvec(Jt, qdi)
+        w_rel = matvec(Jw, qdi)
+        a_rel = matvec(Jt, qddi) + matvec(st.Jt_dot, qdi)
+        wdot_rel = matvec(Jw, qddi) + matvec(st.Jw_dot, qdi)
 
-        RT = R_rel.T
-        v = RT @ (v_p + cross(w_p, t_rel) + v_rel)
-        w = RT @ (w_p + w_rel)
-        a = RT @ (
+        RT = R_rel.swapaxes(-1, -2)
+        v = matvec(RT, v_p + cross(w_p, t_rel) + v_rel)
+        w = matvec(RT, w_p + w_rel)
+        a = matvec(RT, (
             a_p
             + cross(wd_p, t_rel)
             + cross(w_p, cross(w_p, t_rel) + v_rel)
             + cross(w_p, v_rel)
             + a_rel
-        )
-        wdot = RT @ (wd_p + cross(w_p, w_rel) + wdot_rel)
+        ))
+        wdot = matvec(RT, wd_p + cross(w_p, w_rel) + wdot_rel)
 
         v_com = v + cross(w, data.p_com) + data.pdot_com
         a_com = (
@@ -498,9 +509,9 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
 
         bodies.append(BodyKin(
             R_rel=R_rel, t_rel=t_rel,
-            R_base=R_parent @ R_rel, t_base=t_parent + R_parent @ t_rel,
+            R_base=R_parent @ R_rel, t_base=t_parent + matvec(R_parent, t_rel),
             Jt=Jt, Jw=Jw, v=v, w=w, a=a, wdot=wdot, v_com=v_com, a_com=a_com,
-            Pv=Jt.T @ R_rel, Pw=Jw.T @ R_rel,
+            Pv=Jt.swapaxes(-1, -2) @ R_rel, Pw=Jw.swapaxes(-1, -2) @ R_rel,
             data=data,
         ))
         R_parent = bodies[-1].R_base

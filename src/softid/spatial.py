@@ -20,14 +20,27 @@ Array = np.ndarray
 ORTHONORMAL_TOL = 1e-12
 
 
+# flat indices of S(v)[2, 1], S[0, 2], S[1, 0] (+v) and S[1, 2], S[2, 0], S[0, 1] (-v)
+_SKEW_PLUS = np.array([7, 2, 3])
+_SKEW_MINUS = np.array([5, 6, 1])
+
+
 def skew(v) -> Array:
-    """Skew-symmetric matrix S(v) such that S(v) @ w = v x w."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    """Skew-symmetric matrices S(v) such that S(v) @ w = v x w, over the last
+    axis of v (..., 3), shape (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    flat = out.reshape(v.shape[:-1] + (9,))
+    flat[..., _SKEW_PLUS], flat[..., _SKEW_MINUS] = v, -v
+    return out
+
+
+def matvec(a: Array, v: Array) -> Array:
+    """Matrices a (..., m, n) times vectors v (..., n) with broadcasting over
+    the leading axes.  Each product is the BLAS product ``a[r] @ v[r]`` of
+    its own row, so a row's value does not depend on the other rows (one
+    vector takes matmul's own broadcasting, the same product)."""
+    return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
 
 
 # cross(a, b) = a[1, 2, 0] * b[2, 0, 1] - a[2, 0, 1] * b[1, 2, 0] componentwise
@@ -85,12 +98,13 @@ def rotation_from_quaternion(q) -> Array:
 
 
 def is_rotation(r, tol: float = ORTHONORMAL_TOL) -> bool:
-    """True if ``r`` is orthonormal with determinant +1 within ``tol``."""
+    """True if ``r`` (3, 3), or every matrix of a stack (..., 3, 3), is
+    orthonormal with determinant +1 within ``tol``."""
     r = np.asarray(r, dtype=float)
     return (
-        r.shape == (3, 3)
-        and np.abs(r.T @ r - np.eye(3)).max() <= tol * 10
-        and abs(np.linalg.det(r) - 1.0) <= tol * 10
+        r.shape[-2:] == (3, 3)
+        and np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max() <= tol * 10
+        and np.abs(np.linalg.det(r) - 1.0).max() <= tol * 10
     )
 
 

@@ -289,8 +289,10 @@ def test_partial_velocity_shift_identities(rng):
         assert np.abs(lhs_w[rows] - rhs_w[rows]).max() < 1e-10
 
 
-def test_forward_pass_linear_cost():
+def test_forward_pass_linear_cost(monkeypatch):
     import time
+
+    from softid import kinematics
 
     def rigid_chain(N):
         links = [(revolute_joint([0, 0, 1]), rigid_handle()) for _ in range(N)]
@@ -313,6 +315,17 @@ def test_forward_pass_linear_cost():
     for N in (16, 32):
         ratio = best[2 * N] / best[N]
         assert 1.6 <= ratio <= 2.6, f"forward_pass cost ratio {ratio:.2f} at N={N}"
+    # the count of link visits holds where wall time does not (host load)
+    calls = []
+    link_jacobians = kinematics.link_jacobians
+    monkeypatch.setattr(kinematics, "link_jacobians", lambda *a: calls.append(1) or link_jacobians(*a))
+    visits = {}
+    for N in sizes:
+        calls.clear()
+        forward_pass(chains[N], *states[N][0][:3])
+        visits[N] = len(calls)
+    assert visits == {N: N for N in sizes}
+    assert all(visits[2 * N] == 2 * visits[N] for N in (16, 32))
 
 
 def test_nonfinite_state_rejected():

@@ -1,8 +1,10 @@
-"""The leading configuration axis of the body map and the link stager.
+"""The leading configuration axis of the body map, the link stager and the
+sweep.
 
-A stack of configurations is solved in one call, and row r of every result
-is, bitwise, the value at that configuration alone: the K/D refresh stages
-all column points of a link together and must equal full sweeps.
+A stack of configurations is solved, staged and swept in one call, and row r
+of every result is, bitwise, the value at that configuration alone: the K/D
+refresh and the statics Jacobian sweep all column points of a link together
+and must equal full sweeps.
 """
 
 from pathlib import Path
@@ -11,13 +13,17 @@ import numpy as np
 import pytest
 
 from softid.bodies import BodyModel
-from softid.dynamics import _stage
+from softid import presets
+from softid.bodies.base import central_difference
+from softid.dynamics import _stage, chain_dynamics, inverse_dynamics, link_stages
 from softid.errors import BodyDomainError, DegenerateContactError
+from softid.harness import _equilibrium, _statics_jacobian
 from softid.kinematics import BodyHandle
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
 from conftest import in_domain
+from test_harness import FD_CHAINS, fd_state, three_tendons
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 # one bundled model per body kind
@@ -88,17 +94,98 @@ def test_body_map_rows_equal_single_rows(kind, b):
             assert same(ev.take(r), handle.evaluate(one).take(0))
 
 
+def stage_row(st, r):
+    """Row r of a stacked stage (a rigid body's integrals have no rows)."""
+    data = st.data if st.data.p_com.ndim == 1 else st.data.take(r)
+    stress = None if st.stress is None else tuple(tuple(a[r] for a in w) for w in st.stress)
+    return st._replace(R_rel=st.R_rel[r], t_rel=st.t_rel[r], Jt=st.Jt[r], Jw=st.Jw[r],
+                       Jt_dot=st.Jt_dot[r], Jw_dot=st.Jw_dot[r], data=data, stress=stress)
+
+
 @pytest.mark.parametrize("b", ROWS)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_stage_rows_equal_states_staged_alone(kind, b):
     chain = chain_of(kind)
     q, qd, qdd = stacked_states(chain, b, seed=10 + b)
     for i in range(len(chain)):
-        stages = _stage(chain, i, q, qd, qdd, True)
-        assert len(stages) == b
+        stage = _stage(chain, i, q, qd, qdd, True)
+        assert stage.R_rel.shape == (b, 3, 3)
         for r in range(b):
-            alone = _stage(chain, i, q[r:r + 1], qd[r:r + 1], qdd[r:r + 1], True)[0]
-            assert same(stages[r], alone), (i, r)
+            alone = _stage(chain, i, q[r], qd[r], qdd[r], True)
+            assert alone.R_rel.shape == (3, 3)
+            assert same(stage_row(stage, r), alone), (i, r)
+
+
+def block_states(chain, q, qd, qdd, i, b, seed):
+    """b in-domain states that differ from (q, qd, qdd) in link i's block
+    only; the third is at rest in that block."""
+    rng = np.random.default_rng(seed)
+    sl = chain.slice(i)
+    qs, vs, accs = (np.repeat(v[None], b, axis=0) for v in (q, qd, qdd))
+    for r in range(b):
+        while True:
+            qs[r, sl] = q[sl] + rng.uniform(-0.05, 0.05, sl.stop - sl.start)
+            if in_domain(chain, qs[r]):
+                break
+    vs[:, sl] += rng.uniform(-1.0, 1.0, (b, sl.stop - sl.start))
+    vs[2, sl] = 0.0
+    accs[:, sl] += rng.uniform(-3.0, 3.0, (b, sl.stop - sl.start))
+    return qs, vs, accs
+
+
+@pytest.mark.parametrize("name", sorted(FD_CHAINS))
+def test_stacked_sweep_rows_equal_single_sweeps(name):
+    # link i staged over a stack, every other link's stage taken from one
+    # state, without a row axis or with a row axis of 1
+    chain = FD_CHAINS[name]()
+    q, qd = fd_state(chain, 6)
+    qdd = np.random.default_rng(6).uniform(-3.0, 3.0, chain.n)
+    base = link_stages(chain, q, qd, qdd)
+    one_row = link_stages(chain, q[None], qd[None], qdd[None])
+    assert base[0].R_rel.shape == (3, 3) and one_row[0].R_rel.shape == (1, 3, 3)
+    for i in range(len(chain)):
+        qs, vs, accs = block_states(chain, q, qd, qdd, i, 4, seed=i)
+        for others in (base, one_row):
+            stages = link_stages(chain, qs, vs, accs, base=others, link=i)
+            res = chain_dynamics(chain, qs, vs, accs, mass=True, stages=stages)
+            assert res.force.shape == (4, chain.n) and res.mass.shape == (4, chain.n, chain.n)
+            for r in range(4):
+                alone = chain_dynamics(chain, qs[r], vs[r], accs[r], mass=True)
+                assert np.array_equal(res.force[r], alone.force), (i, r)
+                assert np.array_equal(res.mass[r], alone.mass), (i, r)
+                for key, value in alone.components.items():
+                    assert np.array_equal(res.components[key][r], value), (i, r, key)
+
+
+def test_statics_jacobian_retries_one_column_at_the_small_step():
+    # body 1's first coordinate may grow by 5e-7 at most: of link 1's stack
+    # only that column leaves the domain, and it alone takes the 1e-8 step
+    chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5))
+    act = three_tendons(chain)
+    u = np.array([1.0, 0.5, 0.2])
+    q, _ = fd_state(chain, 7)
+    k = chain.slice(1).start
+    model = chain.links[1].body.model
+    solve = model.solve
+
+    def capped(x, qb):
+        if np.any(qb[:, 0] > q[k] + 5e-7):
+            raise BodyDomainError("curvature beyond the test cap")
+        return solve(x, qb)
+
+    model.solve = capped
+    residual = _equilibrium(chain, act, u)
+    _, base = residual(q)
+
+    def full(qs):
+        return inverse_dynamics(chain, qs, None, None) - act.matrix(chain, qs) @ u
+
+    steps = 1e-6 * np.maximum(1.0, np.abs(q))
+    steps[k] = 1e-8 * max(1.0, abs(q[k]))
+    J = _statics_jacobian(residual, q, base)
+    assert np.array_equal(J, central_difference(full, q, steps))
+    with pytest.raises(BodyDomainError):
+        full(q + 1e-6 * max(1.0, abs(q[k])) * np.eye(chain.n)[k])
 
 
 def test_out_of_domain_row_raises():
