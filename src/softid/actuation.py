@@ -148,6 +148,8 @@ class ChamberActuation(ActuationMap):
     integral of det(df/dx) over the subdomain of that body's material
     coordinates.  Inputs are gauge pressures.  The volume gradient is
     dV/dq = int tr(adj(F) dF/dq) dV_0, on the chamber body's own coordinates.
+    A stack of states takes one body solve and one call of ``jac_x`` and of
+    ``jac_x_dq`` per chamber.
     """
 
     def __init__(self, chambers, quadrature_order=4):
@@ -163,23 +165,21 @@ class ChamberActuation(ActuationMap):
     def link_stage(self, chain: ChainModel, i: int, q: Array):
         """Volume and volume gradient on body i's own coordinates of each
         chamber on body i, in chamber order, with the leading axes of q,
-        from one solve per chamber and state."""
+        from one solve per chamber over every state."""
         model = chain.links[i].body.model
         lead = q.shape[:-1]
-        qbs = q[..., chain.slice(i)][..., chain.links[i].joint.n_dof:].reshape(-1, model.n_dof)
+        qb = q[..., chain.slice(i)][..., chain.links[i].joint.n_dof:].reshape(-1, model.n_dof)
         out = []
         for dom in (dom for bi, dom in self.chambers if bi == i):
             pts, w = dom.nodes(self.order)
-            volumes, grads = [], []
-            for qb in qbs:
-                sol = model.solve_one(pts, qb)
-                F = model.jac_x(pts, qb, sol)
-                # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
-                cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
-                                cross(F[..., 0], F[..., 1])], axis=2)
-                volumes.append(float(w @ np.linalg.det(F)))
-                grads.append(np.einsum("p,pab,pabj->j", w, cof, model.jac_x_dq(pts, qb, sol)))
-            out.append((np.reshape(volumes, lead), np.reshape(grads, lead + (model.n_dof,))))
+            sol = model.solve(pts, qb)
+            F = model.jac_x(pts, qb, sol)
+            # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
+            cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
+                            cross(F[..., 0], F[..., 1])], axis=-1)
+            volumes = matvec(np.linalg.det(F)[:, None], w)[:, 0]
+            grads = np.einsum("p,rpab,rpabj->rj", w, cof, model.jac_x_dq(pts, qb, sol))
+            out.append((volumes.reshape(lead), grads.reshape(lead + (model.n_dof,))))
         return out
 
     def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:

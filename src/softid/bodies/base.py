@@ -13,8 +13,8 @@ x (m, 3) at every row of q (b, n_dof) in one call, and every array they
 return has that leading row axis.  Row r of a result is the value at q[r]
 alone, bitwise, whatever the other rows are, so one call serves any number
 of states.  The material derivatives (:meth:`~BodyModel.jac_x`,
-:meth:`~BodyModel.jac_x_dq`, :meth:`~BodyModel.hess_x`) take one
-configuration (n_dof,) and one row of a solution.
+:meth:`~BodyModel.jac_x_dq`, :meth:`~BodyModel.hess_x`) take the same stack
+and a stacked solution, with the same row contract.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ def central_difference(fn, x: Array, steps) -> Array:
     """
     cols = [(fn(x + dx) - fn(x - dx)) / (2.0 * h) for h, dx in zip(steps, np.diag(steps))]
     return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
-
-
-def solution_part(sol, index):
-    """The part of a body solution at ``index`` along its leading axis: the
-    rows of a stacked solution, or the points of one row; None stays None."""
-    return None if sol is None else tuple(a[index] for a in sol)
 
 
 class BodyModel:
@@ -69,8 +63,8 @@ class BodyModel:
 
         A solution is None (the default: nothing shared) or a tuple of arrays
         with one leading row per configuration, then one row per point of x:
-        ``solution_part(sol, r)`` is the solution at q[r], and the rows of a
-        subset of the points in it are the solution at that subset.
+        the arrays' rows r are the solution at q[r], and their rows of a
+        subset of the points are the solution at that subset.
         """
         return None
 
@@ -79,47 +73,52 @@ class BodyModel:
         raise NotImplementedError
 
     def jac_q(self, x: Array, q: Array, sol=None) -> Array:
-        """Configuration Jacobians df/dq, shape (b, m, 3, n_dof).
-
-        Default: central differences of :meth:`position`, with the 2 n_dof
-        stepped configurations of every row in one call.
-        """
-        q = self.check_q(q)
-        b, n = q.shape
-        h = FD_Q_STEP * np.maximum(1.0, np.linalg.norm(q, axis=1))
-        dq = h[:, None, None] * np.eye(n)  # row r, step k: h_r e_k
-        f = self.position(x, np.concatenate([q[:, None] + dq, q[:, None] - dq], axis=1).reshape(2 * b * n, n))
-        f = f.reshape((b, 2, n) + f.shape[1:])
-        return np.moveaxis((f[:, 0] - f[:, 1]) / (2.0 * h[:, None, None, None]), 1, -1)
+        """Configuration Jacobians df/dq, shape (b, m, 3, n_dof); default:
+        central differences of :meth:`position`."""
+        return self._q_difference(self.position, x, q)
 
     def jac_x(self, x: Array, q: Array, sol=None) -> Array:
-        """Material Jacobian df/dx (deformation gradient) at one configuration
-        q (n_dof,), shape (m, 3, 3)."""
-        q = self.check_q([q])
-        return central_difference(lambda d: self.position(x + d, q)[0], np.zeros(3), self._x_steps())
+        """Material Jacobians df/dx (deformation gradients), shape (b, m, 3,
+        3); default: central differences of :meth:`position`."""
+        return self._x_difference(self.position, x, q)
 
     def jac_x_dq(self, x: Array, q: Array, sol=None) -> Array:
-        """Configuration derivative of the deformation gradient, (m, 3, 3, n_dof).
-
-        Entry [p, a, b, j] is d^2 f_a / dx_b dq_j.  Default: central
-        differences of :meth:`jac_x`.
-        """
-        q = self.check_q([q])[0]
-        return central_difference(lambda qs: self.jac_x(x, qs), q, self._q_steps(q))
+        """Configuration derivatives of the deformation gradients, (b, m, 3,
+        3, n_dof): entry [r, p, a, b, j] is d^2 f_a / dx_b dq_j.  Default:
+        central differences of :meth:`jac_x`."""
+        return self._q_difference(self.jac_x, x, q)
 
     def hess_x(self, x: Array, q: Array, sol=None) -> Array:
-        """Second material derivatives d2f/dx dx, shape (m, 3, 3, 3).
+        """Second material derivatives d2f/dx dx, shape (b, m, 3, 3, 3):
+        entry [r, p, a, b, c] is d^2 f_a / dx_b dx_c.  Default: central
+        differences of :meth:`jac_x`."""
+        return self._x_difference(self.jac_x, x, q)
 
-        Entry [p, a, b, c] is d^2 f_a / dx_b dx_c.  Default: central
-        differences of :meth:`jac_x`.
-        """
-        return central_difference(lambda d: self.jac_x(x + d, q), np.zeros(3), self._x_steps())
+    # The differences below step every row in one call of fn and return the
+    # step axis last, C-contiguous: einsum and matmul may sum a strided
+    # layout in another order.
 
-    def _q_steps(self, q: Array) -> Array:
-        return np.full(self.n_dof, FD_Q_STEP * max(1.0, float(np.linalg.norm(q))))
+    def _q_difference(self, fn, x: Array, q: Array) -> Array:
+        """Central differences of fn(x, q), (b, ...), in the coordinates:
+        row r steps by FD_Q_STEP max(1, |q[r]|)."""
+        q = self.check_q(q)
+        b, n = q.shape
+        # the norm of each row alone, so that a row's step does not depend on the others
+        h = FD_Q_STEP * np.maximum(1.0, [np.linalg.norm(row) for row in q])
+        dq = h[:, None, None] * np.eye(n)  # row r, step k: h_r e_k
+        f = fn(x, np.concatenate([q[:, None] + dq, q[:, None] - dq], axis=1).reshape(2 * b * n, n))
+        f = f.reshape((b, 2, n) + f.shape[1:])
+        d = (f[:, 0] - f[:, 1]) / (2.0 * h.reshape((b,) + (1,) * (f.ndim - 2)))
+        return np.ascontiguousarray(np.moveaxis(d, 1, -1))
 
-    def _x_steps(self) -> Array:
-        return np.full(3, FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0))
+    def _x_difference(self, fn, x: Array, q: Array) -> Array:
+        """Central differences of fn(x, q), (b, m, ...), in the points x:
+        every coordinate steps by FD_X_STEP max(1, length scale)."""
+        x = np.asarray(x, dtype=float)
+        dx = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0) * np.eye(3)
+        f = fn(np.concatenate([x + d for d in dx] + [x - d for d in dx]), q)
+        f = f.reshape((f.shape[0], 2, 3) + x.shape[:1] + f.shape[2:])
+        return np.ascontiguousarray(np.moveaxis((f[:, 0] - f[:, 1]) / (2.0 * dx[0, 0]), 1, -1))
 
     def nodes(self) -> tuple[Array, Array]:
         """Cached quadrature points (m, 3) and volume weights (m,)."""
@@ -142,10 +141,6 @@ class BodyModel:
             raise ValueError("body coordinates must be finite")
         return q
 
-    def solve_one(self, x: Array, q: Array, sol=None):
-        """``sol``, or the solution at the one configuration q (n_dof,)."""
-        return solution_part(self.solve(x, q[None]), 0) if sol is None else sol
-
 
 class RigidBody(BodyModel):
     """Rigid body: the position map is the identity and n_dof = 0."""
@@ -167,7 +162,7 @@ class RigidBody(BodyModel):
         return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
 
     def jac_x(self, x, q, sol=None):
-        return np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
+        return np.broadcast_to(np.eye(3), (self.check_q(q).shape[0], x.shape[0], 3, 3)).copy()
 
     def hess_x(self, x, q, sol=None):
-        return np.zeros((x.shape[0], 3, 3, 3))
+        return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 3, 3))

@@ -387,16 +387,17 @@ class LvpBody(BodyModel):
         return np.stack([self._jac_q(x, qr) for qr in self.check_q(q)])
 
     def jac_x(self, x, q, sol=None):
-        y = np.asarray(x, dtype=float)
-        q = self.check_q([q])[0]
-        m = y.shape[0]
-        total = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+        x = np.asarray(x, dtype=float)
+        return np.stack([self._jac_x(x, qr) for qr in self.check_q(q)])
+
+    # the primitives take one configuration: a stack is composed row by row
+
+    def _jac_x(self, y: Array, q: Array) -> Array:
+        total = np.broadcast_to(np.eye(3), (y.shape[0], 3, 3)).copy()
         for p in self.primitives:
             total = p.jac_x(y, q) @ total
             y = p.apply(y, q)
         return total
-
-    # the primitives take one configuration: a stack is composed row by row
 
     def _position(self, y: Array, q: Array) -> Array:
         for p in self.primitives:

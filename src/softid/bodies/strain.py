@@ -29,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from ..quadrature import DEFAULT_ORDER, ReferenceDomain
-from ..spatial import cross
+from ..spatial import cross, matvec
 from .base import BodyModel
 
 Array = np.ndarray
@@ -174,10 +174,12 @@ class StrainBasis:
         return self._matrix_ds_fn(np.asarray(s, dtype=float))
 
     def strains(self, s: Array, q: Array) -> Array:
-        return self.matrix(s) @ q + _STRAIN_OFFSET
+        """Strains at the arclengths s (k,) for every row of q (b, n), (b, k, 6)."""
+        return matvec(self.matrix(s), q[:, None]) + _STRAIN_OFFSET
 
     def strains_ds(self, s: Array, q: Array) -> Array:
-        return self.matrix_ds(s) @ q
+        """d strains / ds, same shape as :meth:`strains`."""
+        return matvec(self.matrix_ds(s), q[:, None])
 
 
 def _const_basis(rows: Array) -> StrainBasis:
@@ -410,57 +412,49 @@ class CosseratRodBody(BodyModel):
             out = out + np.einsum("rkab,rkbj->rkaj", R, du)
         return out
 
+    def _section_terms(self, x: Array, q: Array):
+        """Strains xi (b, m, 6), in-plane points u and the arclength
+        derivative of the section point, tangent = sigma + kappa x u
+        (b, m, 3), at the points x for the stack q."""
+        xi = self.basis.strains(x[:, 2], q)
+        u = self.cross_section(x, q)
+        return xi, u, xi[..., 3:] + cross(xi[..., :3], u)
+
     def jac_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q([q])[0]
-        R, _, _, _ = self.solve_one(x, q, sol)
-        s = x[:, 2]
-        xi = self.basis.strains(s, q)
-        u = self.cross_section(x, q[None])[0]
+        q = self.check_q(q)
+        R = (self.solve(x, q) if sol is None else sol)[0]
+        _, _, tangent = self._section_terms(x, q)
         # f' along s: R (sigma + kappa x u); transverse: R e1, R e2
-        tangent = xi[:, 3:] + cross(xi[:, :3], u)
-        out = np.empty((x.shape[0], 3, 3))
-        out[:, :, 0] = R[:, :, 0]
-        out[:, :, 1] = R[:, :, 1]
-        out[:, :, 2] = np.einsum("kab,kb->ka", R, tangent)
+        out = R.copy()
+        out[..., 2] = np.einsum("rkab,rkb->rka", R, tangent)
         return out
 
     def jac_x_dq(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q([q])[0]
-        R, _, dR, _ = self.solve_one(x, q, sol)
-        s = x[:, 2]
-        xi = self.basis.strains(s, q)
-        phi = self.basis.matrix(s)  # (m, 6, n)
-        u = self.cross_section(x, q[None])[0]
-        tangent = xi[:, 3:] + cross(xi[:, :3], u)
-        d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[:, None, :]).transpose(0, 2, 1)
-        out = np.empty((x.shape[0], 3, 3, self.n_dof))
-        out[:, :, 0] = dR[..., 0].swapaxes(1, 2)
-        out[:, :, 1] = dR[..., 1].swapaxes(1, 2)
-        out[:, :, 2] = np.einsum("kjab,kb->kaj", dR, tangent) + R @ d_tangent
+        q = self.check_q(q)
+        R, _, dR, _ = self.solve(x, q) if sol is None else sol
+        _, u, tangent = self._section_terms(x, q)
+        phi = self.basis.matrix(x[:, 2])  # (m, 6, n)
+        d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[..., None, :]).swapaxes(-1, -2)
+        out = np.empty(R.shape + (self.n_dof,))
+        out[..., :2, :] = dR[..., :2].transpose(0, 1, 3, 4, 2)
+        out[..., 2, :] = np.einsum("rkjab,rkb->rkaj", dR, tangent) + R @ d_tangent
         return out
 
     def hess_x(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
-        q = self.check_q([q])[0]
-        R, _, _, _ = self.solve_one(x, q, sol)
-        s = x[:, 2]
-        xi = self.basis.strains(s, q)
-        dxi = self.basis.strains_ds(s, q)
-        kap, sig = xi[:, :3], xi[:, 3:]
-        u = self.cross_section(x, q[None])[0]
-        out = np.zeros((x.shape[0], 3, 3, 3))
-        d13 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([1.0, 0, 0], kap.shape)))
-        d23 = np.einsum("kab,kb->ka", R, cross(kap, np.broadcast_to([0, 1.0, 0], kap.shape)))
-        d33 = np.einsum(
-            "kab,kb->ka",
-            R,
-            cross(kap, sig + cross(kap, u)) + dxi[:, 3:] + cross(dxi[:, :3], u),
-        )
-        out[:, :, 0, 2] = out[:, :, 2, 0] = d13
-        out[:, :, 1, 2] = out[:, :, 2, 1] = d23
-        out[:, :, 2, 2] = d33
+        q = self.check_q(q)
+        R = (self.solve(x, q) if sol is None else sol)[0]
+        xi, dxi = self.basis.strains(x[:, 2], q), self.basis.strains_ds(x[:, 2], q)
+        kap, sig = xi[..., :3], xi[..., 3:]
+        u = self.cross_section(x, q)
+        # d/dx3 of the columns f_x1, f_x2, f_x3: the only non-zero second derivatives
+        columns = (cross(kap, [1.0, 0.0, 0.0]), cross(kap, [0.0, 1.0, 0.0]),
+                   cross(kap, sig + cross(kap, u)) + dxi[..., 3:] + cross(dxi[..., :3], u))
+        out = np.zeros(R.shape + (3,))
+        for c, column in enumerate(columns):
+            out[..., c, 2] = out[..., 2, c] = np.einsum("rkab,rkb->rka", R, column)
         return out
 
 

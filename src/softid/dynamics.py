@@ -18,9 +18,9 @@ The per-body terms read the forward pass's integrals of each body
 differences a body map again.  A link's kinematic stage and its stress
 terms depend on its own coordinates alone and form its
 :class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`
-for one state or a stack of states of the link from one body solve), which
-a sweep takes as an argument or builds before its forward pass; the
-result's ``cache.stages`` holds them.
+for one state or a stack of states of the link from one body solve and one
+stress pass), which a sweep takes as an argument or builds before its
+forward pass; the result's ``cache.stages`` holds them.
 
 Every function here takes one state or a stack of states (b, n), whose row
 axis leads every array; a stage without rows broadcasts against stacked
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies.base import solution_part
 from .bodies.integrals import BodyInertialData
 from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
 from .spatial import cross, matvec, skew
@@ -99,11 +98,12 @@ def _joint_rows(pi_body: Array, n_joint: int) -> Array:
     return np.concatenate([np.zeros(pi_body.shape[:-1] + (n_joint,)), pi_body], axis=-1)
 
 
-def _div_green(model, x: Array, qb: Array, sol=None) -> Array:
-    """Row-wise divergence of the Green tensor B = (df/dx)(df/dx)^T, (m, 3)."""
-    F = model.jac_x(x, qb, sol)
-    H = model.hess_x(x, qb, sol)
-    return np.einsum("macb,mbc->ma", H, F) + np.einsum("mac,mbcb->ma", F, H)
+def _div_green(model, x: Array, q: Array, sol=None) -> Array:
+    """Row-wise divergence of the Green tensor B = (df/dx)(df/dx)^T at the
+    points x for every row of the stack q, (b, m, 3)."""
+    F = model.jac_x(x, q, sol)
+    H = model.hess_x(x, q, sol)
+    return np.einsum("...macb,...mbc->...ma", H, F) + np.einsum("...mac,...mbcb->...ma", F, H)
 
 
 def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Array,
@@ -117,29 +117,41 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
     deformation gradient F = df/dx, giving the generalized force
     dR/dqd = 2 eta C int (dF/dq) : F_dot dV.  It acts on the body's own
     coordinates only (no wrench) and is positive semi-definite.  ``data`` is
-    the forward pass's integrals of the body at one state (qb, qdb), whose
-    evaluation the stress pass reuses; the body must have an elastic
-    modulus.  Returns
-    ((F_e, T_e, pi_e), (F_d, T_d, pi_d)) with pi the active projections.
+    the forward pass's integrals of the body at one state (qb, qdb) or a
+    stack of states (b, n_body), whose evaluation the stress pass reuses in
+    one call of each material derivative (the damping's on the moving rows
+    alone); the body must have an elastic modulus.  Returns ((F_e, T_e,
+    pi_e), (F_d, T_d, pi_d)) with pi the active projections, with the
+    states' leading axes.
     """
     model = handle.model
+    lead = qb.shape[:-1]
+
+    def rows(a):  # the array with a row axis, which one state lacks
+        return a if lead else a[None]
+
     # the sweep's solve at the nodes alone: differences in x would step the
     # end-face anchors off the domain
-    sol = solution_part(data.ev.sol, slice(handle.n_anchors, None))
+    sol = None if data.ev.sol is None else tuple(rows(a)[:, handle.n_anchors:] for a in data.ev.sol)
+    q, qd = rows(qb), rows(qdb)
 
     w = data.weights_mass / model.rho
     C = model.elastic_modulus
-    dens_e = 2.0 * C * _div_green(model, data.nodes, qb, sol)
-    pi_d = np.zeros(model.n_dof)
-    if model.viscosity is not None and np.any(qdb):
-        dF = model.jac_x_dq(data.nodes, qb, sol)  # (m, 3, 3, n_body)
-        pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,mabj,mab->j", w, dF, dF @ qdb)
-    damping = (np.zeros(3), np.zeros(3), _joint_rows(pi_d, n_joint))
+    dens_e = 2.0 * C * _div_green(model, data.nodes, q, sol)
+    pi_d = np.zeros(q.shape)
+    moving = qd.any(-1)
+    if model.viscosity is not None and moving.any():
+        moving = slice(None) if moving.all() else np.flatnonzero(moving)
+        dF = model.jac_x_dq(data.nodes, q[moving], None if sol is None else tuple(a[moving] for a in sol))
+        pi_d[moving] = (-2.0 * model.viscosity * C) * np.einsum(
+            "m,rmabj,rmab->rj", w, dF, matvec(dF, qd[moving, None, None]))
 
-    dens_e = dens_e @ data.ev.frame[0]  # rotate per-node densities into {S_i}
-    pi_e = np.einsum("m,maj,ma->j", w, data.ev.jac, dens_e)
-    elastic = (w @ dens_e, w @ cross(data.r, dens_e), _joint_rows(pi_e, n_joint))
-    return elastic, damping
+    dens_e = dens_e @ rows(data.ev.frame[0])  # rotate per-node densities into {S_i}
+    pi_e = np.einsum("m,rmaj,rma->rj", w, rows(data.ev.jac), dens_e)
+    zero = np.zeros(q.shape[:1] + (3,))
+    terms = ((w @ dens_e, w @ cross(rows(data.r), dens_e), pi_e), (zero, zero, pi_d))
+    return tuple(tuple(a.reshape(lead + a.shape[1:]) for a in (F, T, _joint_rows(pi, n_joint)))
+                 for F, T, pi in terms)
 
 
 def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
@@ -182,17 +194,15 @@ def _cases(v: Array, stack: Array) -> Array:
 def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> LinkStage:
     """Stage of link i at the checked states, one state (n,) or a stack
     (b, n), from one body solve (:func:`~softid.kinematics.link_stage`), with
-    the stress terms of an elastic body, row by row, when ``stress``."""
+    the stress terms of an elastic body, one pass over all states, when
+    ``stress``."""
     st = link_stage(chain, i, q, qd, qdd)
     lk = chain.links[i]
     if not (stress and lk.body.model.elastic_modulus is not None):
         return st
     nj = lk.joint.n_dof
     body = slice(chain.slice(i).start + nj, chain.slice(i).stop)
-    if q.ndim == 1:
-        return st._replace(stress=stress_terms(lk.body, st.data, q[body], qd[body], nj))
-    rows = [stress_terms(lk.body, st.data.take(r), q[r, body], qd[r, body], nj) for r in range(q.shape[0])]
-    return st._replace(stress=tuple(tuple(np.stack(part) for part in zip(*wrench)) for wrench in zip(*rows)))
+    return st._replace(stress=stress_terms(lk.body, st.data, q[..., body], qd[..., body], nj))
 
 
 def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None) -> list[LinkStage]:

@@ -146,11 +146,11 @@ def oracle_stress(chain: ChainModel, q, qd) -> Array:
         _, qb = chain.split(i, q)
         _, qdb = chain.split(i, qd)
         _, w = model.nodes()
-        dens = 2.0 * model.elastic_modulus * _div_green(model, pts[i], qb)
+        dens = 2.0 * model.elastic_modulus * _div_green(model, pts[i], [qb])[0]
         dens_base = dens @ frames[i]["joint"].rotation.T
         out -= np.einsum("m,maj,ma->j", w, jacs[i], dens_base)
         if model.viscosity is not None and np.any(qdb):
-            dF = _conf_gradient(lambda qv: model.jac_x(pts[i], qv), qb)
+            dF = _conf_gradient(lambda qv: model.jac_x(pts[i], [qv])[0], qb)
             body = slice(chain.slice(i).start + lk.joint.n_dof, chain.slice(i).stop)
             out[body] += (2.0 * model.viscosity * model.elastic_modulus) * np.einsum(
                 "m,mabj,mab->j", w, dF, dF @ qdb)

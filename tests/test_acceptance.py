@@ -334,7 +334,7 @@ def test_criterion_8_structural_invariants():
     worst_det = 0.0
     for _ in range(10):
         qb = rng.uniform(-1.0, 1.0, 3)
-        det = np.linalg.det(model.jac_x(pts, qb))
+        det = np.linalg.det(model.jac_x(pts, [qb])[0])
         worst_det = max(worst_det, float(np.abs(det - 1.0).max()))
 
     # (d) centroid integrals on the soft fixtures

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from softid import model_io, presets
+from softid import dynamics, model_io, presets
 from softid.actuation import ChamberActuation, TendonActuation
 from softid.bodies import CosseratRodBody
 from softid.bodies.base import central_difference
@@ -262,6 +262,48 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
     # the 2 n_i column points of a link are one stack: at rest the dynamics
     # and the tendons solve its body once each
     assert Counter(calls) == Counter({lk.body.model: 2 for lk in chain.links})
+
+
+def count_stress_calls(monkeypatch):
+    """Calls of the stress pass and of the rod's material derivatives, by
+    (name, body model)."""
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            model = args[0].model if name == "stress_terms" else args[0]
+            calls[name, model] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(dynamics, "stress_terms", counting("stress_terms", dynamics.stress_terms))
+    for name in ("jac_x", "hess_x", "jac_x_dq"):
+        monkeypatch.setattr(CosseratRodBody, name, counting(name, getattr(CosseratRodBody, name)))
+    return calls
+
+
+def test_force_jacobians_take_the_stress_once_per_link(monkeypatch):
+    # the 4 n_i column points of a link are one stress pass over every row:
+    # one call of each material derivative (a count holds under host load)
+    chain = FD_CHAINS["pcc_3"]()
+    q, qd = fd_state(chain, 1)
+    base = chain_dynamics(chain, q, qd, None, mass=True).cache.stages
+    calls = count_stress_calls(monkeypatch)
+    _force_jacobians(chain, q, qd, base)
+    names = ("stress_terms", "jac_x", "hess_x", "jac_x_dq")
+    assert calls == Counter({(name, lk.body.model): 1 for name in names for lk in chain.links})
+
+
+def test_statics_jacobian_takes_the_stress_once_per_link(monkeypatch):
+    # at rest the damping pass is skipped: no jac_x_dq
+    chain = FD_CHAINS["pcc_3"]()
+    residual = _equilibrium(chain, three_tendons(chain), np.array([1.0, 0.5, 0.2]))
+    q, _ = fd_state(chain, 2)
+    _, base = residual(q)
+    calls = count_stress_calls(monkeypatch)
+    assert _statics_jacobian(residual, q, base) is not None
+    names = ("stress_terms", "jac_x", "hess_x")
+    assert calls == Counter({(name, lk.body.model): 1 for name in names for lk in chain.links})
 
 
 @pytest.mark.parametrize("name", sorted(FD_CHAINS))

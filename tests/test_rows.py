@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softid.actuation import ChamberActuation
 from softid.bodies import BodyModel
 from softid import presets
 from softid.bodies.base import central_difference
@@ -92,6 +93,17 @@ def test_body_map_rows_equal_single_rows(kind, b):
             assert np.array_equal(f[r], model.position(x, one)[0])
             assert np.array_equal(jq[r], model.jac_q(x, one)[0])
             assert same(ev.take(r), handle.evaluate(one).take(0))
+        # the material derivatives at the nodes (steps in x would leave the
+        # domain at the end-face anchors), from the stacked solve there
+        nodes = model.nodes()[0]
+        sol = model.solve(nodes, qb)
+        for name, trailing in (("jac_x", (3, 3)), ("jac_x_dq", (3, 3, model.n_dof)), ("hess_x", (3, 3, 3))):
+            method = getattr(model, name)
+            stacked = method(nodes, qb, sol)
+            assert stacked.shape == (b, nodes.shape[0]) + trailing, name
+            for r in range(b):
+                one = qb[r:r + 1]
+                assert np.array_equal(stacked[r], method(nodes, one, model.solve(nodes, one))[0]), (name, r)
 
 
 def stage_row(st, r):
@@ -114,6 +126,23 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
             alone = _stage(chain, i, q[r], qd[r], qdd[r], True)
             assert alone.R_rel.shape == (3, 3)
             assert same(stage_row(stage, r), alone), (i, r)
+
+
+@pytest.mark.parametrize("b", ROWS)
+def test_chamber_stage_rows_equal_states_staged_alone(b):
+    # a chamber on every body, and a second one on the middle body
+    chain = chain_of("variable_radius")
+    cavity = ReferenceDomain.cylinder(0.008, 0.2)
+    act = ChamberActuation([(0, cavity), (1, cavity), (1, ReferenceDomain.cylinder(0.004, 0.1)),
+                            (2, cavity)], quadrature_order=(2, 4, 3))
+    q, _, _ = stacked_states(chain, b, seed=20 + b)
+    for i in range(len(chain)):
+        stage = act.link_stage(chain, i, q)
+        assert [v.shape for v, _ in stage] == [(b,)] * (2 if i == 1 else 1)
+        for r in range(b):
+            alone = act.link_stage(chain, i, q[r])
+            assert alone[0][0].shape == ()
+            assert same([(v[r, ...], g[r]) for v, g in stage], alone), (i, r)
 
 
 def block_states(chain, q, qd, qdd, i, b, seed):
