@@ -3,20 +3,21 @@
 Virtual work fixes the projection: with actuator lengths l(q) (or chamber
 volumes V(q)), the generalized actuation force is nu = A(q) u with
 A(q) = (dl/dq)^T, so that dq^T nu = dl^T u for every virtual displacement.
-Each map gets l and dl/dq analytically from one body solve per body at q: a
-per-link stage that depends on the link's own coordinates alone, then the
-composition along the chain.  Like the dynamics sweep, a map takes one state
-(n,) or a stack of states (b, n), and a stage without rows broadcasts
-against stacked ones; a row equals the state alone, bitwise.
+Each map gets l and dl/dq analytically from the links' stages
+(:func:`~softid.kinematics.link_stage`), which solve the map's material
+points with their bodies and keep the map's terms of each link; the map
+composes them along the chain and evaluates no body itself.  Like the
+dynamics sweep, a map takes one state (n,) or a stack of states (b, n), and
+a stage without rows broadcasts against stacked ones; a row equals the
+state alone, bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kinematics  # link_jacobians through the module, so wrappers on it see the calls
 from .errors import NonOrthonormalFrameError
-from .kinematics import ChainModel
+from .kinematics import ChainModel, link_stage
 from .quadrature import ReferenceDomain
 from .spatial import cross, is_rotation, matvec
 
@@ -24,36 +25,37 @@ Array = np.ndarray
 
 
 class ActuationMap:
-    """Base: per-input scalar functions of the configuration and their gradients."""
+    """Base: per-input scalar functions of the configuration and their
+    gradients.  A map's material points on body i, ``points_on(i)`` (m, 3),
+    are solved in link i's stage, which keeps the map's terms of the link,
+    ``link_terms(chain, i, q, at_x)`` (``at_x`` as in
+    :class:`~softid.kinematics.BodyEval`, leading rows the states of q).
+    ``_measure(chain, q, stage)`` gives the lengths (or volumes) l
+    (..., n_inputs) and dl/dq (..., n_inputs, n) from the stages
+    ``stage(i)`` of the links it reads; ``owner`` holds the body of each
+    via point or chamber.
+    """
 
     n_inputs: int = 0
 
-    def link_stage(self, chain: ChainModel, i: int, q: Array):
-        """The map's terms of link i at the checked q, from link i's coordinates alone."""
-        raise NotImplementedError
-
-    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
-        """Actuator lengths (or volumes) l, shape (..., n_inputs), and dl/dq,
-        (..., n_inputs, n)."""
-        raise NotImplementedError
-
-    def stages(self, chain: ChainModel, q: Array, base=None, link=None) -> list:
-        """:meth:`link_stage` of every link at q; ``base`` and ``link`` as in
-        :meth:`ChainModel.stages`."""
+    def _at(self, chain: ChainModel, q: Array, stages):
+        """:meth:`_measure` at q from ``stages``, the links' stages at q with
+        this map's terms (:func:`~softid.dynamics.link_stages`); when None,
+        the links the map reads are staged here."""
         (q,) = chain.check_state(q)
-        return chain.stages(lambda i: self.link_stage(chain, i, q), base, link)
+        if self.owner.max(initial=-1) >= len(chain):
+            raise ValueError(f"an actuator is on body {self.owner.max()} of a {len(chain)}-body chain")
+        return self._measure(chain, q, stages.__getitem__ if stages is not None else
+                             lambda i: link_stage(chain, i, q, np.zeros_like(q), np.zeros_like(q), self))
 
     def lengths(self, chain: ChainModel, q: Array) -> Array:
         """Actuator length (or volume) per input, shape (..., n_inputs)."""
-        (q,) = chain.check_state(q)
-        return self._measure(chain, q, self.stages(chain, q))[0]
+        return self._at(chain, q, None)[0]
 
     def matrix(self, chain: ChainModel, q: Array, stages=None) -> Array:
-        """Projection A(q) = (dl/dq)^T, shape (..., n, n_inputs); ``stages``
-        are :meth:`stages` at q, computed here when None."""
-        (q,) = chain.check_state(q)
-        dl = self._measure(chain, q, self.stages(chain, q) if stages is None else stages)[1]
-        return dl.swapaxes(-1, -2)
+        """Projection A(q) = (dl/dq)^T, shape (..., n, n_inputs), from
+        ``stages`` as in :meth:`_at`."""
+        return self._at(chain, q, stages)[1].swapaxes(-1, -2)
 
 
 class TendonActuation(ActuationMap):
@@ -78,22 +80,16 @@ class TendonActuation(ActuationMap):
         self.starts = np.flatnonzero(tendon[:-1] == tendon[1:])
         self.incidence = (tendon[self.starts] == np.arange(self.n_inputs)[:, None]).astype(float)
 
-    def link_stage(self, chain: ChainModel, i: int, q: Array):
-        """One :meth:`BodyHandle.place` of body i at its via points for every
-        state of q: their images f and df/dq, the joint transform (Rj, tj),
-        and the link transform with its Jacobians
-        (:func:`~softid.kinematics.link_jacobians`)."""
-        lk = chain.links[i]
-        qi = q[..., chain.slice(i)]
-        nj = lk.joint.n_dof
-        rows = 0 if q.ndim == 1 else slice(None)
-        q2 = qi[None] if qi.ndim == 1 else qi
-        _, frame, f, jq = lk.body.place(q2[:, nj:], self.points[self.owner == i])
-        R_rel, t_rel, Jt, Jw = kinematics.link_jacobians(lk.joint, frame, q2)
-        return (f[rows], jq[rows], *lk.joint.transform(qi[..., :nj]),
-                R_rel[rows], t_rel[rows], Jt[rows], Jw[rows])
+    def points_on(self, i: int) -> Array:
+        return self.points[self.owner == i]
 
-    def _via_points(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
+    def link_terms(self, chain: ChainModel, i: int, q: Array, at_x):
+        """The images f and df/dq of the via points on body i and the joint
+        transform (Rj, tj)."""
+        joint, rows = chain.links[i].joint, 0 if q.ndim == 1 else slice(0, q.shape[0])
+        return (at_x[1][rows], at_x[2][rows], *joint.transform(q[..., chain.slice(i)][..., :joint.n_dof]))
+
+    def _via_points(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
         """Base-frame via points (..., m, 3) and their q-Jacobians
         (..., m, 3, n) at the states q, composed link to link from the
         stages.  (Jo, Jw) are the base-frame origin and angular-velocity
@@ -101,14 +97,14 @@ class TendonActuation(ActuationMap):
         Jo + Jw x (p - o); the link's own coordinates add the joint's
         rotation or slide and R_J df/dq.
         """
-        if self.owner.max() >= len(chain):
-            raise ValueError(f"a via point is on body {self.owner.max()} of a {len(chain)}-body chain")
         lead = q.shape[:-1]
         p = np.broadcast_to(chain.base.apply(self.points), lead + self.points.shape).copy()
         J = np.zeros(p.shape + (chain.n,))
         Jo, Jw = np.zeros((2,) + lead + (3, chain.n))
         R, t = chain.base.rotation, chain.base.translation  # {S_{i-1}} in the base
-        for i, (lk, (f, jq, Rj, tj, R_rel, t_rel, Jt_rel, Jw_rel)) in enumerate(zip(chain.links, stages)):
+        for i, lk in enumerate(chain.links):
+            st = stage(i)
+            (f, jq, Rj, tj), R_rel, t_rel = st.actuation, st.R_rel, st.t_rel
             sl = chain.slice(i)
             nj = lk.joint.n_dof
             mine = self.owner == i
@@ -123,15 +119,15 @@ class TendonActuation(ActuationMap):
             J[..., mine, :, :] = Ji
             # carry the frame Jacobians on to {S_i}
             Jo = Jo + cross(Jw.swapaxes(-1, -2), matvec(R, t_rel)[..., None, :]).swapaxes(-1, -2)
-            Jo[..., sl] += R @ Jt_rel
-            Jw[..., sl] += R @ Jw_rel
+            Jo[..., sl] += R @ st.Jt
+            Jw[..., sl] += R @ st.Jw
             R, t = R @ R_rel, t + matvec(R, t_rel)
             if not (is_rotation(R_rel) and is_rotation(R)):
                 raise NonOrthonormalFrameError("rotation block is not orthonormal")
         return p, J
 
-    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
-        p, J = self._via_points(chain, q, stages)
+    def _measure(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
+        p, J = self._via_points(chain, q, stage)
         a, b = self.starts, self.starts + 1
         seg = p[..., b, :] - p[..., a, :]
         norm = np.linalg.norm(seg, axis=-1)
@@ -147,32 +143,35 @@ class ChamberActuation(ActuationMap):
     Each chamber is (body_index, subdomain): the deformed volume is the
     integral of det(df/dx) over the subdomain of that body's material
     coordinates.  Inputs are gauge pressures.  The volume gradient is
-    dV/dq = int tr(adj(F) dF/dq) dV_0, on the chamber body's own coordinates.
-    A stack of states takes one body solve and one call of ``jac_x`` and of
-    ``jac_x_dq`` per chamber.
+    dV/dq = int tr(adj(F) dF/dq) dV_0, on the chamber body's own coordinates,
+    from the stage's solution at the chamber's nodes and one call of
+    ``jac_x`` and of ``jac_x_dq`` per chamber.
     """
 
     def __init__(self, chambers, quadrature_order=4):
-        self.chambers = [(int(bi), dom) for bi, dom in chambers]
-        for bi, dom in self.chambers:
+        chambers = [(int(bi), dom) for bi, dom in chambers]
+        for bi, dom in chambers:
             if bi < 0:
                 raise ValueError(f"chamber body index must be non-negative, got {bi}")
             if not isinstance(dom, ReferenceDomain):
                 raise TypeError("chamber subdomain must be a ReferenceDomain")
-        self.order = quadrature_order
-        self.n_inputs = len(self.chambers)
+        self.owner = np.array([bi for bi, _ in chambers], dtype=int)
+        self.nodes = [dom.nodes(quadrature_order) for _, dom in chambers]
+        self.n_inputs = len(chambers)
 
-    def link_stage(self, chain: ChainModel, i: int, q: Array):
+    def points_on(self, i: int) -> Array:
+        return np.concatenate([np.zeros((0, 3))] + [p for bi, (p, _) in zip(self.owner, self.nodes) if bi == i])
+
+    def link_terms(self, chain: ChainModel, i: int, q: Array, at_x):
         """Volume and volume gradient on body i's own coordinates of each
-        chamber on body i, in chamber order, with the leading axes of q,
-        from one solve per chamber over every state."""
+        chamber on body i, in chamber order, with the leading axes of q."""
         model = chain.links[i].body.model
         lead = q.shape[:-1]
         qb = q[..., chain.slice(i)][..., chain.links[i].joint.n_dof:].reshape(-1, model.n_dof)
-        out = []
-        for dom in (dom for bi, dom in self.chambers if bi == i):
-            pts, w = dom.nodes(self.order)
-            sol = model.solve(pts, qb)
+        out, start = [], 0
+        for pts, w in (nodes for bi, nodes in zip(self.owner, self.nodes) if bi == i):
+            sol = None if at_x[0] is None else tuple(a[:len(qb), start:start + len(pts)] for a in at_x[0])
+            start += len(pts)
             F = model.jac_x(pts, qb, sol)
             # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
             cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
@@ -182,15 +181,12 @@ class ChamberActuation(ActuationMap):
             out.append((volumes.reshape(lead), grads.reshape(lead + (model.n_dof,))))
         return out
 
-    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
-        last = max((bi for bi, _ in self.chambers), default=-1)
-        if last >= len(chain):
-            raise ValueError(f"a chamber is on body {last} of a {len(chain)}-body chain")
+    def _measure(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
         lead = q.shape[:-1]
         volumes = np.empty(lead + (self.n_inputs,))
         grad = np.zeros(lead + (self.n_inputs, chain.n))
-        per_body = [iter(st) for st in stages]
-        for c, (bi, _) in enumerate(self.chambers):
+        per_body = {bi: iter(stage(bi).actuation) for bi in dict.fromkeys(self.owner.tolist())}
+        for c, bi in enumerate(self.owner.tolist()):
             volumes[..., c], g = next(per_body[bi])
             body = chain.slice(bi)
             grad[..., c, body.start + chain.links[bi].joint.n_dof:body.stop] = g

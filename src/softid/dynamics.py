@@ -191,12 +191,13 @@ def _cases(v: Array, stack: Array) -> Array:
 
 # -- main evaluation pipeline ---------------------------------------------------
 
-def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool) -> LinkStage:
+def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool,
+           actuation=None) -> LinkStage:
     """Stage of link i at the checked states, one state (n,) or a stack
-    (b, n), from one body solve (:func:`~softid.kinematics.link_stage`), with
-    the stress terms of an elastic body, one pass over all states, when
-    ``stress``."""
-    st = link_stage(chain, i, q, qd, qdd)
+    (b, n), from one body solve (:func:`~softid.kinematics.link_stage`, with
+    the terms of ``actuation`` when given), with the stress terms of an
+    elastic body, one pass over all states, when ``stress``."""
+    st = link_stage(chain, i, q, qd, qdd, actuation)
     lk = chain.links[i]
     if not (stress and lk.body.model.elastic_modulus is not None):
         return st
@@ -205,16 +206,19 @@ def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: b
     return st._replace(stress=stress_terms(lk.body, st.data, q[..., body], qd[..., body], nj))
 
 
-def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None) -> list[LinkStage]:
-    """The links' stages at a state or a stack of states, stress terms
-    included, for :func:`chain_dynamics`.
+def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None,
+                actuation=None) -> list[LinkStage]:
+    """The links' stages at a state or a stack of states, stress terms and
+    the terms of an ``actuation`` map included, for :func:`chain_dynamics`.
 
     ``base`` holds the stages of a state that differs from these only in
-    the block of link ``link``; then only that link is staged again
-    (:meth:`ChainModel.stages`).
+    the block of link ``link``; then only that link is staged again and
+    every other stage is taken from ``base``.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    return chain.stages(lambda i: _stage(chain, i, q, qd, qdd, True), base, link)
+    if base is None:
+        return [_stage(chain, i, q, qd, qdd, True, actuation) for i in range(len(chain))]
+    return base[:link] + [_stage(chain, link, q, qd, qdd, True, actuation)] + base[link + 1:]
 
 
 def chain_dynamics(
@@ -241,7 +245,7 @@ def chain_dynamics(
     q, qd, qdd = chain.check_state(q, qd, qdd)
     lead = q.shape[:-1]
     if stages is None:
-        stages = chain.stages(lambda i: _stage(chain, i, q, qd, qdd, stress))
+        stages = [_stage(chain, i, q, qd, qdd, stress) for i in range(len(chain))]
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),

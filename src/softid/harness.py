@@ -92,35 +92,32 @@ class Trajectory:
 def _force_jacobians(chain, q, qd, base):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s.
 
-    Central differences at steps ``FORCE_JACOBIAN_STEP * max(1, |x_k|)``.
-    ``base`` are the stages of the sweep at (q, qd) with zero acceleration
-    (``DynamicsResult.cache.stages``).  The 4 n_i column points of link i,
-    (q +- h e_k, qd) and (q, qd +- h e_k) for its coordinates k, are one
-    stacked stage (one body solve) and one sweep, which takes every other
-    link's stage from ``base``.  Those depend on their own coordinates alone
-    and a row of a stacked sweep equals the sweep at that point alone, so K
-    and D are bitwise equal to differences of full sweeps.
+    Central differences in x = (q, qd) at steps ``FORCE_JACOBIAN_STEP *
+    max(1, |x_k|)`` (:func:`_fd_columns`).  ``base`` are the stages of the
+    sweep at (q, qd) with zero acceleration (``DynamicsResult.cache.stages``).
+    The 4 n_i column points of link i, (q +- h e_k, qd) and (q, qd +- h e_k),
+    are one stacked stage (one body solve) and one sweep, which takes every
+    other link's stage from ``base``.  Those depend on their own coordinates
+    alone and a stacked row equals the sweep at that point alone, so K and D
+    are bitwise equal to differences of full sweeps.
     """
     n = chain.n
+    x = np.concatenate([q, qd])
     K, D = np.empty((n, n)), np.empty((n, n))
     for i in range(len(chain)):
         cols = np.arange(n)[chain.slice(i)]
-        m = cols.size
-        if not m:
+        if not cols.size:
             continue
-        hq = FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(q[cols]))
-        hv = FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(qd[cols]))
-        # point blocks K plus, K minus, D plus, D minus; row e of a block steps cols[e]
-        e = np.arange(m)
-        dq, dv = np.zeros((2, 4, m, n))
-        dq[0, e, cols], dq[1, e, cols] = hq, -hq
-        dv[2, e, cols], dv[3, e, cols] = hv, -hv
-        qs, vs = (q + dq).reshape(4 * m, n), (qd + dv).reshape(4 * m, n)
-        # no name holds the stage: the next link is staged without it
-        F = chain_dynamics(chain, qs, vs, None,
-                           stages=link_stages(chain, qs, vs, base=base, link=i)).force.reshape(4, m, n)
-        K[:, cols] = ((F[0] - F[1]) / (2.0 * hq[:, None])).T
-        D[:, cols] = ((F[2] - F[3]) / (2.0 * hv[:, None])).T
+
+        def bias(xs, i=i):
+            qs, vs = xs[:, :n], xs[:, n:]
+            # no name holds the stage: the next link is staged without it
+            return chain_dynamics(chain, qs, vs, None,
+                                  stages=link_stages(chain, qs, vs, base=base, link=i)).force
+
+        both = np.concatenate([cols, n + cols])
+        block = _fd_columns(bias, x, both, FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(x[both])))
+        K[:, cols], D[:, cols] = block[:, :cols.size], block[:, cols.size:]
     return K, D
 
 
@@ -269,47 +266,45 @@ def simulate(
 def _equilibrium(chain: ChainModel, actuation, u):
     """The equilibrium residual r(q) = ID(q, 0, 0) - A(q) u of :func:`solve_statics`.
 
-    Returns residual(qv, base=(None, None), link=None) -> (r, stages) at one
-    state or at a stack of states (b, n), where stages pairs the dynamics
-    stages (:func:`link_stages`) with the actuation map's; (None, None)
+    Returns residual(qv, base=None, link=None) -> (r, stages) at one state
+    or at a stack of states (b, n), where stages are :func:`link_stages`
+    with the actuation map's terms, one body solve per link; (None, None)
     marks points where the chain cannot be evaluated (a typed error or a
     non-finite row).  ``base`` and ``link``: the stages of a residual at a
     point that differs from qv only in the block of link ``link``, which
     alone is staged again.
     """
-    def residual(qv, base=(None, None), link=None):
+    def residual(qv, base=None, link=None):
         try:
-            dyn = link_stages(chain, qv, base=base[0], link=link)
-            r = inverse_dynamics(chain, qv, None, None, stages=dyn)
-            act = None
+            stages = link_stages(chain, qv, base=base, link=link, actuation=actuation)
+            r = inverse_dynamics(chain, qv, None, None, stages=stages)
             if actuation is not None:
                 if callable(u):
                     uv = np.apply_along_axis(u, -1, qv)
                 else:
                     uv = np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float)
-                act = actuation.stages(chain, qv, base[1], link)
-                r = r - matvec(actuation.matrix(chain, qv, act), uv)
+                r = r - matvec(actuation.matrix(chain, qv, stages), uv)
         except (SoftIDError, np.linalg.LinAlgError):
             return None, None
-        return (r, (dyn, act)) if np.all(np.isfinite(r)) else (None, None)
+        return (r, stages) if np.all(np.isfinite(r)) else (None, None)
 
     return residual
 
 
-def _fd_columns(residual, q: Array, base, link: int, cols: Array, h: Array):
-    """Central-difference columns (r(q + h_k e_k) - r(q - h_k e_k)) / 2 h_k
-    of the residual for the coordinates ``cols`` of link ``link``, from one
-    residual call on the 2 m stacked points; None where it cannot be
-    evaluated."""
-    m, n = cols.size, q.shape[0]
+def _fd_columns(fn, x: Array, cols: Array, h: Array):
+    """Central-difference columns (fn(x + h_k e_k) - fn(x - h_k e_k)) / 2 h_k
+    for the coordinates ``cols`` of x, from one call of ``fn`` on the 2 m
+    stacked points (a stack (2 m, len(x)) to a stack of values); None where
+    ``fn`` returns None."""
+    m = cols.size
     e = np.arange(m)
-    dq = np.zeros((2, m, n))
-    dq[0, e, cols], dq[1, e, cols] = h, -h
-    r = residual((q + dq).reshape(2 * m, n), base, link)[0]
-    if r is None:
+    dx = np.zeros((2, m, x.shape[0]))
+    dx[0, e, cols], dx[1, e, cols] = h, -h
+    f = fn((x + dx).reshape(2 * m, -1))
+    if f is None:
         return None
-    r = r.reshape(2, m, n)
-    return ((r[0] - r[1]) / (2.0 * h[:, None])).T
+    f = f.reshape(2, m, -1)
+    return ((f[0] - f[1]) / (2.0 * h[:, None])).T
 
 
 def _statics_jacobian(residual, q: Array, base):
@@ -317,29 +312,32 @@ def _statics_jacobian(residual, q: Array, base):
     whose stages are ``base``; None if some column is unevaluable.
 
     Column k steps q_k by 1e-6 max(1, |q_k|).  The columns of one link are
-    one stacked residual that stages only that link again; if that stack
-    leaves the domain, its columns are taken one at a time, each by 1e-8
-    max(1, |q_k|) where the larger step leaves the domain.  A row of a stack
-    equals the residual at that point alone, so the Jacobian is bitwise
-    equal to differences of full residuals.
+    one stacked residual (:func:`_fd_columns`) that stages only that link
+    again; if that stack leaves the domain, its columns are taken one at a
+    time, each by 1e-8 max(1, |q_k|) where the larger step leaves the
+    domain.  A row of a stack equals the residual at that point alone, so
+    the Jacobian is bitwise equal to differences of full residuals.
     """
     n = q.shape[0]
     J = np.empty((n, n))
+
+    def columns(i, cols, step):
+        return _fd_columns(lambda qs: residual(qs, base, i)[0], q, cols, step * np.maximum(1.0, np.abs(q[cols])))
+
     stop = 0
-    for i, st in enumerate(base[0]):
+    for i, st in enumerate(base):
         # link i owns the coordinates of its stage's Jacobian columns
         cols = np.arange(stop, stop + st.Jt.shape[-1])
         stop += cols.size
         if not cols.size:
             continue
-        block = _fd_columns(residual, q, base, i, cols, 1e-6 * np.maximum(1.0, np.abs(q[cols])))
+        block = columns(i, cols, 1e-6)
         if block is not None:
             J[:, cols] = block
             continue
         for k in cols:
-            one = np.array([k])
             for step in (1e-6, 1e-8):
-                col = _fd_columns(residual, q, base, i, one, step * np.maximum(1.0, np.abs(q[one])))
+                col = columns(i, np.array([k]), step)
                 if col is not None:
                     break
             else:
@@ -370,8 +368,8 @@ def solve_statics(
     The Jacobian is finite-differenced from the residual
     (:func:`_statics_jacobian`): the columns of one link are one residual
     at their stacked points, which stages only that link again and takes
-    every other link's stages, dynamics and actuation, from the residual
-    already computed at the iterate.  Steps use a
+    every other link's stage, whose one body solve serves the dynamics and
+    the actuation map, from the residual at the iterate.  Steps use a
     backtracking line search on the residual norm.  An iterate counts as
     converged when the residual norm is below ``tol`` and the Newton
     correction that the Jacobian in hand predicts from it is below

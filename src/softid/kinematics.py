@@ -13,7 +13,7 @@ the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
 Jacobian map along the velocity direction.  All of a link's terms that
 depend on its own coordinate block alone form its stage (:class:`LinkStage`,
-which also carries the stress terms of a dynamics sweep); only the forward
+with a sweep's stress terms and an actuation map's terms); only the forward
 recursion couples the links, so a caller that changes one block can pass the
 other links' stages unchanged.  Outside the recursion,
 :func:`forward_kinematics` is the one walk of the chain: frame poses and
@@ -116,6 +116,7 @@ class BodyEval(NamedTuple):
     frame: tuple
     points: Array
     jac: Array
+    at_x: tuple | None = None  # (sol, f, df/dq) at the points x of ``evaluate``: views of its rows
 
     def take(self, rows) -> "BodyEval":
         """The evaluation at ``rows``: an index gives one configuration's
@@ -123,7 +124,7 @@ class BodyEval(NamedTuple):
         Every array is a C-contiguous copy: the layout of a row, like its
         values, does not depend on the rows it was solved with (numpy and
         BLAS may sum in a different order for another layout), and a kept
-        row does not keep the whole stack alive."""
+        row does not keep the whole stack alive.  ``at_x`` is not kept."""
         def part(arrays):
             return None if arrays is None else tuple(a[rows].copy() for a in arrays)
 
@@ -189,12 +190,19 @@ class BodyHandle:
         f, jq = self.model.position(xs, qb, sol), self.model.jac_q(xs, qb, sol)
         return sol, self.contact_frame_data(f[:, :k], jq[:, :k]), f[:, k:], jq[:, k:]
 
-    def evaluate(self, qb: Array) -> BodyEval:
-        """One solve of the body map at the stack qb (b, n) on :attr:`points`."""
-        if self.rigid is not None:
+    def evaluate(self, qb: Array, x: Array | None = None) -> BodyEval:
+        """One solve of the body map at the stack qb (b, n) on :attr:`points`
+        and after them, which leaves their rows as they are, on x (m, 3)."""
+        if self.rigid is not None and x is None:
             return self.rigid[0].take(np.zeros(len(qb), dtype=int))
-        sol, frame, f, jq = self.place(qb, self.points[self.n_anchors:])
-        return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
+        nodes = self.points[self.n_anchors:]
+        sol, frame, f, jq = self.place(qb, nodes if x is None else np.concatenate([nodes, x]))
+        if x is None:
+            return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
+        k, m = len(self.points), len(nodes)
+        sols = (None, None) if sol is None else (tuple(a[:, :k] for a in sol), tuple(a[:, k:] for a in sol))
+        return BodyEval(sols[0], frame, *self.framed_jacobian(f[:, :m], jq[:, :m], frame),
+                        (sols[1], f[:, m:], jq[:, m:]))
 
     # -- contact frame -------------------------------------------------------
 
@@ -274,17 +282,6 @@ class ChainModel:
 
     def slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
-
-    def stages(self, stage, base=None, link=None) -> list:
-        """``stage(i)`` for every link i.
-
-        ``base`` holds the stages of a state that differs from these states
-        only in the block of link ``link``: that link is staged again and
-        every other stage is taken from ``base``.
-        """
-        if base is None:
-            return [stage(i) for i in range(len(self.links))]
-        return base[:link] + [stage(link)] + base[link + 1:]
 
     def split(self, i: int, q: Array) -> tuple[Array, Array]:
         """(joint, body) sub-vectors of body i's coordinate block."""
@@ -381,9 +378,9 @@ class LinkStage(NamedTuple):
     with the leading axes of the states they were staged at.
 
     The link transform, its Jacobians and their time rates, the body's
-    integrals (which carry its evaluation) and, in a dynamics sweep with
-    stress, the stress terms of an elastic body; only the forward recursion
-    couples the links.
+    integrals (which carry its evaluation), the stress terms of an elastic
+    body in a sweep with stress and an actuation map's terms of the link in
+    a statics residual; only the forward recursion couples the links.
     """
 
     R_rel: Array
@@ -394,15 +391,18 @@ class LinkStage(NamedTuple):
     Jw_dot: Array
     data: integrals.BodyInertialData
     stress: tuple | None = None
+    actuation: object = None
 
 
-def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> LinkStage:
+def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
     """Stage of link i at the checked states q, qd, qdd: one state (n,) or a
     stack (b, n).
 
     One body evaluation serves every state: at each state's q_i and, for
     each moving state, at q_i +- h u (:func:`unit_rate`).  The integrals are
-    taken once, over the states' rows of that evaluation.
+    taken once, over the states' rows of that evaluation.  The solve also
+    takes the points of an ``actuation`` map on the body, and the stage
+    carries the map's terms of the link (:class:`~softid.actuation.ActuationMap`).
     """
     lk = chain.links[i]
     sl = chain.slice(i)
@@ -410,12 +410,14 @@ def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array) -> Li
     rows = 0 if q.ndim == 1 else slice(0, q.shape[0])
     qi, qdi, qddi = ((v[None] if v.ndim == 1 else v)[:, sl] for v in (q, qd, qdd))
     points, rate = unit_rate(qi, qdi)
-    ev = lk.body.evaluate(points[:, nj:])
+    ev = lk.body.evaluate(points[:, nj:], None if actuation is None else actuation.points_on(i))
     R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, ev.frame, points)
     Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
+    terms = None if actuation is None else actuation.link_terms(chain, i, q, ev.at_x)
     ev = ev.take(rows)  # copies: the solve at the rate points is freed here
     data = integrals.body_integrals(lk.body, ev, Jp_dot[rows], qdi[rows, nj:], qddi[rows, nj:])
-    return LinkStage(R_rel[rows], t_rel[rows], Jt[rows], Jw[rows], Jt_dot[rows], Jw_dot[rows], data)
+    return LinkStage(R_rel[rows], t_rel[rows], Jt[rows], Jw[rows], Jt_dot[rows], Jw_dot[rows], data,
+                     actuation=terms)
 
 
 @dataclass
@@ -466,7 +468,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
         base_accel = -chain.gravity
     base_accel = np.asarray(base_accel, dtype=float)
     if stages is None:
-        stages = chain.stages(lambda i: link_stage(chain, i, q, qd, qdd))
+        stages = [link_stage(chain, i, q, qd, qdd) for i in range(len(chain))]
 
     bodies: list[BodyKin] = []
     R_parent = chain.base.rotation

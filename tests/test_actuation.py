@@ -201,8 +201,22 @@ def test_tendon_rejects_body_index_below_base():
         TendonActuation([[(-2, [0.008, 0, 0]), (0, [0.008, 0, 0.3])]])
 
 
+def assert_rejects_body_beyond_chain(act, chain, message):
+    # standalone, and in the statics residual, whose stages carry the map's terms
+    q = np.zeros(chain.n)
+    for call in (lambda: act.matrix(chain, q),
+                 lambda: solve_statics(chain, actuation=act, u=np.ones(act.n_inputs), q_guess=q)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_chamber_rejects_body_index_beyond_chain():
     chain = presets.pcc_chain(2)
     chambers = ChamberActuation([(5, ReferenceDomain.cylinder(0.005, 0.3))])
-    with pytest.raises(ValueError, match="body 5 of a 2-body chain"):
-        chambers.matrix(chain, np.zeros(chain.n))
+    assert_rejects_body_beyond_chain(chambers, chain, "body 5 of a 2-body chain")
+
+
+def test_tendon_rejects_body_index_beyond_chain():
+    chain = presets.pcc_chain(2)
+    tendons = TendonActuation([[(-1, [0.008, 0, 0]), (0, [0.008, 0, 0.3]), (3, [0.008, 0, 0.3])]])
+    assert_rejects_body_beyond_chain(tendons, chain, "body 3 of a 2-body chain")

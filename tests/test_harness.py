@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from softid import dynamics, model_io, presets
+from softid import dynamics, kinematics, model_io, presets
 from softid.actuation import ChamberActuation, TendonActuation
 from softid.bodies import CosseratRodBody
 from softid.bodies.base import central_difference
@@ -22,6 +22,7 @@ from softid.harness import (
     simulate,
     solve_statics,
 )
+from softid.kinematics import BodyHandle
 from softid.quadrature import ReferenceDomain
 
 from conftest import in_domain, sample_state
@@ -259,9 +260,32 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
     _, base = residual(q)
     calls = count_solves(monkeypatch)
     assert _statics_jacobian(residual, q, base) is not None
-    # the 2 n_i column points of a link are one stack: at rest the dynamics
-    # and the tendons solve its body once each
-    assert Counter(calls) == Counter({lk.body.model: 2 for lk in chain.links})
+    # the 2 n_i column points of a link are one stack, whose stage solves
+    # its body once for the dynamics and the tendons together
+    assert Counter(calls) == Counter({lk.body.model: 1 for lk in chain.links})
+
+
+def test_residual_stages_every_link_once(monkeypatch):
+    chain = FD_CHAINS["pcc_3"]()
+    residual = _equilibrium(chain, three_tendons(chain), np.array([1.0, 0.5, 0.2]))
+    q, _ = fd_state(chain, 2)
+    calls = count_solves(monkeypatch)
+    frames, links = [], []
+
+    def counting(seen, original):
+        def counted(*args):
+            seen.append(args[0])
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(BodyHandle, "contact_frame_data", counting(frames, BodyHandle.contact_frame_data))
+    monkeypatch.setattr(kinematics, "link_jacobians", counting(links, kinematics.link_jacobians))
+    r, _ = residual(q)
+    assert r is not None
+    # the tendons read the dynamics stage's solve: one per body, not two
+    assert Counter(calls) == Counter({lk.body.model: 1 for lk in chain.links})
+    assert frames == [lk.body for lk in chain.links]
+    assert len(links) == len(chain)
 
 
 def count_stress_calls(monkeypatch):

@@ -9,6 +9,9 @@
   passed to it explicitly.
 - No control flow rests on ``assert``: the package has no assert statement,
   so every check also holds under ``python -O``.
+- The actuation maps only read the links' stages: ``actuation.py`` calls
+  none of the body-evaluation methods (``place``, ``evaluate``, ``solve``,
+  ``position``, ``jac_q``), so a map adds no solve to the one of a stage.
 - The oracle stays independent of the recursion it checks: from the package
   it imports only the chain and its walk (``ChainModel``,
   ``forward_kinematics``) and the shared constitutive law (``_div_green``),
@@ -22,6 +25,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softid"
 BODIES_MAY_IMPORT = {"quadrature", "spatial", "errors"}
 ORACLE_MAY_IMPORT = {"kinematics": {"ChainModel", "forward_kinematics"}, "dynamics": {"_div_green"}}
+BODY_EVALUATIONS = {"place", "evaluate", "solve", "position", "jac_q"}
 
 
 def _sources():
@@ -101,6 +105,15 @@ def test_oracle_imports_no_recursion():
             if extra:
                 found.append(f"oracle.py:{node.lineno} imports {sorted(extra)} from {module or 'softid'}")
     assert not found, f"the oracle reaches into the recursion: {found}"
+
+
+def test_actuation_maps_only_read_stages():
+    path = PACKAGE / "actuation.py"
+    found = [f"actuation.py:{node.lineno} calls .{node.func.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in BODY_EVALUATIONS]
+    assert not found, f"an actuation map evaluates a body itself: {found}"
 
 
 def test_no_assert_statements():

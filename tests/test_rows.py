@@ -19,7 +19,7 @@ from softid.bodies.base import central_difference
 from softid.dynamics import _stage, chain_dynamics, inverse_dynamics, link_stages
 from softid.errors import BodyDomainError, DegenerateContactError
 from softid.harness import _equilibrium, _statics_jacobian
-from softid.kinematics import BodyHandle
+from softid.kinematics import BodyHandle, link_stage
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
@@ -128,6 +128,23 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
             assert same(stage_row(stage, r), alone), (i, r)
 
 
+def assert_terms_rows_equal_states_alone(chain, act, q):
+    """Row r of each link's actuation terms, staged at rest over the stack q,
+    is bitwise the terms of state r staged alone; returns the stacked terms."""
+    b = len(q)
+    rest = np.zeros_like(q)
+    stacked = []
+    for i in range(len(chain)):
+        terms = link_stage(chain, i, q, rest, rest, act).actuation
+        for r in range(b):
+            alone = link_stage(chain, i, q[r], rest[r], rest[r], act).actuation
+            # a joint transform that is the same for every row has an axis of 1
+            rows = [np.broadcast_to(a, (b,) + a.shape[1:])[r, ...] for a in arrays(terms)]
+            assert same(rows, alone), (i, r)
+        stacked.append(terms)
+    return stacked
+
+
 @pytest.mark.parametrize("b", ROWS)
 def test_chamber_stage_rows_equal_states_staged_alone(b):
     # a chamber on every body, and a second one on the middle body
@@ -136,13 +153,17 @@ def test_chamber_stage_rows_equal_states_staged_alone(b):
     act = ChamberActuation([(0, cavity), (1, cavity), (1, ReferenceDomain.cylinder(0.004, 0.1)),
                             (2, cavity)], quadrature_order=(2, 4, 3))
     q, _, _ = stacked_states(chain, b, seed=20 + b)
-    for i in range(len(chain)):
-        stage = act.link_stage(chain, i, q)
-        assert [v.shape for v, _ in stage] == [(b,)] * (2 if i == 1 else 1)
-        for r in range(b):
-            alone = act.link_stage(chain, i, q[r])
-            assert alone[0][0].shape == ()
-            assert same([(v[r, ...], g[r]) for v, g in stage], alone), (i, r)
+    stacked = assert_terms_rows_equal_states_alone(chain, act, q)
+    assert [[v.shape for v, _ in terms] for terms in stacked] == [[(b,)], [(b,), (b,)], [(b,)]]
+
+
+@pytest.mark.parametrize("b", ROWS)
+def test_tendon_stage_rows_equal_states_staged_alone(b):
+    chain = FD_CHAINS["pcc_3"]()
+    q, _, _ = stacked_states(chain, b, seed=30 + b)
+    stacked = assert_terms_rows_equal_states_alone(chain, three_tendons(chain), q)
+    # each body carries one via point of each of the three tendons
+    assert [terms[0].shape for terms in stacked] == [(b, 3, 3)] * len(chain)
 
 
 def block_states(chain, q, qd, qdd, i, b, seed):
