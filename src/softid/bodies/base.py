@@ -3,8 +3,10 @@
 A body model supplies the position map f(x, q) from material coordinates x in
 its reference domain to the frame at the distal end of its parent joint, plus
 mass density and material parameters.  Derivatives default to central finite
-differences; concrete models override them with analytic expressions, which
-the recursive dynamics needs for tight oracle agreement (finite-difference
+differences (:func:`central_difference`, the package's one difference
+quotient, which the harness's stiffness, damping and statics Jacobians also
+take); concrete models override them with analytic expressions, which the
+recursive dynamics needs for tight oracle agreement (finite-difference
 Jacobians inject ~1e-9 noise that the velocity-rate differencing amplifies).
 
 The configuration map takes a stack: :meth:`BodyModel.solve`,
@@ -29,14 +31,22 @@ FD_Q_STEP = 1e-7
 FD_X_STEP = 1e-5
 
 
-def central_difference(fn, x: Array, steps) -> Array:
-    """Central differences of ``fn`` at x, coordinate k stepped by ``steps[k]``.
-
-    The columns (fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k) are stacked on
-    a trailing axis.
-    """
-    cols = [(fn(x + dx) - fn(x - dx)) / (2.0 * h) for h, dx in zip(steps, np.diag(steps))]
-    return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
+def central_difference(fn, x: Array, cols, h: Array):
+    """Central differences (fn(x + h e_k) - fn(x - h e_k)) / 2 h at every row
+    of the stack x (b, n), column ``cols[j]`` stepped by h[:, j] (h is (b, k)):
+    (b, ..., k), the step axis last and C-contiguous (einsum and matmul may
+    sum a strided layout in another order); None where ``fn`` returns None.
+    ``fn`` takes the 2 b k points in one stack, per row the + steps, then
+    the - steps, and returns their values with that leading axis."""
+    b, k = h.shape
+    dx = np.zeros((b, k, x.shape[1]))
+    dx[:, np.arange(k), cols] = h
+    f = fn(np.concatenate([x[:, None] + dx, x[:, None] - dx], axis=1).reshape(2 * b * k, x.shape[1]))
+    if f is None:
+        return None
+    f = f.reshape((b, 2, k) + f.shape[1:])
+    d = (f[:, 0] - f[:, 1]) / (2.0 * h.reshape(h.shape + (1,) * (f.ndim - 3)))
+    return np.ascontiguousarray(np.moveaxis(d, 1, -1))
 
 
 class BodyModel:
@@ -94,31 +104,27 @@ class BodyModel:
         differences of :meth:`jac_x`."""
         return self._x_difference(self.jac_x, x, q)
 
-    # The differences below step every row in one call of fn and return the
-    # step axis last, C-contiguous: einsum and matmul may sum a strided
-    # layout in another order.
-
     def _q_difference(self, fn, x: Array, q: Array) -> Array:
         """Central differences of fn(x, q), (b, ...), in the coordinates:
         row r steps by FD_Q_STEP max(1, |q[r]|)."""
         q = self.check_q(q)
-        b, n = q.shape
         # the norm of each row alone, so that a row's step does not depend on the others
         h = FD_Q_STEP * np.maximum(1.0, [np.linalg.norm(row) for row in q])
-        dq = h[:, None, None] * np.eye(n)  # row r, step k: h_r e_k
-        f = fn(x, np.concatenate([q[:, None] + dq, q[:, None] - dq], axis=1).reshape(2 * b * n, n))
-        f = f.reshape((b, 2, n) + f.shape[1:])
-        d = (f[:, 0] - f[:, 1]) / (2.0 * h.reshape((b,) + (1,) * (f.ndim - 2)))
-        return np.ascontiguousarray(np.moveaxis(d, 1, -1))
+        return central_difference(lambda qs: fn(x, qs), q, np.arange(self.n_dof),
+                                  np.repeat(h[:, None], self.n_dof, axis=1))
 
     def _x_difference(self, fn, x: Array, q: Array) -> Array:
         """Central differences of fn(x, q), (b, m, ...), in the points x:
-        every coordinate steps by FD_X_STEP max(1, length scale)."""
+        every coordinate steps by FD_X_STEP max(1, length scale), an offset
+        that all points share and that is differenced as a one-row stack."""
         x = np.asarray(x, dtype=float)
-        dx = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0) * np.eye(3)
-        f = fn(np.concatenate([x + d for d in dx] + [x - d for d in dx]), q)
-        f = f.reshape((f.shape[0], 2, 3) + x.shape[:1] + f.shape[2:])
-        return np.ascontiguousarray(np.moveaxis((f[:, 0] - f[:, 1]) / (2.0 * dx[0, 0]), 1, -1))
+        h = FD_X_STEP * max(1.0, self.domain.length_scale if self.domain else 1.0)
+
+        def shifted(offsets):  # (6, 3) -> (6, b, m, ...)
+            f = fn((x + offsets[:, None]).reshape(-1, 3), q)
+            return np.moveaxis(f.reshape((f.shape[0], 6) + x.shape[:1] + f.shape[2:]), 1, 0)
+
+        return central_difference(shifted, np.zeros((1, 3)), np.arange(3), np.full((1, 3), h))[0]
 
     def nodes(self) -> tuple[Array, Array]:
         """Cached quadrature points (m, 3) and volume weights (m,)."""

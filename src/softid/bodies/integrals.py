@@ -15,7 +15,7 @@ run in the order of one state's, so a row equals the state alone, bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,15 +57,6 @@ class BodyInertialData:
     r: Array = field(repr=False, default=None)
     rdot: Array = field(repr=False, default=None)
     ev: "BodyEval" = field(repr=False, default=None)  # noqa: F821  (kinematics) framed nodes
-
-    def take(self, row) -> "BodyInertialData":
-        """The integrals at ``row`` of a stack, with that row of the
-        evaluation copied by :meth:`BodyEval.take`."""
-        shared = ("mass", "nodes", "weights_mass")
-        return BodyInertialData(**{
-            f.name: getattr(self, f.name) if f.name in shared else getattr(self, f.name)[row]
-            for f in fields(self) if f.name != "ev"
-        }, ev=self.ev.take(row))
 
 
 def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:

@@ -219,26 +219,28 @@ def pcs_basis(length: float) -> StrainBasis:
     return _const_basis(np.eye(6) / length)
 
 
+def _profile_basis(length: float, profile, profile_ds, elongation: bool) -> StrainBasis:
+    """Curvature kx = -q3/L0 - p(s) q4, ky = q1/L0 + p(s) q2 with the profile
+    p(s) (already divided by L0) and its s-derivative, plus dL = q5/L0 with
+    ``elongation``."""
+    n = 5 if elongation else 4
+    rows = np.zeros((6, n))
+    rows[0, 2], rows[1, 0] = -1.0 / length, 1.0 / length
+    rows[5, 4:] = 1.0 / length  # the elongation column, if any
+
+    def matrix(p, const):
+        out = np.broadcast_to(const, (p.shape[0], 6, n)).copy()
+        out[:, 0, 3], out[:, 1, 1] = -p, p
+        return out
+
+    return StrainBasis(n, lambda s: matrix(profile(s), rows),
+                       lambda s: matrix(profile_ds(s), np.zeros((6, n))), constant=False)
+
+
 def pac_basis(length: float) -> StrainBasis:
     """Affine curvature: kx = (-q3 - (s/L0) q4)/L0, ky = (q1 + (s/L0) q2)/L0."""
-
-    def mat(s):
-        k = s.shape[0]
-        out = np.zeros((k, 6, 4))
-        out[:, 0, 2] = -1.0 / length
-        out[:, 0, 3] = -s / length**2
-        out[:, 1, 0] = 1.0 / length
-        out[:, 1, 1] = s / length**2
-        return out
-
-    def mat_ds(s):
-        k = s.shape[0]
-        out = np.zeros((k, 6, 4))
-        out[:, 0, 3] = -1.0 / length**2
-        out[:, 1, 1] = 1.0 / length**2
-        return out
-
-    return StrainBasis(4, mat, mat_ds, constant=False)
+    return _profile_basis(length, lambda s: s / length**2,
+                          lambda s: np.full(s.shape, 1.0 / length**2), elongation=False)
 
 
 def pgc_basis(length: float) -> StrainBasis:
@@ -251,26 +253,8 @@ def pgc_basis(length: float) -> StrainBasis:
     def gauss(s):
         return np.exp(-((s - length / 2.0) ** 2))
 
-    def mat(s):
-        k = s.shape[0]
-        g = gauss(s)
-        out = np.zeros((k, 6, 5))
-        out[:, 0, 2] = -1.0 / length
-        out[:, 0, 3] = -g / length
-        out[:, 1, 0] = 1.0 / length
-        out[:, 1, 1] = g / length
-        out[:, 5, 4] = 1.0 / length
-        return out
-
-    def mat_ds(s):
-        k = s.shape[0]
-        dg = gauss(s) * (-2.0 * (s - length / 2.0))
-        out = np.zeros((k, 6, 5))
-        out[:, 0, 3] = -dg / length
-        out[:, 1, 1] = dg / length
-        return out
-
-    return StrainBasis(5, mat, mat_ds, constant=False)
+    return _profile_basis(length, lambda s: gauss(s) / length,
+                          lambda s: gauss(s) * (-2.0 * (s - length / 2.0)) / length, elongation=True)
 
 
 # -- rod body ----------------------------------------------------------------

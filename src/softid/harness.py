@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .bodies.base import central_difference
 from .dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
 from .errors import NonFiniteDynamicsError, SingularMassError, SoftIDError
 from .kinematics import ChainModel
@@ -93,7 +94,7 @@ def _force_jacobians(chain, q, qd, base):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s.
 
     Central differences in x = (q, qd) at steps ``FORCE_JACOBIAN_STEP *
-    max(1, |x_k|)`` (:func:`_fd_columns`).  ``base`` are the stages of the
+    max(1, |x_k|)`` (:func:`_link_columns`).  ``base`` are the stages of the
     sweep at (q, qd) with zero acceleration (``DynamicsResult.cache.stages``).
     The 4 n_i column points of link i, (q +- h e_k, qd) and (q, qd +- h e_k),
     are one stacked stage (one body solve) and one sweep, which takes every
@@ -115,8 +116,7 @@ def _force_jacobians(chain, q, qd, base):
             return chain_dynamics(chain, qs, vs, None,
                                   stages=link_stages(chain, qs, vs, base=base, link=i)).force
 
-        both = np.concatenate([cols, n + cols])
-        block = _fd_columns(bias, x, both, FORCE_JACOBIAN_STEP * np.maximum(1.0, np.abs(x[both])))
+        block = _link_columns(bias, x, np.concatenate([cols, n + cols]), (FORCE_JACOBIAN_STEP,))
         K[:, cols], D[:, cols] = block[:, :cols.size], block[:, cols.size:]
     return K, D
 
@@ -264,7 +264,8 @@ def simulate(
 # -- statics ---------------------------------------------------------------------
 
 def _equilibrium(chain: ChainModel, actuation, u):
-    """The equilibrium residual r(q) = ID(q, 0, 0) - A(q) u of :func:`solve_statics`.
+    """The equilibrium residual r(q) = ID(q, 0, 0) - A(q) u of :func:`solve_statics`,
+    ``u`` an input array or a callable u(q).
 
     Returns residual(qv, base=None, link=None) -> (r, stages) at one state
     or at a stack of states (b, n), where stages are :func:`link_stages`
@@ -279,10 +280,7 @@ def _equilibrium(chain: ChainModel, actuation, u):
             stages = link_stages(chain, qv, base=base, link=link, actuation=actuation)
             r = inverse_dynamics(chain, qv, None, None, stages=stages)
             if actuation is not None:
-                if callable(u):
-                    uv = np.apply_along_axis(u, -1, qv)
-                else:
-                    uv = np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float)
+                uv = np.apply_along_axis(u, -1, qv) if callable(u) else u
                 r = r - matvec(actuation.matrix(chain, qv, stages), uv)
         except (SoftIDError, np.linalg.LinAlgError):
             return None, None
@@ -291,58 +289,45 @@ def _equilibrium(chain: ChainModel, actuation, u):
     return residual
 
 
-def _fd_columns(fn, x: Array, cols: Array, h: Array):
-    """Central-difference columns (fn(x + h_k e_k) - fn(x - h_k e_k)) / 2 h_k
-    for the coordinates ``cols`` of x, from one call of ``fn`` on the 2 m
-    stacked points (a stack (2 m, len(x)) to a stack of values); None where
-    ``fn`` returns None."""
-    m = cols.size
-    e = np.arange(m)
-    dx = np.zeros((2, m, x.shape[0]))
-    dx[0, e, cols], dx[1, e, cols] = h, -h
-    f = fn((x + dx).reshape(2 * m, -1))
-    if f is None:
-        return None
-    f = f.reshape(2, m, -1)
-    return ((f[0] - f[1]) / (2.0 * h[:, None])).T
+def _link_columns(fn, x: Array, cols: Array, steps):
+    """Central-difference columns (m, k) of ``fn`` at x for the coordinates
+    ``cols`` of one link, None if some column is unevaluable.  ``fn`` maps a
+    stack of states to their values, or to None where it cannot evaluate
+    them.  Column k steps x_k by ``steps[0] max(1, |x_k|)``, all columns in
+    one call of ``fn`` (:func:`central_difference`); if that stack is
+    unevaluable, one column at a time, each by the first of ``steps`` at
+    which it is evaluable."""
+    def columns(cols, step):
+        d = central_difference(fn, x[None], cols, step * np.maximum(1.0, np.abs(x[cols]))[None])
+        return None if d is None else d[0]
+
+    block = columns(cols, steps[0])
+    if block is not None:
+        return block
+    found = []
+    for k in cols:
+        found.append(next((c for c in (columns(np.array([k]), s) for s in steps) if c is not None), None))
+        if found[-1] is None:
+            return None
+    return np.concatenate(found, axis=1)
 
 
 def _statics_jacobian(residual, q: Array, base):
     """Finite-difference Jacobian of an :func:`_equilibrium` residual at q,
-    whose stages are ``base``; None if some column is unevaluable.
-
-    Column k steps q_k by 1e-6 max(1, |q_k|).  The columns of one link are
-    one stacked residual (:func:`_fd_columns`) that stages only that link
-    again; if that stack leaves the domain, its columns are taken one at a
-    time, each by 1e-8 max(1, |q_k|) where the larger step leaves the
-    domain.  A row of a stack equals the residual at that point alone, so
-    the Jacobian is bitwise equal to differences of full residuals.
-    """
-    n = q.shape[0]
-    J = np.empty((n, n))
-
-    def columns(i, cols, step):
-        return _fd_columns(lambda qs: residual(qs, base, i)[0], q, cols, step * np.maximum(1.0, np.abs(q[cols])))
-
-    stop = 0
-    for i, st in enumerate(base):
-        # link i owns the coordinates of its stage's Jacobian columns
-        cols = np.arange(stop, stop + st.Jt.shape[-1])
-        stop += cols.size
+    whose stages are ``base``; None if some column is unevaluable.  The
+    columns of one link, at the steps 1e-6 and else 1e-8 (:func:`_link_columns`),
+    are one residual that stages only that link again.  A row of a stack
+    equals the residual at that point alone, so the Jacobian is bitwise
+    equal to differences of full residuals."""
+    J = np.empty((q.size, q.size))
+    # link i owns the coordinates of its stage's Jacobian columns
+    for i, cols in enumerate(np.split(np.arange(q.size), np.cumsum([st.Jt.shape[-1] for st in base])[:-1])):
         if not cols.size:
             continue
-        block = columns(i, cols, 1e-6)
-        if block is not None:
-            J[:, cols] = block
-            continue
-        for k in cols:
-            for step in (1e-6, 1e-8):
-                col = columns(i, np.array([k]), step)
-                if col is not None:
-                    break
-            else:
-                return None
-            J[:, k] = col[:, 0]
+        block = _link_columns(lambda qs, i=i: residual(qs, base, i)[0], q, cols, (1e-6, 1e-8))
+        if block is None:
+            return None
+        J[:, cols] = block
     return J
 
 
@@ -364,7 +349,9 @@ def solve_statics(
 ) -> StaticsResult:
     """Newton-Raphson on the equilibrium residual ID(q, 0, 0) - A(q) u.
 
-    ``u`` may be a constant input vector or a callable u(q) (regulator).
+    ``u`` may be a constant input vector of ``actuation.n_inputs`` finite
+    numbers or a callable u(q) (regulator); an input without an actuation
+    map or a malformed constant input raises ValueError.
     The Jacobian is finite-differenced from the residual
     (:func:`_statics_jacobian`): the columns of one link are one residual
     at their stacked points, which stages only that link again and takes
@@ -383,6 +370,12 @@ def solve_statics(
     """
     (q,) = chain.check_state(q_guess)
     q = q.copy()
+    if u is not None and actuation is None:
+        raise ValueError("an input u needs an actuation map")
+    if actuation is not None and not callable(u):
+        u = np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float)
+        if u.shape != (actuation.n_inputs,) or not np.all(np.isfinite(u)):
+            raise ValueError(f"u must be {actuation.n_inputs} finite numbers, got {u}")
     residual = _equilibrium(chain, actuation, u)
 
     def newton_step(J, rv):

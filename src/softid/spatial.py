@@ -97,14 +97,14 @@ def rotation_from_quaternion(q) -> Array:
     ])
 
 
-def is_rotation(r, tol: float = ORTHONORMAL_TOL) -> bool:
+def is_rotation(r) -> bool:
     """True if ``r`` (3, 3), or every matrix of a stack (..., 3, 3), is
-    orthonormal with determinant +1 within ``tol``."""
+    orthonormal with determinant +1 within ``ORTHONORMAL_TOL``."""
     r = np.asarray(r, dtype=float)
     return (
         r.shape[-2:] == (3, 3)
-        and np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max() <= tol * 10
-        and np.abs(np.linalg.det(r) - 1.0).max() <= tol * 10
+        and np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max() <= ORTHONORMAL_TOL * 10
+        and np.abs(np.linalg.det(r) - 1.0).max() <= ORTHONORMAL_TOL * 10
     )
 
 

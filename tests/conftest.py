@@ -40,6 +40,16 @@ def lvp1():
     return presets.lvp_chain()
 
 
+def central_difference(fn, x, steps):
+    """Central differences of ``fn`` at x, coordinate k stepped by ``steps[k]``,
+    one column at a time: the columns (fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k)
+    on a trailing axis.  The reference that the stacked differences of the
+    package are checked against.
+    """
+    cols = [(fn(x + dx) - fn(x - dx)) / (2.0 * h) for h, dx in zip(steps, np.diag(steps))]
+    return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
+
+
 def sample_state(rng, n, q_range=np.pi, qd_range=10.0, qdd_range=100.0):
     return (
         rng.uniform(-q_range, q_range, n),

@@ -6,7 +6,6 @@ import pytest
 from softid import dynamics, kinematics, model_io, presets
 from softid.actuation import ChamberActuation, TendonActuation
 from softid.bodies import CosseratRodBody
-from softid.bodies.base import central_difference
 from softid.dynamics import chain_dynamics, inverse_dynamics, miid
 from softid.errors import BodyDomainError, NonFiniteDynamicsError, SingularMassError
 from softid.harness import (
@@ -25,7 +24,7 @@ from softid.harness import (
 from softid.kinematics import BodyHandle
 from softid.quadrature import ReferenceDomain
 
-from conftest import in_domain, sample_state
+from conftest import central_difference, in_domain, sample_state
 
 
 # -- forward dynamics ---------------------------------------------------------
@@ -372,6 +371,18 @@ def test_statics_jacobian_equals_full_residual_differences(name):
 
 
 # -- statics ---------------------------------------------------------------------
+
+def test_statics_rejects_an_input_without_actuation():
+    with pytest.raises(ValueError, match="actuation map"):
+        solve_statics(presets.rigid_pendulum_chain(), u=[1.0], q_guess=[2.5])
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.5], [1.0, np.nan, 0.2], [[1.0, 0.5, 0.2]]])
+def test_statics_rejects_a_constant_input_that_is_not_n_inputs_finite_numbers(u):
+    chain = FD_CHAINS["pcc_3"]()
+    with pytest.raises(ValueError, match="3 finite numbers"):
+        solve_statics(chain, actuation=three_tendons(chain), u=u, q_guess=np.zeros(chain.n))
+
 
 def test_statics_pendulum_gravity_aligned():
     chain = presets.rigid_pendulum_chain()

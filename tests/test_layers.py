@@ -12,6 +12,10 @@
 - The actuation maps only read the links' stages: ``actuation.py`` calls
   none of the body-evaluation methods (``place``, ``evaluate``, ``solve``,
   ``position``, ``jac_q``), so a map adds no solve to the one of a stage.
+- One central-difference quotient: a subtraction divided by ``2.0 * ...``
+  appears once in the package (``bodies.base.central_difference``), so the
+  body-model defaults, the K/D refresh and the statics Jacobian share one
+  stencil that can be swapped in one place.
 - The oracle stays independent of the recursion it checks: from the package
   it imports only the chain and its walk (``ChainModel``,
   ``forward_kinematics``) and the shared constitutive law (``_div_green``),
@@ -123,3 +127,20 @@ def test_no_assert_statements():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package (stripped under python -O): {found}"
+
+
+def _is_central_quotient(node):
+    """``(a - b) / (2.0 * h)``: a subtraction divided by a product led by 2."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+            and isinstance(node.right.left, ast.Constant) and node.right.left.value == 2)
+
+
+def test_one_central_difference_quotient():
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_central_quotient(node)]
+    assert len(found) == 1, f"central-difference quotients in the package: {found}"

@@ -7,6 +7,7 @@ refresh and the statics Jacobian sweep all column points of a link together
 and must equal full sweeps.
 """
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 from softid.actuation import ChamberActuation
 from softid.bodies import BodyModel
 from softid import presets
-from softid.bodies.base import central_difference
 from softid.dynamics import _stage, chain_dynamics, inverse_dynamics, link_stages
 from softid.errors import BodyDomainError, DegenerateContactError
 from softid.harness import _equilibrium, _statics_jacobian
@@ -23,7 +23,7 @@ from softid.kinematics import BodyHandle, link_stage
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
-from conftest import in_domain
+from conftest import central_difference, in_domain
 from test_harness import FD_CHAINS, fd_state, three_tendons
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -107,8 +107,13 @@ def test_body_map_rows_equal_single_rows(kind, b):
 
 
 def stage_row(st, r):
-    """Row r of a stacked stage (a rigid body's integrals have no rows)."""
-    data = st.data if st.data.p_com.ndim == 1 else st.data.take(r)
+    """Row r of a stacked stage (a rigid body's integrals have no rows; the
+    mass and the nodes are shared by the rows of a stack)."""
+    data = st.data
+    if data.p_com.ndim > 1:
+        shared = ("mass", "nodes", "weights_mass", "ev")
+        data = replace(data, ev=data.ev.take(r),
+                       **{f.name: getattr(data, f.name)[r] for f in fields(data) if f.name not in shared})
     stress = None if st.stress is None else tuple(tuple(a[r] for a in w) for w in st.stress)
     return st._replace(R_rel=st.R_rel[r], t_rel=st.t_rel[r], Jt=st.Jt[r], Jw=st.Jw[r],
                        Jt_dot=st.Jt_dot[r], Jw_dot=st.Jw_dot[r], data=data, stress=stress)
