@@ -16,13 +16,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import model_io
 from .dynamics import DynamicsResult, iid, inverse_dynamics, mid, miid
 from .errors import SoftIDError
-from .harness import benchmark_scaling, simulate, solve_statics
+from .harness import BenchmarkRow, benchmark_scaling, simulate, solve_statics
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -188,12 +189,8 @@ def cmd_statics(args) -> int:
 
 def cmd_benchmark(args) -> int:
     rows = benchmark_scaling(args.sizes, trials=args.trials, seed=args.seed)
-    header = ["n_bodies", "build_seconds", "recursive_median_ns", "recursive_std_ns",
-              "oracle_median_ns", "oracle_std_ns", "rel_diff_mean", "rel_diff_std"]
-    table = [[r.n_bodies, r.build_seconds, r.recursive_median_ns, r.recursive_std_ns,
-              r.oracle_median_ns, r.oracle_std_ns, r.rel_diff_mean, r.rel_diff_std]
-             for r in rows]
-    _write_csv(args.output, header, np.asarray(table, dtype=float))
+    header = [f.name for f in fields(BenchmarkRow)]
+    _write_csv(args.output, header, np.asarray([astuple(r) for r in rows], dtype=float))
     return EXIT_OK
 
 

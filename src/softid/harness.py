@@ -2,7 +2,8 @@
 
 Forward dynamics follows the two-step scheme: one mass-augmented inverse
 dynamics call at zero acceleration gives the bias force c + g + s together
-with M(q), and a positive-definite solve returns the acceleration.
+with M(q), and a positive-definite solve returns the acceleration: M's
+Cholesky factor L, then one solve with L and one with its transpose.
 
 The energy ledger tracks kinetic energy, potential energy (gravity plus the
 accumulated work done against the stress field), and dissipated energy (the
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bodies.base import central_difference
 from .dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
@@ -42,13 +42,14 @@ def _solve_spd(M: Array, rhs: Array) -> Array:
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise NonFiniteDynamicsError("mass matrix or right-hand side is not finite")
     try:
-        return cho_solve(cho_factor(M), rhs)
-    except LinAlgError as exc:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(M)[0])
         raise SingularMassError(
             f"mass matrix is not positive definite (smallest eigenvalue {smallest:.3e})",
             smallest_eigenvalue=smallest,
         ) from exc
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def forward_dynamics(chain: ChainModel, q, qd, nu=None) -> Array:
@@ -276,11 +277,16 @@ def _equilibrium(chain: ChainModel, actuation, u):
     alone is staged again.
     """
     def residual(qv, base=None, link=None):
+        if actuation is not None:
+            uv = np.apply_along_axis(u, -1, qv) if callable(u) else np.asarray(u, dtype=float)
+            got = uv.shape[qv.ndim - 1:] if callable(u) else uv.shape
+            if got != (actuation.n_inputs,) or not np.all(np.isfinite(uv)):
+                raise ValueError(f"u must give {actuation.n_inputs} finite numbers per state, "
+                                 f"got {uv} of shape {got}")
         try:
             stages = link_stages(chain, qv, base=base, link=link, actuation=actuation)
             r = inverse_dynamics(chain, qv, None, None, stages=stages)
             if actuation is not None:
-                uv = np.apply_along_axis(u, -1, qv) if callable(u) else u
                 r = r - matvec(actuation.matrix(chain, qv, stages), uv)
         except (SoftIDError, np.linalg.LinAlgError):
             return None, None
@@ -349,9 +355,9 @@ def solve_statics(
 ) -> StaticsResult:
     """Newton-Raphson on the equilibrium residual ID(q, 0, 0) - A(q) u.
 
-    ``u`` may be a constant input vector of ``actuation.n_inputs`` finite
-    numbers or a callable u(q) (regulator); an input without an actuation
-    map or a malformed constant input raises ValueError.
+    ``u`` may be a constant input vector or a callable u(q) (regulator),
+    either giving ``actuation.n_inputs`` finite numbers per state, else the
+    residual raises ValueError; so does an input without an actuation map.
     The Jacobian is finite-differenced from the residual
     (:func:`_statics_jacobian`): the columns of one link are one residual
     at their stacked points, which stages only that link again and takes
@@ -372,10 +378,8 @@ def solve_statics(
     q = q.copy()
     if u is not None and actuation is None:
         raise ValueError("an input u needs an actuation map")
-    if actuation is not None and not callable(u):
-        u = np.zeros(actuation.n_inputs) if u is None else np.asarray(u, dtype=float)
-        if u.shape != (actuation.n_inputs,) or not np.all(np.isfinite(u)):
-            raise ValueError(f"u must be {actuation.n_inputs} finite numbers, got {u}")
+    if actuation is not None and u is None:
+        u = np.zeros(actuation.n_inputs)
     residual = _equilibrium(chain, actuation, u)
 
     def newton_step(J, rv):

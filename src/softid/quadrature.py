@@ -1,10 +1,12 @@
 """Gauss-Legendre rules and tensor-product volume integration.
 
-Every volume integral in the dynamics runs over a reference domain in the
-stress-free material coordinates: a box, a solid cylinder, a truncated cone,
-or a user-mapped box.  Curved domains integrate in cylindrical coordinates
-(r, phi, z) with the exact Jacobian r, so polynomial integrands of the body
-maps are integrated exactly at moderate orders.
+The 1-D rules are numpy's ``leggauss`` (Golub & Welsch, Math. Comp. 1969),
+whose nodes and weights are exactly symmetric.  Every volume integral in the
+dynamics runs over a reference domain in the stress-free material
+coordinates: a box, a solid cylinder, a truncated cone, or a user-mapped box.
+Curved domains integrate in cylindrical coordinates (r, phi, z) with the
+exact Jacobian r, so polynomial integrands of the body maps are integrated
+exactly at moderate orders.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 Array = np.ndarray
 
@@ -44,7 +46,7 @@ def gauss_legendre(order: int) -> QuadratureRule1D:
     """
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
-    nodes, weights = roots_legendre(order)
+    nodes, weights = leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule1D(order, nodes, weights)

@@ -132,9 +132,6 @@ class Transform:
             self.translation + self.rotation @ other.translation,
         )
 
-    def __matmul__(self, other: "Transform") -> "Transform":
-        return self.compose(other)
-
     def inverse(self) -> "Transform":
         rt = self.rotation.T
         return Transform(rt, -rt @ self.translation)

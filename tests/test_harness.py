@@ -14,6 +14,7 @@ from softid.harness import (
     Trajectory,
     _equilibrium,
     _force_jacobians,
+    _solve_spd,
     _statics_jacobian,
     benchmark_scaling,
     forward_dynamics,
@@ -75,6 +76,22 @@ def test_singular_mass_reported():
     with pytest.raises(SingularMassError) as err:
         forward_dynamics(chain, np.zeros(2), np.zeros(2), np.zeros(2))
     assert err.value.smallest_eigenvalue is not None
+
+
+def test_solve_spd_reports_an_indefinite_matrix():
+    M = np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
+    with pytest.raises(SingularMassError) as err:
+        _solve_spd(M, np.ones(3))
+    assert err.value.smallest_eigenvalue < 0
+
+
+def test_solve_spd_matches_a_general_solve():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(6, 6))
+    M = A @ A.T + 6 * np.eye(6)
+    rhs = rng.normal(size=6)
+    ref = np.linalg.solve(M, rhs)
+    assert np.abs(_solve_spd(M, rhs) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_nonfinite_sweep_raises_typed_error():
@@ -381,6 +398,14 @@ def test_statics_rejects_an_input_without_actuation():
 def test_statics_rejects_a_constant_input_that_is_not_n_inputs_finite_numbers(u):
     chain = FD_CHAINS["pcc_3"]()
     with pytest.raises(ValueError, match="3 finite numbers"):
+        solve_statics(chain, actuation=three_tendons(chain), u=u, q_guess=np.zeros(chain.n))
+
+
+@pytest.mark.parametrize("u, got", [(lambda q: np.ones(2), r"shape \(2,\)"),
+                                    (lambda q: np.array([1.0, np.nan, 0.0]), r"shape \(3,\)")])
+def test_statics_rejects_a_regulator_that_does_not_return_n_inputs_finite_numbers(u, got):
+    chain = FD_CHAINS["pcc_3"]()
+    with pytest.raises(ValueError, match=f"3 finite numbers per state, got .* of {got}"):
         solve_statics(chain, actuation=three_tendons(chain), u=u, q_guess=np.zeros(chain.n))
 
 

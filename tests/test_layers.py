@@ -16,6 +16,9 @@
   appears once in the package (``bodies.base.central_difference``), so the
   body-model defaults, the K/D refresh and the statics Jacobian share one
   stencil that can be swapped in one place.
+- The runtime needs numpy alone: every import in the package resolves to
+  the standard library (``sys.stdlib_module_names``), ``numpy`` or the
+  package itself.
 - The oracle stays independent of the recursion it checks: from the package
   it imports only the chain and its walk (``ChainModel``,
   ``forward_kinematics``) and the shared constitutive law (``_div_green``),
@@ -24,12 +27,14 @@
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softid"
 BODIES_MAY_IMPORT = {"quadrature", "spatial", "errors"}
 ORACLE_MAY_IMPORT = {"kinematics": {"ChainModel", "forward_kinematics"}, "dynamics": {"_div_green"}}
 BODY_EVALUATIONS = {"place", "evaluate", "solve", "position", "jac_q"}
+RUNTIME_DEPENDENCIES = {"numpy", "softid"}
 
 
 def _sources():
@@ -95,6 +100,21 @@ def test_no_identity_or_bytes_keys():
                     (isinstance(f, ast.Name) and f.id == "id"):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"calls of .tobytes() or id() in the package: {found}"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    found = []
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno} imports {top}" for top in tops
+                      if top not in sys.stdlib_module_names and top not in RUNTIME_DEPENDENCIES]
+    assert not found, f"imports outside the standard library and numpy: {found}"
 
 
 def test_oracle_imports_no_recursion():

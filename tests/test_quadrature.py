@@ -22,12 +22,19 @@ def test_weights_sum_to_two():
 
 
 def test_monomial_exactness():
-    for order in (1, 2, 3, 5, 8):
+    for order in range(1, 65):
         rule = gauss_legendre(order)
         for deg in range(2 * order):
             exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
             approx = rule.weights @ rule.nodes**deg
             assert abs(approx - exact) < 1e-12
+
+
+def test_rule_exactly_symmetric():
+    for order in range(1, 65):
+        rule = gauss_legendre(order)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
 
 
 def test_order_five_x8():
