@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonOrthonormalFrameError
-from .kinematics import ChainModel, link_stage
+from .kinematics import ChainModel, chain_stages, link_stage
 from .quadrature import ReferenceDomain
 from .spatial import cross, is_rotation, matvec
 
@@ -27,13 +27,12 @@ Array = np.ndarray
 class ActuationMap:
     """Base: per-input scalar functions of the configuration and their
     gradients.  A map's material points on body i, ``points_on(i)`` (m, 3),
-    are solved in link i's stage, which keeps the map's terms of the link,
-    ``link_terms(chain, i, q, at_x)`` (``at_x`` as in
-    :class:`~softid.kinematics.BodyEval`, leading rows the states of q).
-    ``_measure(chain, q, stage)`` gives the lengths (or volumes) l
-    (..., n_inputs) and dl/dq (..., n_inputs, n) from the stages
-    ``stage(i)`` of the links it reads; ``owner`` holds the body of each
-    via point or chamber.
+    are solved in the stage of link i's group, which keeps the map's terms of
+    the link, ``link_terms(chain, i, q, at_x)`` (``at_x`` as in
+    :class:`~softid.kinematics.BodyEval` at these points alone, leading rows
+    the states of q).  ``_measure(chain, q, stages)`` gives the lengths (or
+    volumes) l (..., n_inputs) and dl/dq (..., n_inputs, n) from the links'
+    stages; ``owner`` holds the body of each via point or chamber.
     """
 
     n_inputs: int = 0
@@ -41,12 +40,14 @@ class ActuationMap:
     def _at(self, chain: ChainModel, q: Array, stages):
         """:meth:`_measure` at q from ``stages``, the links' stages at q with
         this map's terms (:func:`~softid.dynamics.link_stages`); when None,
-        the links the map reads are staged here."""
+        the chain's stage groups are staged here."""
         (q,) = chain.check_state(q)
         if self.owner.max(initial=-1) >= len(chain):
             raise ValueError(f"an actuator is on body {self.owner.max()} of a {len(chain)}-body chain")
-        return self._measure(chain, q, stages.__getitem__ if stages is not None else
-                             lambda i: link_stage(chain, i, q, np.zeros_like(q), np.zeros_like(q), self))
+        if stages is None:
+            rest = np.zeros_like(q)
+            stages = chain_stages(chain, q, lambda group: link_stage(chain, group, q, rest, rest, self))
+        return self._measure(chain, q, stages)
 
     def lengths(self, chain: ChainModel, q: Array) -> Array:
         """Actuator length (or volume) per input, shape (..., n_inputs)."""
@@ -86,10 +87,10 @@ class TendonActuation(ActuationMap):
     def link_terms(self, chain: ChainModel, i: int, q: Array, at_x):
         """The images f and df/dq of the via points on body i and the joint
         transform (Rj, tj)."""
-        joint, rows = chain.links[i].joint, 0 if q.ndim == 1 else slice(0, q.shape[0])
+        joint, rows = chain.links[i].joint, 0 if q.ndim == 1 else slice(None)
         return (at_x[1][rows], at_x[2][rows], *joint.transform(q[..., chain.slice(i)][..., :joint.n_dof]))
 
-    def _via_points(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
+    def _via_points(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
         """Base-frame via points (..., m, 3) and their q-Jacobians
         (..., m, 3, n) at the states q, composed link to link from the
         stages.  (Jo, Jw) are the base-frame origin and angular-velocity
@@ -103,7 +104,7 @@ class TendonActuation(ActuationMap):
         Jo, Jw = np.zeros((2,) + lead + (3, chain.n))
         R, t = chain.base.rotation, chain.base.translation  # {S_{i-1}} in the base
         for i, lk in enumerate(chain.links):
-            st = stage(i)
+            st = stages[i]
             (f, jq, Rj, tj), R_rel, t_rel = st.actuation, st.R_rel, st.t_rel
             sl = chain.slice(i)
             nj = lk.joint.n_dof
@@ -126,8 +127,8 @@ class TendonActuation(ActuationMap):
                 raise NonOrthonormalFrameError("rotation block is not orthonormal")
         return p, J
 
-    def _measure(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
-        p, J = self._via_points(chain, q, stage)
+    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
+        p, J = self._via_points(chain, q, stages)
         a, b = self.starts, self.starts + 1
         seg = p[..., b, :] - p[..., a, :]
         norm = np.linalg.norm(seg, axis=-1)
@@ -170,7 +171,7 @@ class ChamberActuation(ActuationMap):
         qb = q[..., chain.slice(i)][..., chain.links[i].joint.n_dof:].reshape(-1, model.n_dof)
         out, start = [], 0
         for pts, w in (nodes for bi, nodes in zip(self.owner, self.nodes) if bi == i):
-            sol = None if at_x[0] is None else tuple(a[:len(qb), start:start + len(pts)] for a in at_x[0])
+            sol = None if at_x[0] is None else tuple(a[:, start:start + len(pts)] for a in at_x[0])
             start += len(pts)
             F = model.jac_x(pts, qb, sol)
             # d det(F) = cof(F) : dF, the cofactor columns being f1 x f2, f2 x f0, f0 x f1
@@ -181,11 +182,11 @@ class ChamberActuation(ActuationMap):
             out.append((volumes.reshape(lead), grads.reshape(lead + (model.n_dof,))))
         return out
 
-    def _measure(self, chain: ChainModel, q: Array, stage) -> tuple[Array, Array]:
+    def _measure(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
         lead = q.shape[:-1]
         volumes = np.empty(lead + (self.n_inputs,))
         grad = np.zeros(lead + (self.n_inputs, chain.n))
-        per_body = {bi: iter(stage(bi).actuation) for bi in dict.fromkeys(self.owner.tolist())}
+        per_body = {bi: iter(stages[bi].actuation) for bi in dict.fromkeys(self.owner.tolist())}
         for c, bi in enumerate(self.owner.tolist()):
             volumes[..., c], g = next(per_body[bi])
             body = chain.slice(bi)

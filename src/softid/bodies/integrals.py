@@ -15,7 +15,7 @@ run in the order of one state's, so a row equals the state alone, bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +57,17 @@ class BodyInertialData:
     r: Array = field(repr=False, default=None)
     rdot: Array = field(repr=False, default=None)
     ev: "BodyEval" = field(repr=False, default=None)  # noqa: F821  (kinematics) framed nodes
+
+    def take(self, rows) -> "BodyInertialData":
+        """Views of the integrals at ``rows`` of a stack (an index drops the row
+        axis); integrals without rows, a rigid body's, are every row's."""
+        if self.p_com.ndim == 1:
+            return self
+        ev, cut = self.ev, lambda arrays: None if arrays is None else tuple(a[rows] for a in arrays)
+        rowed = {f.name: getattr(self, f.name)[rows] for f in fields(self)
+                 if f.name not in ("mass", "nodes", "weights_mass", "ev")}
+        return replace(self, ev=ev._replace(sol=cut(ev.sol), frame=cut(ev.frame), points=ev.points[rows],
+                                            jac=ev.jac[rows]), **rowed)
 
 
 def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:

@@ -17,17 +17,16 @@ The per-body terms read the forward pass's integrals of each body
 (``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
 differences a body map again.  A link's kinematic stage and its stress
 terms depend on its own coordinates alone and form its
-:class:`~softid.kinematics.LinkStage` (one record, built by :func:`_stage`
-for one state or a stack of states of the link from one body solve and one
-stress pass), which a sweep takes as an argument or builds before its
-forward pass; the result's ``cache.stages`` holds them.
+:class:`~softid.kinematics.LinkStage`.  :func:`_stage` stages the links of a
+stage group (those that share a body model) from one body solve and one
+stress pass over all their rows; a sweep takes the stages as an argument
+or builds them before its forward pass (``cache.stages``).
 
 Every function here takes one state or a stack of states (b, n), whose row
 axis leads every array; a stage without rows broadcasts against stacked
-ones.  :func:`chain_dynamics` at a stack is one sweep whose row r equals the
-sweep at state r alone, bitwise, so a finite-difference block of states
-that differ in one link's block is one sweep over that link's stacked stage
-and the other links' stages of the unstepped state.
+ones.  Row r of a stacked sweep equals the sweep at state r alone, bitwise,
+so states that differ in one link's block are one sweep over that link's
+stacked stage and the other links' stages.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
-from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, forward_pass, link_stage
+from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage
 from .spatial import cross, matvec, skew
 
 Array = np.ndarray
@@ -191,19 +190,17 @@ def _cases(v: Array, stack: Array) -> Array:
 
 # -- main evaluation pipeline ---------------------------------------------------
 
-def _stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, stress: bool,
+def _stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, stress: bool,
            actuation=None) -> LinkStage:
-    """Stage of link i at the checked states, one state (n,) or a stack
-    (b, n), from one body solve (:func:`~softid.kinematics.link_stage`, with
-    the terms of ``actuation`` when given), with the stress terms of an
-    elastic body, one pass over all states, when ``stress``."""
-    st = link_stage(chain, i, q, qd, qdd, actuation)
-    lk = chain.links[i]
+    """:func:`~softid.kinematics.link_stage` of ``group`` with, when
+    ``stress``, an elastic body's stress terms: one pass over all rows."""
+    st = link_stage(chain, group, q, qd, qdd, actuation)
+    lk = chain.links[group[0]]
     if not (stress and lk.body.model.elastic_modulus is not None):
         return st
     nj = lk.joint.n_dof
-    body = slice(chain.slice(i).start + nj, chain.slice(i).stop)
-    return st._replace(stress=stress_terms(lk.body, st.data, q[..., body], qd[..., body], nj))
+    qb, qdb = (chain.rows(group, v)[:, nj:] for v in (q, qd))
+    return st._replace(stress=stress_terms(lk.body, st.data, qb, qdb, nj))
 
 
 def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None,
@@ -212,13 +209,14 @@ def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None
     the terms of an ``actuation`` map included, for :func:`chain_dynamics`.
 
     ``base`` holds the stages of a state that differs from these only in
-    the block of link ``link``; then only that link is staged again and
-    every other stage is taken from ``base``.
+    the block of link ``link``; then only that link is staged again, alone,
+    and every other stage is taken from ``base``.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     if base is None:
-        return [_stage(chain, i, q, qd, qdd, True, actuation) for i in range(len(chain))]
-    return base[:link] + [_stage(chain, link, q, qd, qdd, True, actuation)] + base[link + 1:]
+        return chain_stages(chain, q, lambda group: _stage(chain, group, q, qd, qdd, True, actuation))
+    return (base[:link] + _stage(chain, (link,), q, qd, qdd, True, actuation).split(1, q.ndim == 1)
+            + base[link + 1:])
 
 
 def chain_dynamics(
@@ -245,7 +243,7 @@ def chain_dynamics(
     q, qd, qdd = chain.check_state(q, qd, qdd)
     lead = q.shape[:-1]
     if stages is None:
-        stages = [_stage(chain, i, q, qd, qdd, stress) for i in range(len(chain))]
+        stages = chain_stages(chain, q, lambda group: _stage(chain, group, q, qd, qdd, stress))
     cache = forward_pass(
         chain, q, qd, qdd,
         base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),

@@ -39,21 +39,25 @@ FORCE_JACOBIAN_STEP = 1e-5
 
 
 def _solve_spd(M: Array, rhs: Array) -> Array:
+    """M^-1 rhs for SPD M (..., n, n) and rhs (..., n), row by row, each bitwise as solved alone."""
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise NonFiniteDynamicsError("mass matrix or right-hand side is not finite")
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(M)[0])
-        raise SingularMassError(
-            f"mass matrix is not positive definite (smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        ) from exc
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        for row, m in enumerate(M.reshape((-1,) + M.shape[-2:])):  # the first row that fails
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                break
+        smallest = float(np.linalg.eigvalsh(m)[0])
+        raise SingularMassError(f"mass matrix{f' of row {row}' if M.ndim > 2 else ''} is not positive definite "
+                                f"(smallest eigenvalue {smallest:.3e})", smallest_eigenvalue=smallest) from exc
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, rhs[..., None]))[..., 0]
 
 
 def forward_dynamics(chain: ChainModel, q, qd, nu=None) -> Array:
-    """Acceleration from the two-step scheme: solve M qdd = nu - (c + g + s)."""
+    """Acceleration from the two-step scheme, M qdd = nu - (c + g + s), at a state or a stack (b, n)."""
     q, qd, nu = chain.check_state(q, qd, nu)
     # an overflowing sweep ends in the typed error of the solve, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,24 +236,18 @@ def simulate(
                 q = q + dt * qd
                 p_start = p1
             else:
-                # work integrals ride the same RK4 stages as the state
-                k1q, k1v = qd, qdd1
-                qd2 = qd + dt / 2 * k1v
-                k2v, res2, _ = eval_dyn(t + dt / 2, q + dt / 2 * k1q, qd2)
-                p2 = powers(res2, qd2)
-                k2q = qd2
-                qd3 = qd + dt / 2 * k2v
-                k3v, res3, _ = eval_dyn(t + dt / 2, q + dt / 2 * k2q, qd3)
-                p3 = powers(res3, qd3)
-                k3q = qd3
-                qd4 = qd + dt * k3v
-                k4v, res4, _ = eval_dyn(t + dt, q + dt * k3q, qd4)
-                p4 = powers(res4, qd4)
-                k4q = qd4
-                q = q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-                qd = qd + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-                stress_work += dt / 6 * (p1[0] + 2 * p2[0] + 2 * p3[0] + p4[0])
-                diss_acc += dt / 6 * (p1[1] + 2 * p2[1] + 2 * p3[1] + p4[1])
+                # work integrals ride the same RK4 stages as the state: the
+                # stage at t + c steps by c times the last stage's slopes
+                kq, kv, p = [qd], [qdd1], [p1]
+                for c in (dt / 2, dt / 2, dt):
+                    kq.append(qd + c * kv[-1])
+                    v, res, _ = eval_dyn(t + c, q + c * kq[-2], kq[-1])
+                    kv.append(v)
+                    p.append(powers(res, kq[-1]))
+                q = q + dt / 6 * (kq[0] + 2 * kq[1] + 2 * kq[2] + kq[3])
+                qd = qd + dt / 6 * (kv[0] + 2 * kv[1] + 2 * kv[2] + kv[3])
+                stress_work += dt / 6 * (p[0][0] + 2 * p[1][0] + 2 * p[2][0] + p[3][0])
+                diss_acc += dt / 6 * (p[0][1] + 2 * p[1][1] + 2 * p[2][1] + p[3][1])
     except SoftIDError as exc:
         aborted = recorded
         logger.warning("simulation aborted at step %d: %s", aborted, exc)

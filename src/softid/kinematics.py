@@ -24,13 +24,15 @@ a stage, of the integrals it carries and of the forward pass has the
 state's leading axes: none for one state, one row per state of a stack.  A
 stage without rows broadcasts against stacked ones, so a sweep over states
 that differ in one link's block takes that link's stage as a stack and the
-other links' stages of one state.  :func:`link_stage` stages a stack from
-one solve of its body (:meth:`BodyHandle.evaluate`), at every state's q_i
-and, for each moving state, at the two points q_i +- h u of its rates
-(:func:`unit_rate`), and takes the integrals once over the stack.  A row's
-values do not depend on the other rows (every product is taken row by row
-in the order of a single state), so a state swept in a stack equals the
-state swept alone, bitwise.
+other links' stages of one state.  The links that hold one body handle
+(one per distinct body document of a parsed chain) and joints of one size
+form a stage group (:attr:`ChainModel.groups`), which :func:`link_stage`
+stages as one stack of its links' blocks: one solve of the body
+(:meth:`BodyHandle.evaluate`) at every row and, for each moving row, at
+q_i +- h u (:func:`unit_rate`), and the integrals once over the stack.  A
+row's values do not depend on the other rows (every product is taken row
+by row in the order of a single state), so a state swept in a stack, or a
+link staged in its group, equals the state or the link alone, bitwise.
 """
 
 from __future__ import annotations
@@ -119,12 +121,9 @@ class BodyEval(NamedTuple):
     at_x: tuple | None = None  # (sol, f, df/dq) at the points x of ``evaluate``: views of its rows
 
     def take(self, rows) -> "BodyEval":
-        """The evaluation at ``rows``: an index gives one configuration's
-        fields without the row axis, an index array a stack of those rows.
-        Every array is a C-contiguous copy: the layout of a row, like its
-        values, does not depend on the rows it was solved with (numpy and
-        BLAS may sum in a different order for another layout), and a kept
-        row does not keep the whole stack alive.  ``at_x`` is not kept."""
+        """The evaluation at ``rows`` (an index drops the row axis), without
+        ``at_x``, as C-contiguous copies: numpy and BLAS may sum another
+        layout in another order, and a kept row frees the rest."""
         def part(arrays):
             return None if arrays is None else tuple(a[rows].copy() for a in arrays)
 
@@ -246,7 +245,7 @@ class BodyHandle:
         ip = rel @ R
         jac = np.einsum("rmaj,rab->rmbj", jq - dt[:, None], R)
         if not self.free_tip:
-            jac = jac + np.einsum("rma,rjab->rmbj", rel, dR)
+            jac += np.einsum("rma,rjab->rmbj", rel, dR)
         return ip, jac
 
 
@@ -276,12 +275,20 @@ class ChainModel:
         offsets = np.cumsum([0] + [lk.n_dof for lk in self.links])
         self._offsets = offsets
         self.n = int(offsets[-1])
+        groups = {}  # stage groups: the links that hold one handle, with joints of one size
+        for i, lk in enumerate(self.links):
+            groups.setdefault((lk.body, lk.joint.n_dof), []).append(i)
+        self.groups = tuple(map(tuple, groups.values()))
 
     def __len__(self) -> int:
         return len(self.links)
 
     def slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
+
+    def rows(self, group, v: Array) -> Array:
+        """The blocks of the links ``group`` of the states v, (n,) or (b, n), as one stack, link after link."""
+        return np.concatenate([(v if v.ndim > 1 else v[None])[:, self.slice(i)] for i in group])
 
     def split(self, i: int, q: Array) -> tuple[Array, Array]:
         """(joint, body) sub-vectors of body i's coordinate block."""
@@ -327,8 +334,7 @@ def link_jacobians(joint: Joint, frame, qi: Array):
     R_rel = Rj @ Rc
     Rj_tc = (Rj @ tc[..., None])[..., 0]
     t_rel = tj + Rj_tc
-    Jt = np.zeros((qi.shape[0], 3, nj + nb))
-    Jw = np.zeros((qi.shape[0], 3, nj + nb))
+    Jt, Jw = np.zeros((2, qi.shape[0], 3, nj + nb))
     if nj:
         if joint.kind == "revolute":
             Jt[:, :, 0] = cross(joint.axis, Rj_tc)
@@ -348,14 +354,14 @@ def unit_rate(q: Array, qd: Array):
 
     The rates are linear in qd: one central difference along u = qd/|qd|,
     scaled by |qd|, keeps the cancellation noise independent of |qd|.
-    Returns (points, rate): ``points`` stacks the rows of q and then, for
+    Returns (points, rate, at): ``points`` stacks the rows of q and then, for
     every moving row, q + h u and q - h u (a row at rest adds none and has
-    zero rates); ``rate(a)`` maps an array evaluated at ``points`` (leading
-    axis) to the rates at the rows of q.
+    zero rates), ``at`` their rows of q; ``rate(a)`` maps an array evaluated
+    at ``points`` (leading axis) to the rates at the rows of q.
     """
     b = q.shape[0]
     if not qd.any():
-        return q, lambda a: np.zeros((b,) + a.shape[1:])
+        return q, lambda a: np.zeros((b,) + a.shape[1:]), np.arange(b)
     speed = np.sqrt((qd * qd).sum(1))
     moving = np.flatnonzero(speed)
     h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((q[moving] * q[moving]).sum(1)))
@@ -368,7 +374,8 @@ def unit_rate(q: Array, qd: Array):
         out[moving] = scale.reshape((k,) + (1,) * (a.ndim - 1)) * (a[b:b + k] - a[b + k:])
         return out
 
-    return np.concatenate([q, q[moving] + step, q[moving] - step]), rate
+    return (np.concatenate([q, q[moving] + step, q[moving] - step]), rate,
+            np.concatenate([np.arange(b), moving, moving]))
 
 
 # -- forward pass --------------------------------------------------------------
@@ -393,31 +400,55 @@ class LinkStage(NamedTuple):
     stress: tuple | None = None
     actuation: object = None
 
+    def split(self, count: int, single: bool) -> list["LinkStage"]:
+        """The stages of the ``count`` links of a group's record: their rows, or for one state its row."""
+        b = len(self.R_rel) // count
+        rows = [k if single else slice(k * b, (k + 1) * b) for k in range(count)]
+        return [LinkStage(*(a[r] for a in self[:6]), self.data.take(r),
+                          None if self.stress is None else tuple(tuple(a[r] for a in w) for w in self.stress),
+                          None if self.actuation is None else self.actuation[k]) for k, r in enumerate(rows)]
 
-def link_stage(chain: ChainModel, i: int, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
-    """Stage of link i at the checked states q, qd, qdd: one state (n,) or a
-    stack (b, n).
 
-    One body evaluation serves every state: at each state's q_i and, for
-    each moving state, at q_i +- h u (:func:`unit_rate`).  The integrals are
-    taken once, over the states' rows of that evaluation.  The solve also
-    takes the points of an ``actuation`` map on the body, and the stage
-    carries the map's terms of the link (:class:`~softid.actuation.ActuationMap`).
-    """
-    lk = chain.links[i]
-    sl = chain.slice(i)
+def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
+    """Record of the stage group ``group``, or of one link ``(i,)``, at the
+    checked states q, qd, qdd, one state (n,) or a stack (b, n), whose rows
+    are the links' blocks one after the other (:meth:`LinkStage.split`).
+    One body evaluation serves every row, at the row and, if it moves, at
+    the row +- h u (:func:`unit_rate`), with the points of an ``actuation``
+    map, whose terms of each link the record lists; the link Jacobians are
+    taken per link on its rows, the integrals once over all rows."""
+    lk = chain.links[group[0]]
     nj = lk.joint.n_dof
-    rows = 0 if q.ndim == 1 else slice(0, q.shape[0])
-    qi, qdi, qddi = ((v[None] if v.ndim == 1 else v)[:, sl] for v in (q, qd, qdd))
-    points, rate = unit_rate(qi, qdi)
-    ev = lk.body.evaluate(points[:, nj:], None if actuation is None else actuation.points_on(i))
-    R_rel, t_rel, Jt, Jw = link_jacobians(lk.joint, ev.frame, points)
+    qs, qds, qdds = (chain.rows(group, v) for v in (q, qd, qdd))
+    b = len(qs) // len(group)
+    points, rate, at = unit_rate(qs, qds)
+    at //= b  # the link of each point
+    xs = None if actuation is None else [actuation.points_on(i) for i in group]
+    ev = lk.body.evaluate(points[:, nj:], None if xs is None else np.concatenate(xs))
+    R_rel, t_rel, Jt, Jw = (np.empty((len(points),) + s) for s in ((3, 3), (3,)) + ((3, qs.shape[1]),) * 2)
+    for k, i in enumerate(group):
+        own = np.flatnonzero(at == k) if len(group) > 1 else slice(None)
+        R_rel[own], t_rel[own], Jt[own], Jw[own] = link_jacobians(
+            chain.links[i].joint, tuple(a[own] for a in ev.frame), points[own])
     Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
-    terms = None if actuation is None else actuation.link_terms(chain, i, q, ev.at_x)
-    ev = ev.take(rows)  # copies: the solve at the rate points is freed here
-    data = integrals.body_integrals(lk.body, ev, Jp_dot[rows], qdi[rows, nj:], qddi[rows, nj:])
-    return LinkStage(R_rel[rows], t_rel[rows], Jt[rows], Jw[rows], Jt_dot[rows], Jw_dot[rows], data,
-                     actuation=terms)
+    terms = None
+    if actuation is not None:  # each link reads its rows at q and its points' columns
+        cols, (sol, f, jq) = np.cumsum([0] + [len(x) for x in xs]), ev.at_x
+        cuts = [(slice(k * b, (k + 1) * b), slice(cols[k], cols[k + 1])) for k in range(len(group))]
+        at_x = [(None if sol is None else tuple(a[c] for a in sol), f[c], jq[c]) for c in cuts]
+        terms = [actuation.link_terms(chain, i, q, part) for i, part in zip(group, at_x)]
+    ev = ev.take(slice(0, len(qs)))  # copies: the solve at the rate points is freed here
+    data = integrals.body_integrals(lk.body, ev, Jp_dot, qds[:, nj:], qdds[:, nj:])
+    return LinkStage(*(a[:len(qs)] for a in (R_rel, t_rel, Jt, Jw)), Jt_dot, Jw_dot, data, actuation=terms)
+
+
+def chain_stages(chain: ChainModel, q: Array, stage) -> list[LinkStage]:
+    """The links' stages at the checked states q from ``stage(group)``, each stage group's record."""
+    stages = [None] * len(chain)
+    for group in chain.groups:
+        for i, st in zip(group, stage(group).split(len(group), q.ndim == 1)):
+            stages[i] = st
+    return stages
 
 
 @dataclass
@@ -468,7 +499,7 @@ def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
         base_accel = -chain.gravity
     base_accel = np.asarray(base_accel, dtype=float)
     if stages is None:
-        stages = [link_stage(chain, i, q, qd, qdd) for i in range(len(chain))]
+        stages = chain_stages(chain, q, lambda group: link_stage(chain, group, q, qd, qdd))
 
     bodies: list[BodyKin] = []
     R_parent = chain.base.rotation

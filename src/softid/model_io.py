@@ -216,11 +216,12 @@ def parse_chain(doc: dict) -> ChainModel:
     base = Transform(_rotation(base_doc.get("rotation"), "base.rotation"),
                      _vec3(base_doc.get("translation", (0, 0, 0)), "base.translation"))
     gravity = _vec3(doc.get("gravity", (0.0, 0.0, -9.81)), "gravity")
-    links = []
+    links, handles = [], {}  # one handle per distinct body document
     for idx, ld in enumerate(links_doc):
         try:
-            links.append(Link(_build_joint(ld.get("joint", {"kind": "fixed"})),
-                              _build_body(ld["body"])))
+            key = json.dumps(ld["body"], sort_keys=True)
+            handles[key] = handles.get(key) or _build_body(ld["body"])
+            links.append(Link(_build_joint(ld.get("joint", {"kind": "fixed"})), handles[key]))
         except (KeyError, ModelError, ValueError) as exc:
             raise ModelError(f"link {idx}: {exc}") from exc
     chain = ChainModel(links, gravity=gravity, base=base)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softid import presets
+from softid.dynamics import _stage
 from softid.errors import BodyDomainError
 
 
@@ -48,6 +49,14 @@ def central_difference(fn, x, steps):
     """
     cols = [(fn(x + dx) - fn(x - dx)) / (2.0 * h) for h, dx in zip(steps, np.diag(steps))]
     return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x)) + (0,))
+
+
+def stage_alone(chain, i, q, qd=None, qdd=None, actuation=None):
+    """Link i staged alone, as a group of one, with its stress terms and the
+    terms of ``actuation``: the per-link reference that the stages of a
+    stage group are checked against."""
+    q, qd, qdd = chain.check_state(q, qd, qdd)
+    return _stage(chain, (i,), q, qd, qdd, True, actuation).split(1, q.ndim == 1)[0]
 
 
 def sample_state(rng, n, q_range=np.pi, qd_range=10.0, qdd_range=100.0):

@@ -159,13 +159,15 @@ def test_criterion_4_trivial_identities():
 
 
 def _position_calls(fn):
-    """Number of body-map position evaluations that ``fn()`` makes."""
+    """Number of configurations at which ``fn()`` evaluates body-map
+    positions: the rows of every ``position`` call, so that a stage group's
+    one call at all its links' rows counts each of them."""
     count = 0
     original = CosseratRodBody.position
 
     def counted(self, x, q, sol=None):
         nonlocal count
-        count += 1
+        count += np.shape(q)[0]
         return original(self, x, q, sol)
 
     CosseratRodBody.position = counted
@@ -179,10 +181,12 @@ def _position_calls(fn):
 def test_criterion_5_linear_scaling():
     """IID time is linear in N; the oracle's per-body work grows superlinearly.
 
-    The oracle's growth is gated on the deterministic count of body-map
-    position evaluations per call (at least 3x per doubling from N = 8),
-    which host-speed drift does not move, and the recursion's count must
-    double exactly with N.
+    The oracle's growth is gated on the deterministic count of
+    configurations at which a call evaluates body-map positions (at least
+    3x per doubling from N = 8), which host-speed drift does not move, and
+    the recursion's count must double exactly with N.  The count is of rows,
+    not calls: the recursion evaluates all bodies of a stage group in one
+    call.
     """
     t0 = time.perf_counter()
     sizes = [2, 4, 8, 16, 32]
@@ -210,8 +214,8 @@ def test_criterion_5_linear_scaling():
           and ratio_orc_32 >= 3.0 and elapsed < 600.0)
     _report("5 (O(N) scaling)", ok,
             f"R^2 {r2:.4f} (>=0.98), t32/t16 {ratio_rec:.2f} (<=2.6), "
-            f"IID position calls {calls_rec} (x2 per doubling: {doubling_rec}), "
-            f"oracle position calls {calls_orc}, ratios {ratio_orc_16:.2f}/{ratio_orc_32:.2f} "
+            f"IID position rows {calls_rec} (x2 per doubling: {doubling_rec}), "
+            f"oracle position rows {calls_orc}, ratios {ratio_orc_16:.2f}/{ratio_orc_32:.2f} "
             f"(>=3), runtime {elapsed:.0f}s (<600)")
 
 

@@ -244,8 +244,9 @@ def test_mid_matches_id_and_miid_mass(pcc2, rng):
 
 
 def test_one_body_solve_per_configuration(monkeypatch):
-    # each body is solved once, at q and, while it moves, at q +- h u in the
-    # same call; the stress pass reuses the solve at q
+    # the three rods share one body model: it is solved once for all of
+    # them, at q and, while they move, at q +- h u in the same call; the
+    # stress pass reuses the solve at q
     from softid.bodies import CosseratRodBody
 
     chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 8, 5))
@@ -259,11 +260,11 @@ def test_one_body_solve_per_configuration(monkeypatch):
     rng = np.random.default_rng(3)
     q, qd, qdd = (rng.uniform(-1, 1, chain.n) for _ in range(3))
     iid(chain, q, qd, qdd)
-    assert calls == {"solve": 3, "position": 3, "jac_q": 3}
+    assert calls == {"solve": 1, "position": 1, "jac_q": 1}
     calls.clear()
     mid(chain, q, qd, qdd)
-    assert calls == {"solve": 3, "position": 3, "jac_q": 3,
-                     "jac_x": 3, "hess_x": 3, "jac_x_dq": 3}
+    assert calls == {"solve": 1, "position": 1, "jac_q": 1,
+                     "jac_x": 1, "hess_x": 1, "jac_x_dq": 1}
 
 
 def test_mass_positive_definite_on_fixtures(rigid_2r, pcc2, pcs2, pac1, lvp1):

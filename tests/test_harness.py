@@ -85,6 +85,25 @@ def test_solve_spd_reports_an_indefinite_matrix():
     assert err.value.smallest_eigenvalue < 0
 
 
+def test_solve_spd_names_the_first_failing_row():
+    good = np.diag([2.0, 1.0, 3.0])
+    bad = np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
+    with pytest.raises(SingularMassError, match="row 1 ") as err:
+        _solve_spd(np.stack([good, bad, good, bad]), np.ones((4, 3)))
+    assert err.value.smallest_eigenvalue == np.linalg.eigvalsh(bad)[0]
+
+
+@pytest.mark.parametrize("fixture", ["rigid_2r", "pcc2"])
+def test_forward_dynamics_rows_equal_single_calls(fixture, request):
+    chain = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(8)
+    q, qd, nu = (rng.uniform(-0.5, 0.5, (4, chain.n)) for _ in range(3))
+    qdd = forward_dynamics(chain, q, qd, nu)
+    assert qdd.shape == (4, chain.n)
+    for r in range(4):
+        assert np.array_equal(qdd[r], forward_dynamics(chain, q[r], qd[r], nu[r]))
+
+
 def test_solve_spd_matches_a_general_solve():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 6))
@@ -264,8 +283,9 @@ def test_force_jacobians_stage_only_the_stepped_link(monkeypatch):
     calls = count_solves(monkeypatch)
     _force_jacobians(chain, q, qd, base)
     # the 4 n_i column points of a link, each at q_i and q_i +- h u, are one
-    # solve of its body (a full sweep per point would solve all three links)
-    assert Counter(calls) == Counter({lk.body.model: 1 for lk in chain.links})
+    # solve of its body (a full sweep per point would solve all three links);
+    # the rods share one model, so the solves are listed per call
+    assert calls == [lk.body.model for lk in chain.links]
 
 
 def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
@@ -278,7 +298,7 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
     assert _statics_jacobian(residual, q, base) is not None
     # the 2 n_i column points of a link are one stack, whose stage solves
     # its body once for the dynamics and the tendons together
-    assert Counter(calls) == Counter({lk.body.model: 1 for lk in chain.links})
+    assert calls == [lk.body.model for lk in chain.links]
 
 
 def test_residual_stages_every_link_once(monkeypatch):
@@ -298,21 +318,21 @@ def test_residual_stages_every_link_once(monkeypatch):
     monkeypatch.setattr(kinematics, "link_jacobians", counting(links, kinematics.link_jacobians))
     r, _ = residual(q)
     assert r is not None
-    # the tendons read the dynamics stage's solve: one per body, not two
-    assert Counter(calls) == Counter({lk.body.model: 1 for lk in chain.links})
-    assert frames == [lk.body for lk in chain.links]
+    # the tendons read the dynamics stage's solve: one per stage group, not
+    # two; one contact frame per stage group, the link Jacobians per link
+    assert calls == [chain.links[g[0]].body.model for g in chain.groups]
+    assert frames == [chain.links[g[0]].body for g in chain.groups]
     assert len(links) == len(chain)
 
 
 def count_stress_calls(monkeypatch):
     """Calls of the stress pass and of the rod's material derivatives, by
-    (name, body model)."""
+    name: the rods of a preset share one body model."""
     calls = Counter()
 
     def counting(name, original):
         def counted(*args):
-            model = args[0].model if name == "stress_terms" else args[0]
-            calls[name, model] += 1
+            calls[name] += 1
             return original(*args)
         return counted
 
@@ -331,7 +351,7 @@ def test_force_jacobians_take_the_stress_once_per_link(monkeypatch):
     calls = count_stress_calls(monkeypatch)
     _force_jacobians(chain, q, qd, base)
     names = ("stress_terms", "jac_x", "hess_x", "jac_x_dq")
-    assert calls == Counter({(name, lk.body.model): 1 for name in names for lk in chain.links})
+    assert calls == Counter({name: len(chain) for name in names})
 
 
 def test_statics_jacobian_takes_the_stress_once_per_link(monkeypatch):
@@ -343,7 +363,7 @@ def test_statics_jacobian_takes_the_stress_once_per_link(monkeypatch):
     calls = count_stress_calls(monkeypatch)
     assert _statics_jacobian(residual, q, base) is not None
     names = ("stress_terms", "jac_x", "hess_x")
-    assert calls == Counter({(name, lk.body.model): 1 for name in names for lk in chain.links})
+    assert calls == Counter({name: len(chain) for name in names})
 
 
 @pytest.mark.parametrize("name", sorted(FD_CHAINS))

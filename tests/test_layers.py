@@ -24,13 +24,30 @@
   ``forward_kinematics``) and the shared constitutive law (``_div_green``),
   nothing that runs a sweep (``forward_pass``, ``link_stage(s)``,
   ``chain_dynamics``, ``iid``, ...).
+- One body solve per stage group: a full sweep calls ``BodyModel.solve``
+  once for all the links that share a body model, so once per distinct
+  non-rigid body document of a chain, besides the solves of material
+  derivatives that difference the position map (a count, which host load
+  does not move).
 """
 
 import ast
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from softid import presets
+from softid.bodies import BodyModel
+from softid.dynamics import iid, mid
+from softid.model_io import load_chain
+
+from conftest import in_domain
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softid"
+MODELS = PACKAGE.parent.parent / "models"
 BODIES_MAY_IMPORT = {"quadrature", "spatial", "errors"}
 ORACLE_MAY_IMPORT = {"kinematics": {"ChainModel", "forward_kinematics"}, "dynamics": {"_div_green"}}
 BODY_EVALUATIONS = {"place", "evaluate", "solve", "position", "jac_q"}
@@ -164,3 +181,43 @@ def test_one_central_difference_quotient():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
                   if _is_central_quotient(node)]
     assert len(found) == 1, f"central-difference quotients in the package: {found}"
+
+
+def _count_solves(monkeypatch):
+    """The models of the ``BodyModel.solve`` calls from now on, one per call."""
+    calls = []
+    classes = [BodyModel]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        if "solve" in vars(cls):
+            def counted(self, x, q, _original=vars(cls)["solve"]):
+                calls.append(self)
+                return _original(self, x, q)
+            monkeypatch.setattr(cls, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_bodies", [2, 8, 32])
+def test_iid_solves_the_planar_chain_once(monkeypatch, n_bodies):
+    chain = presets.planar_pcc_chain(n_bodies, quadrature_order=(2, 8, 6))
+    q, qd, qdd = np.random.default_rng(n_bodies).uniform(-0.5, 0.5, (3, chain.n))
+    calls = _count_solves(monkeypatch)
+    iid(chain, q, qd, qdd)
+    assert calls == [chain.links[0].body.model]
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")), ids=lambda p: p.stem)
+def test_mid_solves_each_distinct_body_document_once(monkeypatch, path):
+    # the variable-radius rod's material derivatives difference its position
+    # map, which solves again: three more solves in its stress pass
+    links = json.loads(path.read_text())["links"]
+    distinct = {json.dumps(ld["body"], sort_keys=True): 4 if ld["body"]["kind"] == "pcc_variable_radius" else 1
+                for ld in links if ld["body"]["kind"] != "rigid"}
+    chain = load_chain(path)
+    rng = np.random.default_rng(0)
+    q = rng.uniform(-0.3, 0.3, chain.n)
+    while not in_domain(chain, q):
+        q = rng.uniform(-0.3, 0.3, chain.n)
+    calls = _count_solves(monkeypatch)
+    mid(chain, q, rng.uniform(-1.0, 1.0, chain.n), rng.uniform(-1.0, 1.0, chain.n))
+    assert len(calls) == sum(distinct.values())

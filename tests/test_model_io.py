@@ -33,6 +33,23 @@ def test_bundled_models_match_presets():
         assert json.loads(f.read_text()) == _normalize(presets.describe(f.stem)), f.name
 
 
+MODELS = Path(__file__).parent.parent / "models"
+
+
+@pytest.mark.parametrize("chain", [load_chain(MODELS / "pcc_2.json"), presets.planar_pcc_chain(32),
+                                   load_chain(MODELS / "rigid_2r.json")], ids=["pcc_2", "planar_32", "rigid_2r"])
+def test_equal_body_documents_share_one_handle(chain):
+    assert all(lk.body is chain.links[0].body for lk in chain.links)
+    assert chain.groups == (tuple(range(len(chain))),)
+
+
+def test_different_body_documents_keep_their_handles():
+    # the two cones of pgc_2 differ in their radii
+    chain = load_chain(MODELS / "pgc_2.json")
+    assert chain.links[0].body is not chain.links[1].body
+    assert chain.groups == ((0,), (1,))
+
+
 def test_roundtrip_equivalence(tmp_path, rng):
     doc = presets.pcc_description(2)
     chain = parse_chain(doc)

@@ -4,9 +4,11 @@ sweep.
 A stack of configurations is solved, staged and swept in one call, and row r
 of every result is, bitwise, the value at that configuration alone: the K/D
 refresh and the statics Jacobian sweep all column points of a link together
-and must equal full sweeps.
+and must equal full sweeps, and the links of a stage group are the blocks
+of rows of one stack, each bitwise the link staged alone.
 """
 
+import copy
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,15 +18,15 @@ import pytest
 from softid.actuation import ChamberActuation
 from softid.bodies import BodyModel
 from softid import presets
-from softid.dynamics import _stage, chain_dynamics, inverse_dynamics, link_stages
+from softid.dynamics import chain_dynamics, inverse_dynamics, link_stages
 from softid.errors import BodyDomainError, DegenerateContactError
 from softid.harness import _equilibrium, _statics_jacobian
-from softid.kinematics import BodyHandle, link_stage
+from softid.kinematics import BodyHandle, ChainModel, Link
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
-from conftest import central_difference, in_domain
-from test_harness import FD_CHAINS, fd_state, three_tendons
+from conftest import central_difference, in_domain, stage_alone
+from test_harness import FD_CHAINS, fd_state, statics_case, three_tendons
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 # one bundled model per body kind
@@ -125,10 +127,10 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
     chain = chain_of(kind)
     q, qd, qdd = stacked_states(chain, b, seed=10 + b)
     for i in range(len(chain)):
-        stage = _stage(chain, i, q, qd, qdd, True)
+        stage = stage_alone(chain, i, q, qd, qdd)
         assert stage.R_rel.shape == (b, 3, 3)
         for r in range(b):
-            alone = _stage(chain, i, q[r], qd[r], qdd[r], True)
+            alone = stage_alone(chain, i, q[r], qd[r], qdd[r])
             assert alone.R_rel.shape == (3, 3)
             assert same(stage_row(stage, r), alone), (i, r)
 
@@ -140,9 +142,9 @@ def assert_terms_rows_equal_states_alone(chain, act, q):
     rest = np.zeros_like(q)
     stacked = []
     for i in range(len(chain)):
-        terms = link_stage(chain, i, q, rest, rest, act).actuation
+        terms = stage_alone(chain, i, q, rest, rest, act).actuation
         for r in range(b):
-            alone = link_stage(chain, i, q[r], rest[r], rest[r], act).actuation
+            alone = stage_alone(chain, i, q[r], rest[r], rest[r], act).actuation
             # a joint transform that is the same for every row has an axis of 1
             rows = [np.broadcast_to(a, (b,) + a.shape[1:])[r, ...] for a in arrays(terms)]
             assert same(rows, alone), (i, r)
@@ -169,6 +171,34 @@ def test_tendon_stage_rows_equal_states_staged_alone(b):
     stacked = assert_terms_rows_equal_states_alone(chain, three_tendons(chain), q)
     # each body carries one via point of each of the three tendons
     assert [terms[0].shape for terms in stacked] == [(b, 3, 3)] * len(chain)
+
+
+def assert_grouped_stages_equal_links_alone(chain, q, qd, qdd, act=None):
+    grouped = link_stages(chain, q, qd, qdd, actuation=act)
+    for i in range(len(chain)):
+        assert same(grouped[i], stage_alone(chain, i, q, qd, qdd, act)), i
+
+
+@pytest.mark.parametrize("b", ROWS)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_grouped_stages_equal_links_staged_alone(kind, b):
+    # moving (every other row at rest) and at rest, a stack and one state
+    chain = chain_of(kind)
+    q, qd, qdd = stacked_states(chain, b, seed=40 + b)
+    for v in (qd, np.zeros_like(qd)):
+        assert_grouped_stages_equal_links_alone(chain, q, v, qdd)
+    assert_grouped_stages_equal_links_alone(chain, q[0], qd[0], qdd[0])
+
+
+@pytest.mark.parametrize("name", ["pcc_3", "revolute_prismatic"])
+def test_grouped_actuation_terms_equal_links_staged_alone(name):
+    # the tendons on every rod, the chambers behind a revolute and a prismatic joint
+    chain, act, _ = statics_case(name)
+    assert len(chain.groups) == 1
+    q, _, _ = stacked_states(chain, 3, seed=50)
+    rest = np.zeros_like(q)
+    assert_grouped_stages_equal_links_alone(chain, q, rest, rest, act)
+    assert_grouped_stages_equal_links_alone(chain, q[0], rest[0], rest[0], act)
 
 
 def block_states(chain, q, qd, qdd, i, b, seed):
@@ -216,6 +246,10 @@ def test_statics_jacobian_retries_one_column_at_the_small_step():
     # body 1's first coordinate may grow by 5e-7 at most: of link 1's stack
     # only that column leaves the domain, and it alone takes the 1e-8 step
     chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 6, 5))
+    # link 1 gets a handle and a model of its own, so the cap reaches its rows alone
+    links, lk = list(chain.links), chain.links[1]
+    links[1] = Link(lk.joint, BodyHandle(copy.copy(lk.body.model), lk.body.x_j, lk.body.x_a, lk.body.x_b))
+    chain = ChainModel(links, chain.gravity, chain.base)
     act = three_tendons(chain)
     u = np.array([1.0, 0.5, 0.2])
     q, _ = fd_state(chain, 7)
@@ -252,7 +286,7 @@ def test_out_of_domain_row_raises():
     for call in (lambda: handle.model.position(handle.points, q),
                  lambda: handle.model.jac_q(handle.points, q),
                  lambda: handle.evaluate(q),
-                 lambda: _stage(chain, 0, q, qd, qdd, True)):
+                 lambda: stage_alone(chain, 0, q, qd, qdd)):
         with pytest.raises(BodyDomainError):
             call()
 
