@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonOrthonormalFrameError
-from .kinematics import ChainModel, chain_stages, link_stage
+from .kinematics import ChainModel, chain_stages, place_stage
 from .quadrature import ReferenceDomain
 from .spatial import cross, is_rotation, matvec
 
@@ -40,13 +40,13 @@ class ActuationMap:
     def _at(self, chain: ChainModel, q: Array, stages):
         """:meth:`_measure` at q from ``stages``, the links' stages at q with
         this map's terms (:func:`~softid.dynamics.link_stages`); when None,
-        the chain's stage groups are staged here."""
+        each stage group is placed for this map alone
+        (:func:`~softid.kinematics.place_stage`)."""
         (q,) = chain.check_state(q)
         if self.owner.max(initial=-1) >= len(chain):
             raise ValueError(f"an actuator is on body {self.owner.max()} of a {len(chain)}-body chain")
         if stages is None:
-            rest = np.zeros_like(q)
-            stages = chain_stages(chain, q, lambda group: link_stage(chain, group, q, rest, rest, self))
+            stages = chain_stages(chain, q, lambda group: place_stage(chain, group, q, self))
         return self._measure(chain, q, stages)
 
     def lengths(self, chain: ChainModel, q: Array) -> Array:

@@ -103,11 +103,12 @@ def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
     rate_scale = scale * np.maximum(1.0, np.sqrt((qdb * qdb).sum(-1)))
     res_r, res_rd = (np.sqrt((c * c).sum(-1)) for c in (wm @ r, wm @ rdot))
     # a non-finite residual compares false as well
-    if not ((res_r <= CENTROID_TOL * scale) & (res_rd <= CENTROID_TOL * rate_scale)).all():
+    ok = np.reshape((res_r <= CENTROID_TOL * scale) & (res_rd <= CENTROID_TOL * rate_scale), -1)
+    if not ok.all():
         raise CentroidConsistencyError(
             f"centroid integrals violated: |int r dm| = {np.max(res_r):.3e}, "
             f"|int r_dot dm| = {np.max(res_rd):.3e} (limit {CENTROID_TOL * scale:.3e}); "
-            "quadrature rule too coarse or body map returned non-finite values"
+            "quadrature rule too coarse or body map returned non-finite values", int(np.flatnonzero(~ok)[0])
         )
 
     eye = np.eye(3)

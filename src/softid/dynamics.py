@@ -8,25 +8,23 @@ forces of the Kane formulation.
 
 The mass-augmented variants propagate zero-velocity Jacobians of the
 acceleration recursion forward.  Column k of the generalized mass matrix is
-the inertial load of the unit acceleration qdd = e_k at rest; these n load
+the inertial load of the unit acceleration qdd = e_k at rest; these load
 cases ride the one backward recursion as extra stacked rows after the force
-components, so M(q) comes out of the same sweep that produces the force
-vector.
+components, so M(q) comes out of the same sweep as the force vector.
 
-The per-body terms read the forward pass's integrals of each body
-(``BodyKin.data``) and the evaluation they carry; nothing here evaluates or
-differences a body map again.  A link's kinematic stage and its stress
-terms depend on its own coordinates alone and form its
-:class:`~softid.kinematics.LinkStage`.  :func:`_stage` stages the links of a
-stage group (those that share a body model) from one body solve and one
-stress pass over all their rows; a sweep takes the stages as an argument
-or builds them before its forward pass (``cache.stages``).
+The sweep takes every per-link term (the inertial, gravity and stress
+wrenches and projections, the mass cases) in one call over all links, from
+the forward pass's stacked integrals (``cache.links``); link by link run
+only the 6-vector recurrences, here the mass cases' Jacobians and the
+backward wrenches W_i = w_i + X_{i+1}^T W_{i+1} of every row at once.
+Nothing here evaluates or differences a body map again.  :func:`_stage`
+stages a stage group (the links that share a body model) with one body
+solve and one stress pass over all their rows.
 
-Every function here takes one state or a stack of states (b, n), whose row
-axis leads every array; a stage without rows broadcasts against stacked
-ones.  Row r of a stacked sweep equals the sweep at state r alone, bitwise,
-so states that differ in one link's block are one sweep over that link's
-stacked stage and the other links' stages.
+Every function here takes one state or a stack of states (b, n); a stage
+without rows broadcasts against stacked ones.  Row r of a stacked sweep is
+the sweep at state r alone, bitwise, so states that differ in one link's
+block are one sweep over that link's stacked stage and the others' stages.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
-from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage
+from .kinematics import (BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage,
+                         stack_links)
 from .spatial import cross, matvec, skew
 
 Array = np.ndarray
@@ -94,7 +93,7 @@ def gravity_terms(data: BodyInertialData, R_base: Array, gravity: Array, n_joint
 
 def _joint_rows(pi_body: Array, n_joint: int) -> Array:
     """A body's projection with ``n_joint`` leading zeros for its joint."""
-    return np.concatenate([np.zeros(pi_body.shape[:-1] + (n_joint,)), pi_body], axis=-1)
+    return np.concatenate([np.zeros(pi_body.shape[:-1] + (n_joint,)), pi_body], axis=-1) if n_joint else pi_body
 
 
 def _div_green(model, x: Array, q: Array, sol=None) -> Array:
@@ -154,38 +153,23 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
 
 
 def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
-    """Backward sweep of the wrench recursion; returns per-body projections.
+    """Backward sweep of the wrench recursion W_i = w_i + X_{i+1}^T W_{i+1};
+    returns the links' projections S_i^T W_i in link columns.
 
-    ``wrenches`` is one (F, F_star, T, T_star) tuple per body; entries may be
-    stacked (..., k, 3) arrays to propagate k independent load cases in one
-    sweep (the recursion is linear in all arguments), after the cache's row
-    axis if it has one.  The output list holds arrays of shape (..., k, n_i),
-    or (n_i,) for single (3,) wrenches.
+    ``wrenches`` holds (F, F_star, T, T_star) per link, (N, 4, ..., 3),
+    whose entries may stack k load cases (..., k, 3), after the cache's row
+    axis if it has one; the output is (N, ..., k, width), or (N, width).
     """
-    N = len(chain)
-    out = [None] * N
-    acc_F = None
-    acc_T = None
-    for i in range(N - 1, -1, -1):
-        F, F_star, T, T_star = (np.asarray(a, dtype=float) for a in wrenches[i])
-        kin = cache[i]
-        Fc = F + F_star
-        Tc = T + T_star + cross(_cases(kin.data.p_com, Fc), Fc)
-        if acc_F is None:
-            acc_F, acc_T = Fc, Tc
-        else:
-            nxt = cache[i + 1]
-            RT = nxt.R_rel.swapaxes(-1, -2)
-            rot_F = acc_F @ RT
-            acc_T = Tc + acc_T @ RT + cross(_cases(nxt.t_rel, rot_F), rot_F)
-            acc_F = Fc + rot_F
-        out[i] = acc_F @ kin.Pv.swapaxes(-1, -2) + acc_T @ kin.Pw.swapaxes(-1, -2)
-    return out
-
-
-def _cases(v: Array, stack: Array) -> Array:
-    """The vectors v (..., 3) with a load-case axis where ``stack`` has one."""
-    return v.reshape(v.shape[:-1] + (1,) * (stack.ndim - v.ndim) + (3,))
+    w = np.asarray(wrenches, dtype=float)
+    lk = cache.links
+    single = w.ndim == lk.data.p_com.ndim + 1
+    F, F_star, T, T_star = (w[..., None, :] if single else w).swapaxes(0, 1)
+    Fc = F + F_star
+    W = np.concatenate([Fc, T + T_star + cross(lk.data.p_com[..., None, :], Fc)], -1)
+    for i in range(len(chain) - 2, -1, -1):
+        W[i] += W[i + 1] @ lk.X[i + 1]
+    out = W @ lk.S
+    return out[..., 0, :] if single else out
 
 
 # -- main evaluation pipeline ---------------------------------------------------
@@ -219,18 +203,8 @@ def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None
             + base[link + 1:])
 
 
-def chain_dynamics(
-    chain: ChainModel,
-    q,
-    qd=None,
-    qdd=None,
-    *,
-    gravity: bool = True,
-    stress: bool = True,
-    mass: bool = False,
-    base_accel=None,
-    stages=None,
-) -> DynamicsResult:
+def chain_dynamics(chain: ChainModel, q, qd=None, qdd=None, *, gravity: bool = True, stress: bool = True,
+                   mass: bool = False, base_accel=None, stages=None) -> DynamicsResult:
     """One forward/backward sweep with selectable force contributions.
 
     ``base_accel`` defaults to zero here: gravity enters through its explicit
@@ -244,39 +218,28 @@ def chain_dynamics(
     lead = q.shape[:-1]
     if stages is None:
         stages = chain_stages(chain, q, lambda group: _stage(chain, group, q, qd, qdd, stress))
-    cache = forward_pass(
-        chain, q, qd, qdd,
-        base_accel=np.zeros(3) if base_accel is None else np.asarray(base_accel, dtype=float),
-        stages=stages,
-    )
-    n_rows = 4 + (chain.n if mass else 0)
-    cases = _mass_matrix(chain, cache) if mass else None
-    wrenches = []
-    pis = []
-    for i, lk in enumerate(chain.links):
-        kin = cache[i]
-        data = kin.data
-        nj = lk.joint.n_dof
-        # rows: inertial, gravity, elastic, damping, then M's unit-acceleration cases
-        F, F_star, T, T_star = (np.zeros(lead + (n_rows, 3)) for _ in range(4))
-        pi = np.zeros(lead + (n_rows, lk.n_dof))
-        F_star[..., 0, :], T_star[..., 0, :], pi[..., 0, :] = inertial_terms(
-            data, kin.w, kin.wdot, kin.a_com, nj)
-        if gravity:
-            F[..., 1, :], pi[..., 1, :] = gravity_terms(data, kin.R_base, chain.gravity, nj)
-        if stress and stages[i].stress is not None:
-            elastic, damping = stages[i].stress
-            F[..., 2, :], T[..., 2, :], pi[..., 2, :] = elastic
-            F[..., 3, :], T[..., 3, :], pi[..., 3, :] = damping
-        if mass:
-            F_star[..., 4:, :], T_star[..., 4:, :], pi[..., 4:, :] = cases[i]
-        wrenches.append((F, F_star, T, T_star))
-        pis.append(pi)
+    cache = forward_pass(chain, q, qd, qdd, np.zeros(3) if base_accel is None else base_accel, stages)
+    lk, N, width = cache.links, len(chain), chain.width
+    # per link and row (F, F*, T, T*) and the projection; rows: inertial,
+    # gravity, elastic, damping, then M's unit-acceleration cases
+    n_rows = 4 + (N * width if mass else 0)
+    wrenches = np.zeros((N, 4) + lead + (n_rows, 3))
+    pi = np.zeros((N,) + lead + (n_rows, width))
+    wrenches[:, 1, ..., 0, :], wrenches[:, 3, ..., 0, :], pi[..., 0, :] = inertial_terms(
+        lk.data, lk.w, lk.wdot, lk.a_com)
+    if gravity:
+        wrenches[:, 0, ..., 1, :], pi[..., 1, :] = gravity_terms(lk.data, lk.R_base, chain.gravity)
+    if stress and any(st.stress is not None for st in stages):
+        none = ((np.zeros(3), np.zeros(3), np.zeros(0)),) * 2
+        for c, terms in enumerate(zip(*(st.stress or none for st in stages))):  # elastic, damping
+            F, T, p = zip(*terms)
+            wrenches[:, 0, ..., 2 + c, :] = stack_links(F, lead, (3,), width)
+            wrenches[:, 2, ..., 2 + c, :] = stack_links(T, lead, (3,), width)
+            pi[..., 2 + c, :] = stack_links(p, lead, ("n",), width)
+    if mass:
+        wrenches[:, 1, ..., 4:, :], wrenches[:, 3, ..., 4:, :], pi[..., 4:, :] = _mass_matrix(chain, cache)
 
-    proj = backward_recursion(chain, wrenches, cache)
-    rows = np.empty(lead + (n_rows, chain.n))
-    for i in range(len(chain)):
-        rows[..., chain.slice(i)] = -(pis[i] + proj[i])
+    rows = chain.from_links(-(pi + backward_recursion(chain, wrenches, cache)))
     components = {name: rows[..., c, :] for c, name in enumerate(_COMPONENTS)}
 
     force = components["inertial"].copy()
@@ -285,48 +248,32 @@ def chain_dynamics(
     if stress:
         force += components["elastic"] + components["damping"]
 
-    M = rows[..., 4:, :].swapaxes(-1, -2) if mass else None
+    M = rows[..., 4 + chain.columns, :].swapaxes(-1, -2) if mass else None
     return DynamicsResult(force=force, mass=M, components=components, cache=cache)
 
 
-def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> list:
-    """Unit-acceleration load cases of M(q), one (F*, T*, pi*) per body.
+def _mass_matrix(chain: ChainModel, cache: KinematicsCache) -> tuple:
+    """Unit-acceleration load cases of M(q) on every link: (F*, T*, pi*),
+    (N, ..., K, 3) twice and (N, ..., K, width).
 
-    Case k is qdd = e_k at rest.  The zero-velocity Jacobians A, W of the
-    acceleration recursion give each body's inertial force and torque for
-    every case, (..., n, 3) each, and its own projection, (..., n, n_i); the
-    backward recursion turns them into the columns of M.
+    Case k is qdd = e_k at rest for each of the K link columns (a padded
+    one loads nothing).  The acceleration Jacobians Φ_i = X_i Φ_{i-1} + D_i,
+    Φ = (A; W) (6, K), D_i link i's S on its own columns, give each body's
+    inertial loads; the backward recursion turns them into M's columns.
     """
-    n = chain.n
-    A = np.zeros((3, n))
-    W = np.zeros((3, n))
-    cases = []
-    for i, lk in enumerate(chain.links):
-        kin = cache[i]
-        data = kin.data
-        sl = chain.slice(i)
-        nj = lk.joint.n_dof
-        body_cols = slice(sl.start + nj, sl.stop)
-
-        dv_rel = np.zeros(kin.Jt.shape[:-2] + (3, n))
-        dw_rel = np.zeros(kin.Jw.shape[:-2] + (3, n))
-        dv_rel[..., sl] = kin.Jt
-        dw_rel[..., sl] = kin.Jw
-        RT = kin.R_rel.swapaxes(-1, -2)
-        A = RT @ (A - skew(kin.t_rel) @ W + dv_rel)
-        W = RT @ (W + dw_rel)
-        A_com = A - skew(data.p_com) @ W
-        A_com[..., body_cols] += data.jac_com
-
-        jF = -data.mass * A_com
-        jT = -data.inertia @ W
-        jT[..., body_cols] -= data.jac_mom_rd
-        jp = -data.jac_mom_rd.swapaxes(-1, -2) @ W + data.jac_com.swapaxes(-1, -2) @ jF
-        jp[..., body_cols] -= data.gram
-        pi = np.zeros(jp.shape[:-2] + (n, lk.n_dof))
-        pi[..., nj:] = jp.swapaxes(-1, -2)
-        cases.append((jF.swapaxes(-1, -2), jT.swapaxes(-1, -2), pi))
-    return cases
+    lk, N, d = cache.links, len(chain), cache.links.data
+    own = np.concatenate([lk.S, d.jac_com, d.jac_mom_rd, d.gram], -2)
+    blocks = np.zeros(own.shape[:-1] + (N, chain.width))  # each link's on its own columns
+    blocks[np.arange(N), ..., np.arange(N), :] = own
+    blocks = blocks.reshape(own.shape[:-1] + (N * chain.width,))
+    Phi, J_com, J_mom, gram = blocks[..., :6, :], blocks[..., 6:9, :], blocks[..., 9:12, :], blocks[..., 12:, :]
+    for i in range(1, N):
+        Phi[i] += lk.X[i] @ Phi[i - 1]
+    A, W = Phi[..., :3, :], Phi[..., 3:, :]
+    jF = -d.mass[..., None] * (A - skew(d.p_com) @ W + J_com)
+    jT = -d.inertia @ W - J_mom
+    jp = -d.jac_mom_rd.swapaxes(-1, -2) @ W + d.jac_com.swapaxes(-1, -2) @ jF - gram
+    return jF.swapaxes(-1, -2), jT.swapaxes(-1, -2), jp.swapaxes(-1, -2)
 
 
 # -- the four algorithms ---------------------------------------------------------

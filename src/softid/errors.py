@@ -2,7 +2,11 @@
 
 
 class SoftIDError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors; ``row``: the row of a stack it names."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message if row is None else f"{message} (row {row})")
+        self.message, self.row = message, row
 
 
 class DegenerateContactError(SoftIDError):

@@ -67,11 +67,8 @@ def forward_dynamics(chain: ChainModel, q, qd, nu=None) -> Array:
 
 def gravitational_energy(chain: ChainModel, cache) -> float:
     """Potential energy of gravity from a forward-pass cache."""
-    u = 0.0
-    for kin in cache.bodies:
-        p = kin.t_base + kin.R_base @ kin.data.p_com
-        u -= kin.data.mass * float(chain.gravity @ p)
-    return u
+    lk = cache.links
+    return -float(np.sum(lk.data.mass[:, 0] * ((lk.t_base + matvec(lk.R_base, lk.data.p_com)) @ chain.gravity)))
 
 
 @dataclass

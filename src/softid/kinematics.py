@@ -5,46 +5,46 @@ Each body carries three anchor points in its reference configuration: the
 pivot x_j of the successor joint and two contact-area points x_a, x_b whose
 offsets from x_j are orthogonal.  The images of the anchors under the body
 map define the contact frame {S_i}; the joint transform and the contact
-frame compose into the link transform, and the body-frame velocities and
-accelerations follow by the standard forward recursion seeded at the base.
+frame compose into the link transform X_i, a 6x6 map of (linear; angular)
+6-vectors (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 2).  The
+body-frame velocities and accelerations follow from the base by the
+recurrences V_i = X_i V_{i-1} + Y_i and A_i = X_i A_{i-1} + Z_i, one 6x6
+product and one add per link; every other per-link term is taken for all
+links at once, on a leading link axis (:func:`forward_pass`).
 
 Relative velocities and accelerations come from configuration Jacobians of
 the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
 Jacobian map along the velocity direction.  All of a link's terms that
 depend on its own coordinate block alone form its stage (:class:`LinkStage`,
-with a sweep's stress terms and an actuation map's terms); only the forward
-recursion couples the links, so a caller that changes one block can pass the
-other links' stages unchanged.  Outside the recursion,
+with a sweep's stress terms and an actuation map's terms); only the
+recurrences couple the links, so a caller that changes one block can pass
+the other links' stages unchanged.  Outside the recursion,
 :func:`forward_kinematics` is the one walk of the chain: frame poses and
 base-frame images of material points, one body solve per body.
 
-A state is one vector (n,) or a stack of states (b, n), and every array of
-a stage, of the integrals it carries and of the forward pass has the
-state's leading axes: none for one state, one row per state of a stack.  A
-stage without rows broadcasts against stacked ones, so a sweep over states
-that differ in one link's block takes that link's stage as a stack and the
-other links' stages of one state.  The links that hold one body handle
-(one per distinct body document of a parsed chain) and joints of one size
-form a stage group (:attr:`ChainModel.groups`), which :func:`link_stage`
-stages as one stack of its links' blocks: one solve of the body
-(:meth:`BodyHandle.evaluate`) at every row and, for each moving row, at
-q_i +- h u (:func:`unit_rate`), and the integrals once over the stack.  A
-row's values do not depend on the other rows (every product is taken row
-by row in the order of a single state), so a state swept in a stack, or a
-link staged in its group, equals the state or the link alone, bitwise.
+A state is one vector (n,) or a stack of states (b, n), whose leading axes
+every array of a stage has, and of the forward pass after its link axis; a
+stage without rows broadcasts against stacked ones.  The links that hold
+one body handle (one per distinct body document of a parsed chain) and
+joints of one size form a stage group (:attr:`ChainModel.groups`), which
+:func:`link_stage` stages as one stack of its links' blocks: one solve of
+the body at every row and, for each moving row, at q_i +- h u
+(:func:`unit_rate`), and the integrals once over the stack.  Every product
+is taken per link and row in the order of a single state, so a state swept
+in a stack, or a link staged in its group, equals it alone, bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
-from .errors import DegenerateContactError
-from .spatial import Transform, cross, matvec, rodrigues, vee
+from .errors import CentroidConsistencyError, DegenerateContactError
+from .spatial import Transform, cross, matvec, rodrigues, skew, vee
 
 Array = np.ndarray
 
@@ -209,7 +209,8 @@ class BodyHandle:
         """Contact frames (R_c (b,3,3), t_c (b,3), dR_c (b,n,3,3), dt_c (b,3,n))
         from the anchor images f (b, 3, 3) and their q-Jacobians jq
         (b, 3, 3, n), one per row; the identity for a free tip.  A row whose
-        anchor images collapse raises :class:`DegenerateContactError`."""
+        anchor images collapse raises :class:`DegenerateContactError`
+        naming it."""
         b, n = f.shape[0], self.n_dof
         if self.free_tip:
             return (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)),
@@ -217,11 +218,11 @@ class BodyHandle:
         da = f[:, 1] - f[:, 0]
         db = f[:, 2] - f[:, 0]
         la, lb = np.sqrt((da * da).sum(1)), np.sqrt((db * db).sum(1))
-        if (la < DEGENERATE_TOL).any() or (lb < DEGENERATE_TOL).any():
+        collapsed = (la < DEGENERATE_TOL) | (lb < DEGENERATE_TOL)
+        if collapsed.any():
             raise DegenerateContactError(
                 "contact frame collapsed: anchor image coincides with the pivot image "
-                "(deformed contact area violates the rigid-contact assumption)"
-            )
+                "(deformed contact area violates the rigid-contact assumption)", int(np.flatnonzero(collapsed)[0]))
         n1, n2 = da / la[:, None], db / lb[:, None]
         n3 = cross(n1, n2)
         R = np.stack([n1, n2, n3], axis=2)
@@ -279,6 +280,8 @@ class ChainModel:
         for i, lk in enumerate(self.links):
             groups.setdefault((lk.body, lk.joint.n_dof), []).append(i)
         self.groups = tuple(map(tuple, groups.values()))
+        self.width = max(lk.n_dof for lk in self.links)
+        self.columns = np.concatenate([i * self.width + np.arange(lk.n_dof) for i, lk in enumerate(self.links)])
 
     def __len__(self) -> int:
         return len(self.links)
@@ -289,6 +292,17 @@ class ChainModel:
     def rows(self, group, v: Array) -> Array:
         """The blocks of the links ``group`` of the states v, (n,) or (b, n), as one stack, link after link."""
         return np.concatenate([(v if v.ndim > 1 else v[None])[:, self.slice(i)] for i in group])
+
+    def to_links(self, v: Array) -> Array:
+        """The states v (..., n) in link columns (N, ..., width): each link's block, zero-padded."""
+        out = np.zeros(v.shape[:-1] + (len(self) * self.width,))
+        out[..., self.columns] = v
+        return np.ascontiguousarray(out.reshape(v.shape[:-1] + (len(self), self.width)).swapaxes(0, -2))
+
+    def from_links(self, a: Array) -> Array:
+        """Link-column arrays (N, ..., width) in the chain's columns (..., n)."""
+        out = a.transpose(tuple(range(1, a.ndim - 1)) + (0, a.ndim - 1)).reshape(a.shape[1:-1] + (-1,))
+        return out if self.n == out.shape[-1] else out[..., self.columns]
 
     def split(self, i: int, q: Array) -> tuple[Array, Array]:
         """(joint, body) sub-vectors of body i's coordinate block."""
@@ -309,7 +323,7 @@ class ChainModel:
                 raise ValueError(f"state vector must have length {self.n}, got {v.shape[-1]}")
             if v.shape != shape:
                 raise ValueError(f"state vectors must have one shape, got {v.shape} and {shape}")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError("state vectors must be finite")
             out.append(v)
         return out
@@ -384,10 +398,9 @@ class LinkStage(NamedTuple):
     """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone,
     with the leading axes of the states they were staged at.
 
-    The link transform, its Jacobians and their time rates, the body's
-    integrals (which carry its evaluation), the stress terms of an elastic
-    body in a sweep with stress and an actuation map's terms of the link in
-    a statics residual; only the forward recursion couples the links.
+    The link transform, its Jacobians and their rates, the body's integrals
+    (with its evaluation), an elastic body's stress terms in a sweep with
+    stress and an actuation map's terms; only the recurrences couple links.
     """
 
     R_rel: Array
@@ -404,9 +417,32 @@ class LinkStage(NamedTuple):
         """The stages of the ``count`` links of a group's record: their rows, or for one state its row."""
         b = len(self.R_rel) // count
         rows = [k if single else slice(k * b, (k + 1) * b) for k in range(count)]
-        return [LinkStage(*(a[r] for a in self[:6]), self.data.take(r),
+        return [LinkStage(*(a if a is None else a[r] for a in self[:6]), self.data and self.data.take(r),
                           None if self.stress is None else tuple(tuple(a[r] for a in w) for w in self.stress),
                           None if self.actuation is None else self.actuation[k]) for k, r in enumerate(rows)]
+
+
+def _row_error(e, group, at, b: int, single: bool):
+    """Error ``e`` of point ``e.row`` (``at``: its row of the group's stack) naming the link and state row."""
+    (k, r), rate = divmod(int(at[e.row]), b), " at q +- h u" if e.row >= len(group) * b else ""
+    return type(e)(f"link {group[k]}{rate}: {e.message}", None if single else r)
+
+
+def _links(chain: ChainModel, group, q, points, at, frame, actuation, xs, at_x):
+    """The link transforms and Jacobians on each link's rows of ``points``
+    (``at``: the link of each), and its terms of ``actuation`` (``at_x``)."""
+    R_rel, t_rel, Jt, Jw = (np.empty((len(points),) + s) for s in ((3, 3), (3,)) + ((3, points.shape[1]),) * 2)
+    for k, i in enumerate(group):
+        own = np.flatnonzero(at == k) if len(group) > 1 else slice(None)
+        R_rel[own], t_rel[own], Jt[own], Jw[own] = link_jacobians(
+            chain.links[i].joint, tuple(a[own] for a in frame), points[own])
+    if actuation is None:
+        return (R_rel, t_rel, Jt, Jw), None
+    # each link reads its rows at q and its points' columns
+    b, cols, (sol, f, jq) = 1 if q.ndim == 1 else len(q), np.cumsum([0] + [len(x) for x in xs]), at_x
+    cuts = [(slice(k * b, (k + 1) * b), slice(cols[k], cols[k + 1])) for k in range(len(group))]
+    return (R_rel, t_rel, Jt, Jw), [actuation.link_terms(chain, i, q, (None if sol is None else tuple(
+        a[c] for a in sol), f[c], jq[c])) for i, c in zip(group, cuts)]
 
 
 def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
@@ -416,30 +452,38 @@ def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuat
     One body evaluation serves every row, at the row and, if it moves, at
     the row +- h u (:func:`unit_rate`), with the points of an ``actuation``
     map, whose terms of each link the record lists; the link Jacobians are
-    taken per link on its rows, the integrals once over all rows."""
+    taken per link on its rows, the integrals once over all rows.  Their
+    typed errors name the link and the state row."""
     lk = chain.links[group[0]]
     nj = lk.joint.n_dof
     qs, qds, qdds = (chain.rows(group, v) for v in (q, qd, qdd))
     b = len(qs) // len(group)
     points, rate, at = unit_rate(qs, qds)
-    at //= b  # the link of each point
     xs = None if actuation is None else [actuation.points_on(i) for i in group]
-    ev = lk.body.evaluate(points[:, nj:], None if xs is None else np.concatenate(xs))
-    R_rel, t_rel, Jt, Jw = (np.empty((len(points),) + s) for s in ((3, 3), (3,)) + ((3, qs.shape[1]),) * 2)
-    for k, i in enumerate(group):
-        own = np.flatnonzero(at == k) if len(group) > 1 else slice(None)
-        R_rel[own], t_rel[own], Jt[own], Jw[own] = link_jacobians(
-            chain.links[i].joint, tuple(a[own] for a in ev.frame), points[own])
-    Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
-    terms = None
-    if actuation is not None:  # each link reads its rows at q and its points' columns
-        cols, (sol, f, jq) = np.cumsum([0] + [len(x) for x in xs]), ev.at_x
-        cuts = [(slice(k * b, (k + 1) * b), slice(cols[k], cols[k + 1])) for k in range(len(group))]
-        at_x = [(None if sol is None else tuple(a[c] for a in sol), f[c], jq[c]) for c in cuts]
-        terms = [actuation.link_terms(chain, i, q, part) for i, part in zip(group, at_x)]
-    ev = ev.take(slice(0, len(qs)))  # copies: the solve at the rate points is freed here
-    data = integrals.body_integrals(lk.body, ev, Jp_dot, qds[:, nj:], qdds[:, nj:])
+    try:
+        ev = lk.body.evaluate(points[:, nj:], None if xs is None else np.concatenate(xs))
+        (R_rel, t_rel, Jt, Jw), terms = _links(chain, group, q, points, at // b, ev.frame, actuation, xs, ev.at_x)
+        Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
+        ev = ev.take(slice(0, len(qs)))  # copies: the solve at the rate points is freed here
+        data = integrals.body_integrals(lk.body, ev, Jp_dot, qds[:, nj:], qdds[:, nj:])
+    except (DegenerateContactError, CentroidConsistencyError) as e:
+        raise _row_error(e, group, at, b, q.ndim == 1) from e
     return LinkStage(*(a[:len(qs)] for a in (R_rel, t_rel, Jt, Jw)), Jt_dot, Jw_dot, data, actuation=terms)
+
+
+def place_stage(chain: ChainModel, group, q: Array, actuation) -> LinkStage:
+    """:func:`link_stage` at rest for an ``actuation`` map alone, bitwise:
+    the body placed at its anchors and the map's points, no nodes, rates
+    or integrals (those fields None)."""
+    lk, qs = chain.links[group[0]], chain.rows(group, q)
+    b, xs, at = len(qs) // len(group), [actuation.points_on(i) for i in group], np.arange(len(qs))
+    try:
+        sol, frame, f, jq = lk.body.place(qs[:, lk.joint.n_dof:], np.concatenate(xs))
+    except DegenerateContactError as e:
+        raise _row_error(e, group, at, b, q.ndim == 1) from e
+    sol = None if sol is None else tuple(a[:, lk.body.n_anchors:] for a in sol)
+    jac, terms = _links(chain, group, q, qs, at // b, frame, actuation, xs, (sol, f, jq))
+    return LinkStage(*jac, None, None, None, actuation=terms)
 
 
 def chain_stages(chain: ChainModel, q: Array, stage) -> list[LinkStage]:
@@ -453,8 +497,12 @@ def chain_stages(chain: ChainModel, q: Array, stage) -> list[LinkStage]:
 
 @dataclass
 class BodyKin:
-    """Per-body kinematic state produced by the forward pass (body frame {S_i}),
-    with the state's leading axes."""
+    """Kinematic state of the bodies from the forward pass in their frames
+    {S_i}, on a leading link axis before the state's leading axes
+    (:attr:`KinematicsCache.links`; ``cache[i]`` is link i's).  Columns are
+    link columns (:meth:`ChainModel.to_links`).  X maps a 6-vector of
+    {S_{i-1}} into {S_i}, X^T a wrench (force; moment) of {S_i} into
+    {S_{i-1}}; S = (R_rel^T Jt; R_rel^T Jw) maps q̇_i into {S_i}."""
 
     R_rel: Array
     t_rel: Array
@@ -462,96 +510,119 @@ class BodyKin:
     t_base: Array
     Jt: Array
     Jw: Array
+    X: Array
+    S: Array
     v: Array
     w: Array
     a: Array
     wdot: Array
     v_com: Array
     a_com: Array
-    Pv: Array
-    Pw: Array
     data: integrals.BodyInertialData
+
+    Pv = property(lambda self: self.S[..., :3, :].swapaxes(-1, -2))
+    Pw = property(lambda self: self.S[..., 3:, :].swapaxes(-1, -2))
 
 
 @dataclass
 class KinematicsCache:
-    bodies: list[BodyKin]
+    links: BodyKin
     base_accel: Array
     stages: list[LinkStage]
 
     def __getitem__(self, i: int) -> BodyKin:
-        return self.bodies[i]
+        """Link i's entries, its own columns and its stage's integrals."""
+        lk, n = self.links, self.stages[i].Jt.shape[-1]
+        return BodyKin(**{**{f.name: getattr(lk, f.name)[i] for f in fields(lk) if f.name != "data"},
+                          **{name: getattr(lk, name)[i][..., :n] for name in ("Jt", "Jw", "S")}},
+                       data=self.stages[i].data)
+
+    @property
+    def bodies(self) -> list[BodyKin]:
+        return [self[i] for i in range(len(self.stages))]
+
+
+# trailing axes of the stage arrays and the integrals the sweep reads; "n": coordinates
+_STAGE_AXES = ((3, 3), (3,), (3, "n"), (3, "n"), (3, "n"), (3, "n"))
+_INTEGRAL_AXES = {"p_com": (3,), "pdot_com": (3,), "pddot_com": (3,), "inertia": (3, 3), "inertia_rate": (3, 3),
+                  "mom_rd": (3,), "mom_rdd": (3,), "jac_com": (3, "n"), "jac_mom_rd": (3, "n"), "proj_rdd": ("n",),
+                  "proj_cor": ("n", 3), "inertia_grad": ("n", 3, 3), "gram": ("n", "n")}
+
+
+def stack_links(arrays, lead, axes, width, at=None) -> Array:
+    """The links' ``arrays`` of trailing ``axes`` on a leading link axis, broadcast to the rows ``lead``,
+    each one's coordinates ("n", ``width`` wide) from ``at[i]`` (0 when None), the rest exact zeros."""
+    shape = lead + (tuple(width if s == "n" else s for s in axes) if "n" in axes else axes)
+    at = at if "n" in axes and any(at or ()) else (0,) * len(arrays)
+    if not any(at) and all(a.shape == shape for a in arrays):
+        return np.array(arrays)
+    out = np.zeros((len(arrays),) + shape)
+    for i, (a, o) in enumerate(zip(arrays, at)):
+        if not o and a.shape[a.ndim - len(axes):] == shape[len(lead):]:
+            out[i] = a  # a stage without rows among stacked ones
+        elif a.size:  # a rigid body's integrals have no coordinates
+            out[(i, Ellipsis) + tuple(slice(o, o + k) if s == "n" else slice(None)
+                                      for s, k in zip(axes, a.shape[a.ndim - len(axes):]))] = a
+    return out
 
 
 def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
                  stages=None) -> KinematicsCache:
-    """Forward recursion producing all body-frame velocities and accelerations.
+    """The forward recursions: every body's velocity and acceleration in its frame.
 
-    ``base_accel`` seeds the base linear acceleration; None selects -gravity,
-    which folds the gravitational force into the inertial terms.  Pass zeros
-    to compute purely inertial kinematics (the dynamics algorithms do, and
-    add explicit gravity terms instead).  ``stages`` are the links'
-    :class:`LinkStage` at this state, computed here when None.  The state
-    may be a stack (b, n); then every array of the result has the row axis.
+    The stages are stacked on a link axis and every per-link term is taken
+    for all links at once; link by link run only V_i = X_i V_{i-1} + Y_i,
+    V = (v; ω), then A_i = X_i A_{i-1} + Z_i, whose velocity products Z read
+    the parents' ω, and the product R_base.  ``base_accel`` seeds the base
+    linear acceleration; None selects -gravity, which folds gravity into the
+    inertial terms (the dynamics algorithms pass zeros and add explicit
+    gravity terms).  ``stages``: the links' :class:`LinkStage` at this
+    state, computed here when None.  At a stack of states (b, n) every
+    product is taken per link and row, so row r is the state alone, bitwise.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    if base_accel is None:
-        base_accel = -chain.gravity
-    base_accel = np.asarray(base_accel, dtype=float)
+    base_accel = np.asarray(-chain.gravity if base_accel is None else base_accel, dtype=float)
     if stages is None:
         stages = chain_stages(chain, q, lambda group: link_stage(chain, group, q, qd, qdd))
+    N, width, lead = len(chain), chain.width, q.shape[:-1]
+    R, t, Jt, Jw, Jt_dot, Jw_dot = (stack_links([st[k] for st in stages], lead, axes, width)
+                                    for k, axes in enumerate(_STAGE_AXES))
+    nj, datas = [lk.joint.n_dof for lk in chain.links], [st.data for st in stages]
+    data = integrals.BodyInertialData(
+        mass=np.array([d.mass for d in datas]).reshape((N,) + (1,) * (len(lead) + 1)), jacdot_com=None,
+        **{name: stack_links([getattr(d, name) for d in datas], lead, axes, width, nj)
+           for name, axes in _INTEGRAL_AXES.items()})
 
-    bodies: list[BodyKin] = []
-    R_parent = chain.base.rotation
-    t_parent = chain.base.translation
-    v_p = np.zeros(3)
-    w_p = np.zeros(3)
-    a_p = base_accel.copy()
-    wd_p = np.zeros(3)
+    RT = R.swapaxes(-1, -2)
+    B = np.zeros(R.shape[:-2] + (6, 6))  # a 6-vector of {S_{i-1}} in {S_i}
+    B[..., :3, :3] = B[..., 3:, 3:] = RT
+    X = B.copy()
+    X[..., :3, 3:] = RT @ skew(-t)
+    J, J_dot = np.concatenate([Jt, Jw], -2), np.concatenate([Jt_dot, Jw_dot], -2)
+    qd_l, qdd_l = chain.to_links(qd)[..., None], chain.to_links(qdd)[..., None]
+    U = J @ qd_l  # (v_rel; w_rel) in {S_{i-1}}
+    V, A = np.zeros((2, N + 1) + lead + (6, 1))  # the base's, then the links'
+    V[1:] = B @ U
+    R_base, R_p = np.empty(R.shape), chain.base.rotation
+    for i in range(N):
+        V[i + 1] += X[i] @ V[i]
+        R_base[i] = R_p = R_p @ R[i]
+    wp, Z = V[:-1, ..., 3:, 0], U.reshape(U.shape[:-2] + (2, 3)).copy()  # Z: ω_p x (ω_p x t + 2 v_rel; w_rel)
+    Z[..., 0, :] += cross(wp, t) + Z[..., 0, :]
+    A[0, ..., :3, 0] = base_accel
+    A[1:] = B @ (cross(wp[..., None, :], Z).reshape(U.shape) + J @ qdd_l + J_dot @ qd_l)
+    for i in range(N):
+        A[i + 1] += X[i] @ A[i]
 
-    for i, st in enumerate(stages):
-        sl = chain.slice(i)
-        qdi, qddi = qd[..., sl], qdd[..., sl]
-        R_rel, t_rel, Jt, Jw, data = st.R_rel, st.t_rel, st.Jt, st.Jw, st.data
-
-        v_rel = matvec(Jt, qdi)
-        w_rel = matvec(Jw, qdi)
-        a_rel = matvec(Jt, qddi) + matvec(st.Jt_dot, qdi)
-        wdot_rel = matvec(Jw, qddi) + matvec(st.Jw_dot, qdi)
-
-        RT = R_rel.swapaxes(-1, -2)
-        v = matvec(RT, v_p + cross(w_p, t_rel) + v_rel)
-        w = matvec(RT, w_p + w_rel)
-        a = matvec(RT, (
-            a_p
-            + cross(wd_p, t_rel)
-            + cross(w_p, cross(w_p, t_rel) + v_rel)
-            + cross(w_p, v_rel)
-            + a_rel
-        ))
-        wdot = matvec(RT, wd_p + cross(w_p, w_rel) + wdot_rel)
-
-        v_com = v + cross(w, data.p_com) + data.pdot_com
-        a_com = (
-            a
-            + cross(wdot, data.p_com)
-            + cross(w, cross(w, data.p_com) + data.pdot_com)
-            + cross(w, data.pdot_com)
-            + data.pddot_com
-        )
-
-        bodies.append(BodyKin(
-            R_rel=R_rel, t_rel=t_rel,
-            R_base=R_parent @ R_rel, t_base=t_parent + matvec(R_parent, t_rel),
-            Jt=Jt, Jw=Jw, v=v, w=w, a=a, wdot=wdot, v_com=v_com, a_com=a_com,
-            Pv=Jt.swapaxes(-1, -2) @ R_rel, Pw=Jw.swapaxes(-1, -2) @ R_rel,
-            data=data,
-        ))
-        R_parent = bodies[-1].R_base
-        t_parent = bodies[-1].t_base
-        v_p, w_p, a_p, wd_p = v, w, a, wdot
-
-    return KinematicsCache(bodies=bodies, base_accel=base_accel, stages=stages)
+    t_base = chain.base.translation + np.cumsum(
+        np.concatenate([matvec(chain.base.rotation, t[:1]), matvec(R_base[:-1], t[1:])]), 0)
+    v, w, a, wdot = V[1:, ..., :3, 0], V[1:, ..., 3:, 0], A[1:, ..., :3, 0], A[1:, ..., 3:, 0]
+    p, pd = data.p_com, data.pdot_com
+    w_p = cross(w, p)
+    v_com = v + w_p + pd
+    a_com = a + cross(wdot, p) + cross(w, w_p + 2.0 * pd) + data.pddot_com
+    return KinematicsCache(BodyKin(R, t, R_base, t_base, Jt, Jw, X, B @ J, v, w, a, wdot, v_com, a_com, data),
+                           base_accel, stages)
 
 
 def forward_kinematics(chain: ChainModel, q, points_per_body=None) -> list[dict]:

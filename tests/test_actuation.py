@@ -3,11 +3,14 @@ import pytest
 
 from softid import model_io, presets
 from softid.actuation import ChamberActuation, TendonActuation
+from softid.bodies import integrals
+from softid.dynamics import link_stages
 from softid.harness import solve_statics
 from softid.oracle import _conf_gradient
 from softid.quadrature import ReferenceDomain
 
 from conftest import sample_state
+from test_harness import fd_state, statics_case, three_tendons
 
 
 def two_tendon_map():
@@ -222,3 +225,19 @@ def test_tendon_rejects_body_index_beyond_chain():
     chain = presets.pcc_chain(2)
     tendons = TendonActuation([[(-1, [0.008, 0, 0]), (0, [0.008, 0, 0.3]), (3, [0.008, 0, 0.3])]])
     assert_rejects_body_beyond_chain(tendons, chain, "body 3 of a 2-body chain")
+
+
+@pytest.mark.parametrize("name", ["pcc_3", "revolute_prismatic"])
+def test_standalone_map_equals_the_staged_path(monkeypatch, name):
+    # a standalone call places the map's points alone: no nodes, no integrals,
+    # and bitwise the terms that the dynamics stages carry
+    chain, act, _ = statics_case(name)
+    q = np.array([fd_state(chain, seed)[0] for seed in (3, 4, 5)])
+    for maps in {type(act): act, TendonActuation: three_tendons(chain)}.values():
+        for qs in (q[0], q):
+            staged = link_stages(chain, qs, actuation=maps)
+            lengths, grad = maps._measure(chain, qs, staged)
+            with monkeypatch.context() as m:
+                m.setattr(integrals, "body_integrals", None)
+                assert np.array_equal(maps.lengths(chain, qs), lengths)
+                assert np.array_equal(maps.matrix(chain, qs), grad.swapaxes(-1, -2))

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from softid import presets
+from softid import model_io, presets
 from softid.bodies import RigidBody
 from softid.dynamics import (
     backward_recursion,
@@ -10,6 +12,7 @@ from softid.dynamics import (
     inertial_terms,
     inverse_dynamics,
     iid,
+    link_stages,
     mid,
     miid,
     stress_terms,
@@ -17,7 +20,9 @@ from softid.dynamics import (
 from softid.kinematics import BodyHandle, ChainModel, forward_pass, prismatic_joint, revolute_joint
 from softid.quadrature import ReferenceDomain
 
-from conftest import check_redrawn, fixture_states, sample_state
+from conftest import check_redrawn, fixture_states, in_domain, reference_sweep, sample_state
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def slider_chain(mass=2.0):
@@ -285,3 +290,45 @@ def test_nonfinite_inputs_rejected(pcc2):
         iid(pcc2, np.full(pcc2.n, np.nan), None, None)
     with pytest.raises(ValueError):
         iid(pcc2, np.zeros(3), None, None)  # wrong length
+
+
+def mixed_widths_chain():
+    # links of 3, 1 and 4 coordinates behind a fixed, a revolute and a prismatic joint
+    doc = presets.pcc_description(2, C=1e5, eta=0.05, along_y=False, order=(2, 6, 5))
+    doc["links"] = [doc["links"][0], presets.rigid_2r_description()["links"][0],
+                    dict(doc["links"][1], joint={"kind": "prismatic", "axis": [0.2, -0.4, 1.0]})]
+    return model_io.parse_chain(doc)
+
+
+SWEEP_CHAINS = {p.stem: lambda p=p: model_io.load_chain(p) for p in sorted(MODELS.glob("*.json"))}
+SWEEP_CHAINS.update(planar_pcc_32=lambda: presets.planar_pcc_chain(32, quadrature_order=(2, 8, 6)),
+                    mixed_widths=mixed_widths_chain)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CHAINS))
+def test_sweep_matches_the_per_link_recursion(name):
+    # one state moving and at rest, and a stack of 4 with every other row at rest
+    chain = SWEEP_CHAINS[name]()
+    rng = np.random.default_rng(17)
+    q = []
+    while len(q) < 4:
+        row = rng.uniform(-0.5, 0.5, chain.n)
+        if in_domain(chain, row):
+            q.append(row)
+    q, qd, qdd = np.array(q), rng.uniform(-2.0, 2.0, (4, chain.n)), rng.uniform(-5.0, 5.0, (4, chain.n))
+    qd[1::2] = 0.0
+
+    def close(x, ref):
+        assert x.shape == ref.shape and np.abs(x - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+
+    for state in ((q[0], qd[0], qdd[0]), (q[1], qd[1], qdd[1]), (q, qd, qdd)):
+        stages = link_stages(chain, *state)
+        res = chain_dynamics(chain, *state, mass=True, stages=stages)
+        kins, force, M, components = reference_sweep(chain, *chain.check_state(*state), stages)
+        for i, kin in enumerate(kins):
+            for x, ref in zip((res.cache[i].v, res.cache[i].w, res.cache[i].a, res.cache[i].wdot), kin):
+                close(x, ref)
+        close(res.force, force)
+        close(res.mass, M)
+        for key, value in components.items():
+            close(res.components[key], value)

@@ -29,6 +29,10 @@
   non-rigid body document of a chain, besides the solves of material
   derivatives that difference the position map (a count, which host load
   does not move).
+- One array sweep over the links: an ``iid`` or ``mid`` on the planar PCC
+  chain calls ``spatial.cross`` as often at 32 bodies as at 8, so no
+  per-link term is taken link by link (a count, which host load does not
+  move).
 """
 
 import ast
@@ -39,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softid import presets
+from softid import presets, spatial
 from softid.bodies import BodyModel
 from softid.dynamics import iid, mid
 from softid.model_io import load_chain
@@ -221,3 +225,26 @@ def test_mid_solves_each_distinct_body_document_once(monkeypatch, path):
     calls = _count_solves(monkeypatch)
     mid(chain, q, rng.uniform(-1.0, 1.0, chain.n), rng.uniform(-1.0, 1.0, chain.n))
     assert len(calls) == sum(distinct.values())
+
+
+def _count_cross(monkeypatch):
+    """One entry per call of ``spatial.cross`` from now on, from every
+    module of the package that imported it."""
+    calls, original = [], spatial.cross
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "softid" and getattr(m, "cross", None) is original]
+    for module in modules:
+        monkeypatch.setattr(module, "cross", lambda a, b: calls.append(1) or original(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", [iid, mid])
+def test_cross_products_do_not_grow_with_the_chain(monkeypatch, algorithm):
+    calls, counts = _count_cross(monkeypatch), {}
+    for n_bodies in (8, 32):
+        chain = presets.planar_pcc_chain(n_bodies, quadrature_order=(2, 8, 6))
+        q, qd, qdd = np.random.default_rng(n_bodies).uniform(-0.5, 0.5, (3, chain.n))
+        calls.clear()
+        algorithm(chain, q, qd, qdd)
+        counts[n_bodies] = len(calls)
+    assert counts[8] == counts[32] > 0, counts

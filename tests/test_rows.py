@@ -18,10 +18,10 @@ import pytest
 from softid.actuation import ChamberActuation
 from softid.bodies import BodyModel
 from softid import presets
-from softid.dynamics import chain_dynamics, inverse_dynamics, link_stages
-from softid.errors import BodyDomainError, DegenerateContactError
+from softid.dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
+from softid.errors import BodyDomainError, CentroidConsistencyError, DegenerateContactError
 from softid.harness import _equilibrium, _statics_jacobian
-from softid.kinematics import BodyHandle, ChainModel, Link
+from softid.kinematics import BodyHandle, ChainModel, Link, fixed_joint
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
@@ -340,5 +340,50 @@ def test_finite_difference_jac_q_rows():
 def test_collapsed_row_raises_degenerate_contact():
     handle = slab_handle()
     handle.evaluate([[0.2], [0.5]])
-    with pytest.raises(DegenerateContactError):
+    with pytest.raises(DegenerateContactError, match=r"\(row 1\)$") as raised:
         handle.evaluate([[0.2], [1.0], [0.5]])
+    assert raised.value.row == 1
+
+
+def test_collapsed_stage_row_names_the_link_and_the_state_row():
+    # two links share the slab's handle, so one stage group stacks their rows
+    handle = slab_handle()
+    chain = ChainModel([(fixed_joint(), handle), (fixed_joint(), handle)])
+    assert chain.groups == ((0, 1),)
+    q = np.array([[0.2, 0.3], [0.1, 0.4], [0.5, 1.0]])
+    with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 2\)$") as raised:
+        iid(chain, q, None, None)
+    assert raised.value.row == 2
+    with pytest.raises(DegenerateContactError, match=r"^link 1: ") as raised:
+        iid(chain, q[2], None, None)
+    assert raised.value.row is None  # one state has no rows to name
+    # state row 1 of link 1 collapses only at its rate point q + h u
+    q[2, 1], q[1, 1] = 0.6, 1.0 - 1e-6
+    qd = np.zeros_like(q)
+    qd[1, 1] = 1.0
+    iid(chain, q, None, None)
+    with pytest.raises(DegenerateContactError, match=r"^link 1 at q \+- h u: .*\(row 1\)$"):
+        iid(chain, q, qd, None)
+    # the standalone actuation map stages its own points and names the row too
+    act = ChamberActuation([(1, ReferenceDomain.box([0.1, 0.1, 0.5]))], quadrature_order=(2, 2, 2))
+    q[1, 1] = 1.0
+    with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 1\)$"):
+        act.matrix(chain, q)
+
+
+class NonFiniteSlab(SqueezedSlab):
+    """The slab, whose map returns NaN where q > 0.8."""
+
+    def position(self, x, q, sol=None):
+        out = super().position(x, q)
+        out[self.check_q(q)[:, 0] > 0.8] = np.nan
+        return out
+
+
+def test_centroid_failure_names_the_link_and_the_state_row():
+    handle = BodyHandle(NonFiniteSlab(), x_j=[0, 0, 1.0], x_a=[0.1, 0, 1.0], x_b=[0, 0.1, 1.0])
+    chain = ChainModel([(fixed_joint(), handle), (fixed_joint(), handle)])
+    q = np.array([[0.2, 0.3], [0.1, 0.4], [0.5, 0.9]])
+    with pytest.raises(CentroidConsistencyError, match=r"^link 1: .*\(row 2\)$") as raised:
+        iid(chain, q, None, None)
+    assert raised.value.row == 2
