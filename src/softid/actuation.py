@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonOrthonormalFrameError
 from .kinematics import ChainModel, chain_stages, place_stage
 from .quadrature import ReferenceDomain
-from .spatial import cross, is_rotation, matvec
+from .spatial import cross, is_rotation, matvec, matvec3
 
 Array = np.ndarray
 
@@ -116,7 +116,8 @@ class TendonActuation(ActuationMap):
             if nj:
                 axis = matvec(R, lk.joint.axis)[..., None, :]
                 Ji[..., sl.start] += cross(axis, arm) if lk.joint.kind == "revolute" else axis
-            Ji[..., sl.start + nj:sl.stop] += np.einsum("...ab,...mbj->...maj", R @ Rj, jq)
+            Ji[..., sl.start + nj:sl.stop] += matvec3((R @ Rj)[..., None, None, :, :],
+                                                      jq.swapaxes(-1, -2)).swapaxes(-1, -2)
             J[..., mine, :, :] = Ji
             # carry the frame Jacobians on to {S_i}
             Jo = Jo + cross(Jw.swapaxes(-1, -2), matvec(R, t_rel)[..., None, :]).swapaxes(-1, -2)
@@ -134,7 +135,7 @@ class TendonActuation(ActuationMap):
         norm = np.linalg.norm(seg, axis=-1)
         # each segment adds e . (dp_b - dp_a) to its tendon; one of zero length adds 0
         e = np.divide(seg, norm[..., None], out=np.zeros_like(seg), where=norm[..., None] > 0)
-        d_norm = np.einsum("...sa,...saj->...sj", e, J[..., b, :, :] - J[..., a, :, :])
+        d_norm = matvec3((J[..., b, :, :] - J[..., a, :, :]).swapaxes(-1, -2), e)
         return matvec(self.incidence, norm), self.incidence @ d_norm
 
 
@@ -178,7 +179,8 @@ class ChamberActuation(ActuationMap):
             cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]),
                             cross(F[..., 0], F[..., 1])], axis=-1)
             volumes = matvec(np.linalg.det(F)[:, None], w)[:, 0]
-            grads = np.einsum("p,rpab,rpabj->rj", w, cof, model.jac_x_dq(pts, qb, sol))
+            dF = model.jac_x_dq(pts, qb, sol).reshape(len(qb), -1, model.n_dof)  # one BLAS product per row
+            grads = ((cof * w[:, None, None]).reshape(len(qb), 1, -1) @ dF)[:, 0]
             out.append((volumes.reshape(lead), grads.reshape(lead + (model.n_dof,))))
         return out
 

@@ -34,7 +34,7 @@ FD_X_STEP = 1e-5
 def central_difference(fn, x: Array, cols, h: Array):
     """Central differences (fn(x + h e_k) - fn(x - h e_k)) / 2 h at every row
     of the stack x (b, n), column ``cols[j]`` stepped by h[:, j] (h is (b, k)):
-    (b, ..., k), the step axis last and C-contiguous (einsum and matmul may
+    (b, ..., k), the step axis last and C-contiguous (a BLAS product may
     sum a strided layout in another order); None where ``fn`` returns None.
     ``fn`` takes the 2 b k points in one stack, per row the + steps, then
     the - steps, and returns their values with that leading axis."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..errors import CentroidConsistencyError
-from ..spatial import cross, matvec
+from ..spatial import matvec, vee
 
 Array = np.ndarray
 
@@ -87,21 +87,23 @@ def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
     mass = float(wm.sum())
     ip, Jp, Jp_dot = ev.points, ev.jac, jac_rate
 
+    lead, (m, _, n) = ip.shape[:-2], Jp.shape[-3:]
+
     p_com = (wm @ ip) / mass
-    jac_com = np.einsum("m,...maj->...aj", wm, Jp) / mass
-    jacdot_com = np.einsum("m,...maj->...aj", wm, Jp_dot) / mass
-    r = ip - p_com[..., None, :]
-    Jr = Jp - jac_com[..., None, :, :]
-    Jr_dot = Jp_dot - jacdot_com[..., None, :, :]
+    jac_com, jacdot_com = ((wm @ J.reshape(lead + (m, 3 * n))).reshape(lead + (3, n)) / mass for J in (Jp, Jp_dot))
+    # component-major, the nodes innermost (where the centre's part is one number): r (..., 3, m), dr/dq (..., 3 m, n)
+    rT = np.subtract(ip.swapaxes(-1, -2), p_com[..., None], order="C")
+    Jr, Jr_dot = (np.subtract(np.moveaxis(J, -3, -2), J_com[..., None, :], order="C").reshape(lead + (3 * m, n))
+                  for J, J_com in ((Jp, jac_com), (Jp_dot, jacdot_com)))
 
     pdot_com = matvec(jac_com, qdb)
     pddot_com = matvec(jac_com, qddb) + matvec(jacdot_com, qdb)
-    rdot = np.einsum("...maj,...j->...ma", Jr, qdb)
-    rddot = np.einsum("...maj,...j->...ma", Jr, qddb) + np.einsum("...maj,...j->...ma", Jr_dot, qdb)
+    rates = Jr @ np.stack([qdb, qddb], -1)  # (..., 3 m, 2)
+    rdT, rddT = rates[..., 0].reshape(rT.shape), (rates[..., 1] + matvec(Jr_dot, qdb)).reshape(rT.shape)
 
     scale = mass * max(model.domain.length_scale, 1e-12)
     rate_scale = scale * np.maximum(1.0, np.sqrt((qdb * qdb).sum(-1)))
-    res_r, res_rd = (np.sqrt((c * c).sum(-1)) for c in (wm @ r, wm @ rdot))
+    res_r, res_rd = (np.sqrt((c * c).sum(-1)) for c in (rT @ wm, rdT @ wm))
     # a non-finite residual compares false as well
     ok = np.reshape((res_r <= CENTROID_TOL * scale) & (res_rd <= CENTROID_TOL * rate_scale), -1)
     if not ok.all():
@@ -111,26 +113,25 @@ def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
             "quadrature rule too coarse or body map returned non-finite values", int(np.flatnonzero(~ok)[0])
         )
 
+    # one BLAS product per row over the mass-weighted node vectors x = r, r_dot, r_ddot: int x r^T dm, int
+    # (dr/dq)^T x dm and int x (dr/dq_k)^T dm (..., n, 3, 3), whose axial vectors are the cross-product integrals
+    r, W = rT.swapaxes(-1, -2), np.stack([rT, rdT, rddT], -3) * wm  # W (..., 3, 3, m)
+    Wt = W.reshape(lead + (9, m))
+    rr, r_rd, r_rdd = np.moveaxis((Wt @ r).reshape(lead + (3, 3, 3)), -3, 0)  # int x r^T dm
+    ur, _, proj_rdd = np.moveaxis(W.reshape(lead + (3, 3 * m)) @ Jr, -2, 0)  # int (dr/dq)^T x dm
+    xu = Wt[..., :6, :] @ np.moveaxis(Jr.reshape(lead + (3, m, n)), -3, -2).reshape(lead + (m, 3 * n))
+    r_uk, rd_uk = (np.moveaxis(xu.reshape(lead + (2, 3, 3, n))[..., k, :, :, :], -1, -3) for k in (0, 1))
+
     eye = np.eye(3)
-    rr = np.einsum("m,...ma,...mb->...ab", wm, r, r)
     inertia = np.trace(rr, axis1=-2, axis2=-1)[..., None, None] * eye - rr
-    r_rd = np.einsum("m,...ma,...mb->...ab", wm, rdot, r)
     inertia_rate = (2.0 * np.trace(r_rd, axis1=-2, axis2=-1)[..., None, None] * eye
                     - r_rd - r_rd.swapaxes(-1, -2))
+    mom_rd, mom_rdd = 2.0 * vee(r_rd), 2.0 * vee(r_rdd)
+    jac_mom_rd, proj_cor = -2.0 * vee(r_uk).swapaxes(-1, -2), 2.0 * vee(rd_uk)
 
-    mom_rd = np.einsum("m,...ma->...a", wm, cross(r, rdot))
-    mom_rdd = np.einsum("m,...ma->...a", wm, cross(r, rddot))
-    Jr_rows = Jr.swapaxes(-1, -2)  # (..., m, n, 3)
-    jac_mom_rd = np.einsum("m,...mja->...aj", wm, cross(r[..., None, :], Jr_rows))
-    proj_rdd = np.einsum("m,...maj,...ma->...j", wm, Jr, rddot)
-    proj_cor = -np.einsum("m,...mja->...ja", wm, cross(rdot[..., None, :], Jr_rows))
-
-    # d inertia / d q_k = int 2 (u_k . r) I - r u_k^T - u_k r^T dm, u_k = dr/dq_k
-    ur = np.einsum("m,...maj,...ma->...j", wm, Jr, r)
-    r_uk = np.einsum("m,...ma,...mbj->...jab", wm, r, Jr)
+    # d inertia / d q_k = int 2 (u_k . r) I - r u_k^T - u_k r^T dm
     inertia_grad = 2.0 * ur[..., None, None] * eye - r_uk - r_uk.swapaxes(-1, -2)
-
-    gram = np.einsum("m,...maj,...mak->...jk", wm, Jr, Jr)
+    gram = (Jr * np.tile(wm, 3)[:, None]).swapaxes(-1, -2) @ Jr
 
     return BodyInertialData(
         mass=mass,
@@ -140,5 +141,5 @@ def body_integrals(handle, ev, jac_rate, qdb, qddb) -> BodyInertialData:
         mom_rd=mom_rd, mom_rdd=mom_rdd, jac_mom_rd=jac_mom_rd,
         proj_rdd=proj_rdd, proj_cor=proj_cor,
         inertia_grad=inertia_grad, gram=gram,
-        nodes=pts, weights_mass=wm, r=r, rdot=rdot, ev=ev,
+        nodes=pts, weights_mass=wm, r=r, rdot=rdT.swapaxes(-1, -2), ev=ev,
     )

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import BodyDomainError
 from ..quadrature import DEFAULT_ORDER, ReferenceDomain, gauss_legendre
+from ..spatial import matvec3
 from .base import BodyModel
 
 Array = np.ndarray
@@ -379,18 +380,25 @@ class LvpBody(BodyModel):
         self.quadrature_order = quadrature_order
 
     def position(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        return np.stack([self._position(x, qr) for qr in self.check_q(q)])
+        return self._rows(self._position, x, q)
 
     def jac_q(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        return np.stack([self._jac_q(x, qr) for qr in self.check_q(q)])
+        return self._rows(self._jac_q, x, q)
 
     def jac_x(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        return np.stack([self._jac_x(x, qr) for qr in self.check_q(q)])
+        return self._rows(self._jac_x, x, q)
 
     # the primitives take one configuration: a stack is composed row by row
+
+    def _rows(self, fn, x, q) -> Array:
+        """fn(x, q[r]) for each row r of the stack q; a row off the map's domain raises BodyDomainError naming r."""
+        x, out = np.asarray(x, dtype=float), []
+        for r, qr in enumerate(self.check_q(q)):
+            try:
+                out.append(fn(x, qr))
+            except BodyDomainError as e:
+                raise BodyDomainError(e.message, r) from e
+        return np.stack(out)
 
     def _jac_x(self, y: Array, q: Array) -> Array:
         total = np.broadcast_to(np.eye(3), (y.shape[0], 3, 3)).copy()
@@ -405,12 +413,11 @@ class LvpBody(BodyModel):
         return y
 
     def _jac_q(self, y: Array, q: Array) -> Array:
-        total = np.zeros((y.shape[0], 3, self.n_dof))
+        total = np.zeros((y.shape[0], self.n_dof, 3))  # one row per coordinate: (m, n, 3)
         for p in self.primitives:
-            fp = p.jac_x(y, q)
-            total = np.einsum("mab,mbj->maj", fp, total)
+            total = matvec3(p.jac_x(y, q)[:, None], total)
             own = p.jac_coeffs(y, q)
             for col, idx in enumerate(p.indices):
-                total[:, :, idx] += own[:, :, col]
+                total[:, idx] += own[:, :, col]
             y = p.apply(y, q)
-        return total
+        return total.swapaxes(1, 2)

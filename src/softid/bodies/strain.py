@@ -29,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from ..quadrature import DEFAULT_ORDER, ReferenceDomain
-from ..spatial import cross, matvec
+from ..spatial import cross, matvec, matvec3
 from .base import BodyModel
 
 Array = np.ndarray
@@ -383,18 +383,15 @@ class CosseratRodBody(BodyModel):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
         R, c, _, _ = self.solve(x, q) if sol is None else sol
-        return c + np.einsum("rkab,rkb->rka", R, self.cross_section(x, q))
+        return c + matvec3(R, self.cross_section(x, q))
 
     def jac_q(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
         R, _, dR, dc = self.solve(x, q) if sol is None else sol
         u = self.cross_section(x, q)
-        out = dc.swapaxes(2, 3) + np.einsum("rkjab,rkb->rkaj", dR, u)
-        du = self.cross_section_jac_q(x, q)
-        if du is not None:
-            out = out + np.einsum("rkab,rkbj->rkaj", R, du)
-        return out
+        out, du = dc + matvec3(dR, u[..., None, :]), self.cross_section_jac_q(x, q)  # column j: dc_j + dR_j u + R du_j
+        return (out if du is None else out + matvec3(R[:, :, None], du.swapaxes(2, 3))).swapaxes(2, 3)
 
     def _section_terms(self, x: Array, q: Array):
         """Strains xi (b, m, 6), in-plane points u and the arclength
@@ -411,7 +408,7 @@ class CosseratRodBody(BodyModel):
         _, _, tangent = self._section_terms(x, q)
         # f' along s: R (sigma + kappa x u); transverse: R e1, R e2
         out = R.copy()
-        out[..., 2] = np.einsum("rkab,rkb->rka", R, tangent)
+        out[..., 2] = matvec3(R, tangent)
         return out
 
     def jac_x_dq(self, x, q, sol=None):
@@ -420,10 +417,11 @@ class CosseratRodBody(BodyModel):
         R, _, dR, _ = self.solve(x, q) if sol is None else sol
         _, u, tangent = self._section_terms(x, q)
         phi = self.basis.matrix(x[:, 2])  # (m, 6, n)
-        d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[..., None, :]).swapaxes(-1, -2)
+        # d tangent / dq_j, one row per coordinate (b, m, n, 3)
+        d_tangent = np.swapaxes(phi[:, 3:], 1, 2) + cross(np.swapaxes(phi[:, :3], 1, 2), u[..., None, :])
         out = np.empty(R.shape + (self.n_dof,))
         out[..., :2, :] = dR[..., :2].transpose(0, 1, 3, 4, 2)
-        out[..., 2, :] = np.einsum("rkjab,rkb->rkaj", dR, tangent) + R @ d_tangent
+        out[..., 2, :] = (matvec3(dR, tangent[..., None, :]) + matvec3(R[:, :, None], d_tangent)).swapaxes(-1, -2)
         return out
 
     def hess_x(self, x, q, sol=None):
@@ -438,7 +436,7 @@ class CosseratRodBody(BodyModel):
                    cross(kap, sig + cross(kap, u)) + dxi[..., 3:] + cross(dxi[..., :3], u))
         out = np.zeros(R.shape + (3,))
         for c, column in enumerate(columns):
-            out[..., c, 2] = out[..., 2, c] = np.einsum("rkab,rkb->rka", R, column)
+            out[..., c, 2] = out[..., 2, c] = matvec3(R, column)
         return out
 
 

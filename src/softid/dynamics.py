@@ -36,7 +36,7 @@ import numpy as np
 from .bodies.integrals import BodyInertialData
 from .kinematics import (BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage,
                          stack_links)
-from .spatial import cross, matvec, skew
+from .spatial import cross, matvec, matvec3, skew
 
 Array = np.ndarray
 
@@ -74,9 +74,8 @@ def inertial_terms(data: BodyInertialData, w: Array, wdot: Array, a_com: Array,
     )
     pi_body = (
         matvec(-data.jac_mom_rd.swapaxes(-1, -2), wdot)
-        # ½ ωᵀ (∂I/∂q_k)ᵀ ω = ½ ωᵀ (∂I/∂q_k) ω, summed over the row index
-        # innermost as the paper's column-wise vec(∂I/∂q_k) orders it
-        + 0.5 * np.einsum("...a,...kba,...b->...k", w, data.inertia_grad, w)
+        # ½ ωᵀ (∂I/∂q_k) ω for every k: (∂I/∂q_k) ω, then its dot with ω
+        + 0.5 * matvec3(matvec3(data.inertia_grad, w[..., None, :]), w)
         + 2.0 * matvec(data.proj_cor, w)
         - data.proj_rdd
         + matvec(data.jac_com.swapaxes(-1, -2), F)
@@ -101,7 +100,8 @@ def _div_green(model, x: Array, q: Array, sol=None) -> Array:
     points x for every row of the stack q, (b, m, 3)."""
     F = model.jac_x(x, q, sol)
     H = model.hess_x(x, q, sol)
-    return np.einsum("...macb,...mbc->...ma", H, F) + np.einsum("...mac,...mbcb->...ma", F, H)
+    trace = H[..., 0, :, 0] + H[..., 1, :, 1] + H[..., 2, :, 2]  # div(B)_a = H_acb F_bc + F_ac H_bcb
+    return sum(matvec3(H[..., c, :], F[..., c]) for c in range(3)) + matvec3(F, trace)
 
 
 def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Array,
@@ -138,14 +138,15 @@ def stress_terms(handle: BodyHandle, data: BodyInertialData, qb: Array, qdb: Arr
     dens_e = 2.0 * C * _div_green(model, data.nodes, q, sol)
     pi_d = np.zeros(q.shape)
     moving = qd.any(-1)
+    # each projection is one BLAS product per row: weighted densities times the (9 m or 3 m, n) Jacobian
     if model.viscosity is not None and moving.any():
         moving = slice(None) if moving.all() else np.flatnonzero(moving)
         dF = model.jac_x_dq(data.nodes, q[moving], None if sol is None else tuple(a[moving] for a in sol))
-        pi_d[moving] = (-2.0 * model.viscosity * C) * np.einsum(
-            "m,rmabj,rmab->rj", w, dF, matvec(dF, qd[moving, None, None]))
+        dF = dF.reshape(len(dF), -1, q.shape[1])
+        pi_d[moving] = (-2.0 * model.viscosity * C) * ((matvec(dF, qd[moving]) * np.repeat(w, 9))[:, None] @ dF)[:, 0]
 
     dens_e = dens_e @ rows(data.ev.frame[0])  # rotate per-node densities into {S_i}
-    pi_e = np.einsum("m,rmaj,rma->rj", w, rows(data.ev.jac), dens_e)
+    pi_e = ((dens_e * w[:, None]).reshape(len(q), 1, -1) @ rows(data.ev.jac).reshape(len(q), -1, q.shape[1]))[:, 0]
     zero = np.zeros(q.shape[:1] + (3,))
     terms = ((w @ dens_e, w @ cross(rows(data.r), dens_e), pi_e), (zero, zero, pi_d))
     return tuple(tuple(a.reshape(lead + a.shape[1:]) for a in (F, T, _joint_rows(pi, n_joint)))

@@ -31,8 +31,9 @@ joints of one size form a stage group (:attr:`ChainModel.groups`), which
 :func:`link_stage` stages as one stack of its links' blocks: one solve of
 the body at every row and, for each moving row, at q_i +- h u
 (:func:`unit_rate`), and the integrals once over the stack.  Every product
-is taken per link and row in the order of a single state, so a state swept
-in a stack, or a link staged in its group, equals it alone, bitwise.
+is one row's own, a BLAS product or a multiply-add over the 3-axis, never
+one across rows, so a state swept in a stack, or a link staged in its
+group, equals it alone, bitwise.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
-from .errors import CentroidConsistencyError, DegenerateContactError
+from .errors import BodyDomainError, CentroidConsistencyError, DegenerateContactError
 from .spatial import Transform, cross, matvec, rodrigues, skew, vee
 
 Array = np.ndarray
@@ -240,14 +241,15 @@ class BodyHandle:
     def framed_jacobian(self, f: Array, jq: Array, frame):
         """Body points in {S_i}, R_c^T (f - t_c), and their q-Jacobians, from
         the images f (b, m, 3), their q-Jacobians jq (b, m, 3, n) and the
-        frames, one per row."""
+        frames, one per row: BLAS products of a row's own, the differences
+        taken with the nodes innermost (where t_c and dt_c are one number)."""
         R, t, dR, dt = frame
-        rel = f - t[:, None]
+        rel = np.subtract(f.swapaxes(1, 2), t[:, :, None], order="C").swapaxes(1, 2)
         ip = rel @ R
-        jac = np.einsum("rmaj,rab->rmbj", jq - dt[:, None], R)
+        jac = np.subtract(jq.transpose(0, 3, 2, 1), dt.swapaxes(1, 2)[..., None], order="C").swapaxes(2, 3) @ R[:, None]
         if not self.free_tip:
-            jac += np.einsum("rma,rjab->rmbj", rel, dR)
-        return ip, jac
+            jac += rel[:, None] @ dR
+        return ip, jac.transpose(0, 2, 3, 1)
 
 
 @dataclass
@@ -424,6 +426,8 @@ class LinkStage(NamedTuple):
 
 def _row_error(e, group, at, b: int, single: bool):
     """Error ``e`` of point ``e.row`` (``at``: its row of the group's stack) naming the link and state row."""
+    if e.row is None:
+        return type(e)(f"link {', '.join(map(str, group))}: {e.message}")
     (k, r), rate = divmod(int(at[e.row]), b), " at q +- h u" if e.row >= len(group) * b else ""
     return type(e)(f"link {group[k]}{rate}: {e.message}", None if single else r)
 
@@ -466,7 +470,7 @@ def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuat
         Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
         ev = ev.take(slice(0, len(qs)))  # copies: the solve at the rate points is freed here
         data = integrals.body_integrals(lk.body, ev, Jp_dot, qds[:, nj:], qdds[:, nj:])
-    except (DegenerateContactError, CentroidConsistencyError) as e:
+    except (DegenerateContactError, CentroidConsistencyError, BodyDomainError) as e:
         raise _row_error(e, group, at, b, q.ndim == 1) from e
     return LinkStage(*(a[:len(qs)] for a in (R_rel, t_rel, Jt, Jw)), Jt_dot, Jw_dot, data, actuation=terms)
 
@@ -479,7 +483,7 @@ def place_stage(chain: ChainModel, group, q: Array, actuation) -> LinkStage:
     b, xs, at = len(qs) // len(group), [actuation.points_on(i) for i in group], np.arange(len(qs))
     try:
         sol, frame, f, jq = lk.body.place(qs[:, lk.joint.n_dof:], np.concatenate(xs))
-    except DegenerateContactError as e:
+    except (DegenerateContactError, BodyDomainError) as e:
         raise _row_error(e, group, at, b, q.ndim == 1) from e
     sol = None if sol is None else tuple(a[:, lk.body.n_anchors:] for a in sol)
     jac, terms = _links(chain, group, q, qs, at // b, frame, actuation, xs, (sol, f, jq))

@@ -4,7 +4,7 @@ import pytest
 from softid import presets
 from softid.dynamics import _stage, gravity_terms, inertial_terms
 from softid.errors import BodyDomainError
-from softid.spatial import skew
+from softid.spatial import cross, skew
 
 
 @pytest.fixture(scope="session")
@@ -181,3 +181,135 @@ def check_redrawn(redrawn, algorithm):
             pass
     return raised, (f"; {len(redrawn)} states outside the body-map domain redrawn "
                     f"({algorithm.__name__} raises BodyDomainError at each: {raised})")
+
+
+# -- the package's contractions in their einsum forms: test-only references ------------
+
+def einsum_matvec3(a, v):
+    """:func:`softid.spatial.matvec3` as one einsum."""
+    return np.einsum("...kj,...j->...k", a, v)
+
+
+def ref_framed_jacobian(handle, f, jq, frame):
+    """``BodyHandle.framed_jacobian`` by einsum."""
+    R, t, dR, dt = frame
+    rel = f - t[:, None]
+    jac = np.einsum("rmaj,rab->rmbj", jq - dt[:, None], R)
+    if not handle.free_tip:
+        jac += np.einsum("rma,rjab->rmbj", rel, dR)
+    return rel @ R, jac
+
+
+def ref_rod_maps(model, x, q, sol):
+    """The five maps of a ``CosseratRodBody`` by einsum, from its solution at x."""
+    R, c, dR, dc = sol
+    u = model.cross_section(x, q)
+    jac_q = dc.swapaxes(2, 3) + np.einsum("rkjab,rkb->rkaj", dR, u)
+    du = model.cross_section_jac_q(x, q)
+    if du is not None:
+        jac_q = jac_q + np.einsum("rkab,rkbj->rkaj", R, du)
+    xi, dxi = model.basis.strains(x[:, 2], q), model.basis.strains_ds(x[:, 2], q)
+    kap, sig = xi[..., :3], xi[..., 3:]
+    tangent = sig + cross(kap, u)
+    jac_x = R.copy()
+    jac_x[..., 2] = np.einsum("rkab,rkb->rka", R, tangent)
+    phi = model.basis.matrix(x[:, 2])
+    d_tangent = phi[:, 3:] + cross(np.swapaxes(phi[:, :3], 1, 2), u[..., None, :]).swapaxes(-1, -2)
+    jac_x_dq = np.empty(R.shape + (model.n_dof,))
+    jac_x_dq[..., :2, :] = dR[..., :2].transpose(0, 1, 3, 4, 2)
+    jac_x_dq[..., 2, :] = np.einsum("rkjab,rkb->rkaj", dR, tangent) + R @ d_tangent
+    columns = (cross(kap, [1.0, 0.0, 0.0]), cross(kap, [0.0, 1.0, 0.0]),
+               cross(kap, sig + cross(kap, u)) + dxi[..., 3:] + cross(dxi[..., :3], u))
+    hess_x = np.zeros(R.shape + (3,))
+    for k, column in enumerate(columns):
+        hess_x[..., k, 2] = hess_x[..., 2, k] = np.einsum("rkab,rkb->rka", R, column)
+    return {"position": c + np.einsum("rkab,rkb->rka", R, u), "jac_q": jac_q, "jac_x": jac_x,
+            "jac_x_dq": jac_x_dq, "hess_x": hess_x}
+
+
+def ref_lvp_jac_q(model, y, q):
+    """``LvpBody._jac_q`` (one configuration) by einsum."""
+    total = np.zeros((y.shape[0], 3, model.n_dof))
+    for p in model.primitives:
+        total = np.einsum("mab,mbj->maj", p.jac_x(y, q), total)
+        own = p.jac_coeffs(y, q)
+        for col, idx in enumerate(p.indices):
+            total[:, :, idx] += own[:, :, col]
+        y = p.apply(y, q)
+    return total
+
+
+def ref_body_integrals(handle, ev, jac_rate, qdb, qddb):
+    """The fields of ``body_integrals`` by einsum and cross products, as a dict."""
+    model = handle.model
+    pts, w = model.nodes()
+    wm = w * model.rho
+    mass = float(wm.sum())
+    ip, Jp, Jp_dot = ev.points, ev.jac, jac_rate
+    p_com = (wm @ ip) / mass
+    jac_com = np.einsum("m,...maj->...aj", wm, Jp) / mass
+    jacdot_com = np.einsum("m,...maj->...aj", wm, Jp_dot) / mass
+    r = ip - p_com[..., None, :]
+    Jr = Jp - jac_com[..., None, :, :]
+    Jr_dot = Jp_dot - jacdot_com[..., None, :, :]
+    rdot = np.einsum("...maj,...j->...ma", Jr, qdb)
+    rddot = np.einsum("...maj,...j->...ma", Jr, qddb) + np.einsum("...maj,...j->...ma", Jr_dot, qdb)
+    eye = np.eye(3)
+    rr = np.einsum("m,...ma,...mb->...ab", wm, r, r)
+    r_rd = np.einsum("m,...ma,...mb->...ab", wm, rdot, r)
+    Jr_rows = Jr.swapaxes(-1, -2)
+    ur = np.einsum("m,...maj,...ma->...j", wm, Jr, r)
+    r_uk = np.einsum("m,...ma,...mbj->...jab", wm, r, Jr)
+    return {
+        "p_com": p_com, "pdot_com": (jac_com @ qdb[..., None])[..., 0],
+        "pddot_com": (jac_com @ qddb[..., None])[..., 0] + (jacdot_com @ qdb[..., None])[..., 0],
+        "jac_com": jac_com, "jacdot_com": jacdot_com,
+        "inertia": np.trace(rr, axis1=-2, axis2=-1)[..., None, None] * eye - rr,
+        "inertia_rate": (2.0 * np.trace(r_rd, axis1=-2, axis2=-1)[..., None, None] * eye
+                         - r_rd - r_rd.swapaxes(-1, -2)),
+        "mom_rd": np.einsum("m,...ma->...a", wm, cross(r, rdot)),
+        "mom_rdd": np.einsum("m,...ma->...a", wm, cross(r, rddot)),
+        "jac_mom_rd": np.einsum("m,...mja->...aj", wm, cross(r[..., None, :], Jr_rows)),
+        "proj_rdd": np.einsum("m,...maj,...ma->...j", wm, Jr, rddot),
+        "proj_cor": -np.einsum("m,...mja->...ja", wm, cross(rdot[..., None, :], Jr_rows)),
+        "inertia_grad": 2.0 * ur[..., None, None] * eye - r_uk - r_uk.swapaxes(-1, -2),
+        "gram": np.einsum("m,...maj,...mak->...jk", wm, Jr, Jr),
+        "r": r, "rdot": rdot,
+    }
+
+
+def ref_inertial_terms(data, w, wdot, a_com):
+    """``inertial_terms`` (no joint rows) with its velocity-squared term by einsum."""
+    def mv(a, v):
+        return (a @ v[..., None])[..., 0]
+
+    F = -data.mass * a_com
+    T = (mv(-data.inertia, wdot) - cross(w, mv(data.inertia, w)) - mv(data.inertia_rate, w)
+         - cross(w, data.mom_rd) - data.mom_rdd)
+    pi = (mv(-data.jac_mom_rd.swapaxes(-1, -2), wdot) + 0.5 * np.einsum("...a,...kba,...b->...k", w, data.inertia_grad, w)
+          + 2.0 * mv(data.proj_cor, w) - data.proj_rdd + mv(data.jac_com.swapaxes(-1, -2), F))
+    return F, T, pi
+
+
+def ref_stress_terms(handle, data, qb, qdb):
+    """``stress_terms`` (no joint rows) of a stack (b, n) by einsum."""
+    model = handle.model
+    sol = None if data.ev.sol is None else tuple(a[:, handle.n_anchors:] for a in data.ev.sol)
+    w, C = data.weights_mass / model.rho, model.elastic_modulus
+    F, H = model.jac_x(data.nodes, qb, sol), model.hess_x(data.nodes, qb, sol)
+    dens_e = 2.0 * C * (np.einsum("...macb,...mbc->...ma", H, F) + np.einsum("...mac,...mbcb->...ma", F, H))
+    dF = model.jac_x_dq(data.nodes, qb, sol)
+    F_dot = (dF @ qdb[:, None, None, :, None])[..., 0]
+    pi_d = (-2.0 * model.viscosity * C) * np.einsum("m,rmabj,rmab->rj", w, dF, F_dot)
+    dens_e = dens_e @ data.ev.frame[0]
+    pi_e = np.einsum("m,rmaj,rma->rj", w, data.ev.jac, dens_e)
+    return (w @ dens_e, w @ cross(data.r, dens_e), pi_e), pi_d
+
+
+def ref_chamber_terms(model, pts, w, qb, sol):
+    """A chamber's volumes and volume gradients (``ChamberActuation.link_terms``)
+    by einsum, and the gradients' sums of absolute terms, their rounding scale."""
+    F, dF = model.jac_x(pts, qb, sol), model.jac_x_dq(pts, qb, sol)
+    cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]), cross(F[..., 0], F[..., 1])], axis=-1)
+    return (np.linalg.det(F) @ w, np.einsum("p,rpab,rpabj->rj", w, cof, dF),
+            np.einsum("p,rpab,rpabj->rj", np.abs(w), np.abs(cof), np.abs(dF)))

@@ -178,6 +178,7 @@ def _position_calls(fn):
     return count
 
 
+@pytest.mark.slow
 def test_criterion_5_linear_scaling():
     """IID time is linear in N; the oracle's per-body work grows superlinearly.
 
@@ -249,6 +250,7 @@ def test_criterion_6_id_fd_roundtrip():
             f"worst error / (1e-7 + bound) {worst_ratio:.2f} (<=1)" + note)
 
 
+@pytest.mark.slow
 def test_criterion_7_energy_properties():
     """Pendulum conservation; damped soft-rod evolution settles dissipatively.
 

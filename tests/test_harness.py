@@ -128,6 +128,7 @@ def test_simulate_aborts_on_nonfinite_sweep(method):
     traj = simulate(chain, [0.3], [1e200], t_end=0.01, dt=1e-3, method=method)
     assert traj.aborted_at == 0 and len(traj) == 0
 
+@pytest.mark.slow
 def test_pendulum_energy_conservation():
     chain = presets.rigid_pendulum_chain()
     q0 = np.array([2.0])
@@ -151,6 +152,7 @@ def test_simulate_aborts_on_singular_mass():
     assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.kinetic))
 
 
+@pytest.mark.slow
 def test_pcc_energy_conservation_undamped():
     # elastic oscillation at zero gravity: the work-ledger total is conserved
     # within integrator error.  Curvature-only body: with an elongation
@@ -166,6 +168,7 @@ def test_pcc_energy_conservation_undamped():
     assert np.abs(traj.dissipated).max() == 0.0
 
 
+@pytest.mark.slow
 def test_damped_free_evolution_dissipative():
     chain = presets.pcc_chain(1, C=2e3, eta=0.05, order=(2, 8, 5))
     q0 = np.array([0.3, 0.2, 0.0])
@@ -535,6 +538,7 @@ def test_pd_plus_regulates_rigid_2r(rigid_2r):
     assert np.abs(traj.q[-1] - q_d).max() < 1e-2
 
 
+@pytest.mark.slow
 def test_pd_plus_gain_sweep_monotone_error(rigid_2r):
     # steady-state error decreases as the proportional gain grows
     q_d = np.array([2.2, 0.3])

@@ -7,6 +7,9 @@
 - No reuse is keyed on object identity or bytes: the package calls neither
   ``.tobytes()`` nor the builtin ``id()``, so what a computation reuses is
   passed to it explicitly.
+- No ``einsum``: every contraction outside the oracle is a BLAS product of
+  a row's own matrices or an elementwise multiply-add over the 3-axis; the
+  oracle keeps its einsums as the independent reference.
 - No control flow rests on ``assert``: the package has no assert statement,
   so every check also holds under ``python -O``.
 - The actuation maps only read the links' stages: ``actuation.py`` calls
@@ -121,6 +124,19 @@ def test_no_identity_or_bytes_keys():
                     (isinstance(f, ast.Name) and f.id == "id"):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"calls of .tobytes() or id() in the package: {found}"
+
+
+def test_no_einsum_in_the_package():
+    found = []
+    for path in _sources():
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "einsum") or \
+                    (isinstance(node, ast.Name) and node.id == "einsum") or \
+                    (isinstance(node, ast.alias) and node.name == "einsum"):
+                found.append(f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', '?')}")
+    assert not found, f"einsum outside the oracle: {found}"
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -291,6 +291,21 @@ def test_out_of_domain_row_raises():
             call()
 
 
+def test_out_of_domain_row_names_link_and_row():
+    # the body map's error names the stack row, the stage the link
+    chain = chain_of("lvp")
+    q, qd, qdd = stacked_states(chain, 3, seed=0)
+    q[1] = [0.0, 3.0, 0.0]
+    handle = chain.links[0].body
+    with pytest.raises(BodyDomainError) as raised:
+        handle.model.position(handle.points, q)
+    assert raised.value.row == 1
+    with pytest.raises(BodyDomainError) as raised:
+        stage_alone(chain, 0, q, qd, qdd)
+    assert raised.value.row == 1
+    assert "link 0" in str(raised.value) and "(row 1)" in str(raised.value)
+
+
 @pytest.mark.parametrize("kind", sorted(set(KINDS) - {"rigid"}))
 def test_non_finite_row_rejected(kind):
     handle = chain_of(kind).links[-1].body
