@@ -3,13 +3,14 @@
 Virtual work fixes the projection: with actuator lengths l(q) (or chamber
 volumes V(q)), the generalized actuation force is nu = A(q) u with
 A(q) = (dl/dq)^T, so that dq^T nu = dl^T u for every virtual displacement.
-Each map gets l and dl/dq analytically from the links' stages
-(:func:`~softid.kinematics.link_stage`), which solve the map's material
-points with their bodies and keep the map's terms of each link; the map
-composes them along the chain and evaluates no body itself.  Like the
-dynamics sweep, a map takes one state (n,) or a stack of states (b, n), and
-a stage without rows broadcasts against stacked ones; a row equals the
-state alone, bitwise.
+Each map gets l and dl/dq analytically from the sweep's stage record
+(:func:`~softid.kinematics.chain_stages`), whose stage groups solve the
+map's material points with their bodies and which lists the map's terms of
+each link; the map reads link i's entries of the record, composes them
+along the chain and evaluates no body itself.  Like the dynamics sweep, a
+map takes one state (n,) or a stack of states (b, n), and a record without
+rows broadcasts against stacked ones; a row equals the state alone,
+bitwise.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ class ActuationMap:
     the link, ``link_terms(chain, i, q, at_x)`` (``at_x`` as in
     :class:`~softid.kinematics.BodyEval` at these points alone, leading rows
     the states of q).  ``_measure(chain, q, stages)`` gives the lengths (or
-    volumes) l (..., n_inputs) and dl/dq (..., n_inputs, n) from the links'
-    stages; ``owner`` holds the body of each via point or chamber.
+    volumes) l (..., n_inputs) and dl/dq (..., n_inputs, n) from the stage
+    record; ``owner`` holds the body of each via point or chamber.
     """
 
     n_inputs: int = 0
 
     def _at(self, chain: ChainModel, q: Array, stages):
-        """:meth:`_measure` at q from ``stages``, the links' stages at q with
+        """:meth:`_measure` at q from ``stages``, the stage record at q with
         this map's terms (:func:`~softid.dynamics.link_stages`); when None,
         each stage group is placed for this map alone
         (:func:`~softid.kinematics.place_stage`)."""
@@ -92,11 +93,11 @@ class TendonActuation(ActuationMap):
 
     def _via_points(self, chain: ChainModel, q: Array, stages) -> tuple[Array, Array]:
         """Base-frame via points (..., m, 3) and their q-Jacobians
-        (..., m, 3, n) at the states q, composed link to link from the
-        stages.  (Jo, Jw) are the base-frame origin and angular-velocity
-        Jacobians of the parent frame {S_{i-1}}, whose points move by
-        Jo + Jw x (p - o); the link's own coordinates add the joint's
-        rotation or slide and R_J df/dq.
+        (..., m, 3, n) at the states q, composed link to link from each
+        link's entries of the stage record.  (Jo, Jw) are the base-frame
+        origin and angular-velocity Jacobians of the parent frame {S_{i-1}},
+        whose points move by Jo + Jw x (p - o); the link's own coordinates
+        add the joint's rotation or slide and R_J df/dq.
         """
         lead = q.shape[:-1]
         p = np.broadcast_to(chain.base.apply(self.points), lead + self.points.shape).copy()
@@ -104,8 +105,7 @@ class TendonActuation(ActuationMap):
         Jo, Jw = np.zeros((2,) + lead + (3, chain.n))
         R, t = chain.base.rotation, chain.base.translation  # {S_{i-1}} in the base
         for i, lk in enumerate(chain.links):
-            st = stages[i]
-            (f, jq, Rj, tj), R_rel, t_rel = st.actuation, st.R_rel, st.t_rel
+            (f, jq, Rj, tj), R_rel, t_rel = stages.actuation[i], stages.R_rel[i], stages.t_rel[i]
             sl = chain.slice(i)
             nj = lk.joint.n_dof
             mine = self.owner == i
@@ -121,8 +121,8 @@ class TendonActuation(ActuationMap):
             J[..., mine, :, :] = Ji
             # carry the frame Jacobians on to {S_i}
             Jo = Jo + cross(Jw.swapaxes(-1, -2), matvec(R, t_rel)[..., None, :]).swapaxes(-1, -2)
-            Jo[..., sl] += R @ st.Jt
-            Jw[..., sl] += R @ st.Jw
+            Jo[..., sl] += R @ stages.Jt[i, ..., :lk.n_dof]
+            Jw[..., sl] += R @ stages.Jw[i, ..., :lk.n_dof]
             R, t = R @ R_rel, t + matvec(R, t_rel)
             if not (is_rotation(R_rel) and is_rotation(R)):
                 raise NonOrthonormalFrameError("rotation block is not orthonormal")
@@ -188,7 +188,7 @@ class ChamberActuation(ActuationMap):
         lead = q.shape[:-1]
         volumes = np.empty(lead + (self.n_inputs,))
         grad = np.zeros(lead + (self.n_inputs, chain.n))
-        per_body = {bi: iter(stages[bi].actuation) for bi in dict.fromkeys(self.owner.tolist())}
+        per_body = {bi: iter(stages.actuation[bi]) for bi in dict.fromkeys(self.owner.tolist())}
         for c, bi in enumerate(self.owner.tolist()):
             volumes[..., c], g = next(per_body[bi])
             body = chain.slice(bi)

@@ -14,17 +14,17 @@ components, so M(q) comes out of the same sweep as the force vector.
 
 The sweep takes every per-link term (the inertial, gravity and stress
 wrenches and projections, the mass cases) in one call over all links, from
-the forward pass's stacked integrals (``cache.links``); link by link run
+the stage record on the link axis (``cache.stages``); link by link run
 only the 6-vector recurrences, here the mass cases' Jacobians and the
 backward wrenches W_i = w_i + X_{i+1}^T W_{i+1} of every row at once.
 Nothing here evaluates or differences a body map again.  :func:`_stage`
 stages a stage group (the links that share a body model) with one body
 solve and one stress pass over all their rows.
 
-Every function here takes one state or a stack of states (b, n); a stage
+Every function here takes one state or a stack of states (b, n); a record
 without rows broadcasts against stacked ones.  Row r of a stacked sweep is
 the sweep at state r alone, bitwise, so states that differ in one link's
-block are one sweep over that link's stacked stage and the others' stages.
+block are one sweep over a record with that link staged at their stack.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies.integrals import BodyInertialData
-from .kinematics import (BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage,
-                         stack_links)
+from .kinematics import BodyHandle, ChainModel, KinematicsCache, LinkStage, chain_stages, forward_pass, link_stage
 from .spatial import cross, matvec, matvec3, skew
 
 Array = np.ndarray
@@ -189,19 +188,15 @@ def _stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, stress: bo
 
 
 def link_stages(chain: ChainModel, q, qd=None, qdd=None, *, base=None, link=None,
-                actuation=None) -> list[LinkStage]:
-    """The links' stages at a state or a stack of states, stress terms and
+                actuation=None) -> LinkStage:
+    """The sweep's record at a state or a stack of states, stress terms and
     the terms of an ``actuation`` map included, for :func:`chain_dynamics`.
 
-    ``base`` holds the stages of a state that differs from these only in
-    the block of link ``link``; then only that link is staged again, alone,
-    and every other stage is taken from ``base``.
+    ``base`` is the record of a state that differs from these only in the
+    block of link ``link``, which alone is staged again (:func:`chain_stages`).
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    if base is None:
-        return chain_stages(chain, q, lambda group: _stage(chain, group, q, qd, qdd, True, actuation))
-    return (base[:link] + _stage(chain, (link,), q, qd, qdd, True, actuation).split(1, q.ndim == 1)
-            + base[link + 1:])
+    return chain_stages(chain, q, lambda group: _stage(chain, group, q, qd, qdd, True, actuation), base, link)
 
 
 def chain_dynamics(chain: ChainModel, q, qd=None, qdd=None, *, gravity: bool = True, stress: bool = True,
@@ -211,8 +206,8 @@ def chain_dynamics(chain: ChainModel, q, qd=None, qdd=None, *, gravity: bool = T
     ``base_accel`` defaults to zero here: gravity enters through its explicit
     terms.  Seeding ``base_accel = -chain.gravity`` with ``gravity=False``
     reproduces the same forces through the inertial path (cross-check mode).
-    ``stages`` are the links' stages at this state (:func:`link_stages`),
-    built here when None; the result's ``cache.stages`` holds them.  At a
+    ``stages`` is the stage record at this state (:func:`link_stages`),
+    built here when None; the result's ``cache.stages`` holds it.  At a
     stack of states (b, n) the force, M and components have the row axis.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
@@ -230,13 +225,9 @@ def chain_dynamics(chain: ChainModel, q, qd=None, qdd=None, *, gravity: bool = T
         lk.data, lk.w, lk.wdot, lk.a_com)
     if gravity:
         wrenches[:, 0, ..., 1, :], pi[..., 1, :] = gravity_terms(lk.data, lk.R_base, chain.gravity)
-    if stress and any(st.stress is not None for st in stages):
-        none = ((np.zeros(3), np.zeros(3), np.zeros(0)),) * 2
-        for c, terms in enumerate(zip(*(st.stress or none for st in stages))):  # elastic, damping
-            F, T, p = zip(*terms)
-            wrenches[:, 0, ..., 2 + c, :] = stack_links(F, lead, (3,), width)
-            wrenches[:, 2, ..., 2 + c, :] = stack_links(T, lead, (3,), width)
-            pi[..., 2 + c, :] = stack_links(p, lead, ("n",), width)
+    if stress and stages.stress is not None:
+        for c, (F, T, p) in enumerate(stages.stress):  # elastic, damping
+            wrenches[:, 0, ..., 2 + c, :], wrenches[:, 2, ..., 2 + c, :], pi[..., 2 + c, :] = F, T, p
     if mass:
         wrenches[:, 1, ..., 4:, :], wrenches[:, 3, ..., 4:, :], pi[..., 4:, :] = _mass_matrix(chain, cache)
 

@@ -96,8 +96,8 @@ def _force_jacobians(chain, q, qd, base):
     """Stiffness K = dF/dq and damping D = dF/dqd of the bias force F = c+g+s.
 
     Central differences in x = (q, qd) at steps ``FORCE_JACOBIAN_STEP *
-    max(1, |x_k|)`` (:func:`_link_columns`).  ``base`` are the stages of the
-    sweep at (q, qd) with zero acceleration (``DynamicsResult.cache.stages``).
+    max(1, |x_k|)`` (:func:`_link_columns`).  ``base`` is the stage record
+    of the sweep at (q, qd) at zero acceleration (``DynamicsResult.cache.stages``).
     The 4 n_i column points of link i, (q +- h e_k, qd) and (q, qd +- h e_k),
     are one stacked stage (one body solve) and one sweep, which takes every
     other link's stage from ``base``.  Those depend on their own coordinates
@@ -313,7 +313,7 @@ def _link_columns(fn, x: Array, cols: Array, steps):
     return np.concatenate(found, axis=1)
 
 
-def _statics_jacobian(residual, q: Array, base):
+def _statics_jacobian(chain: ChainModel, residual, q: Array, base):
     """Finite-difference Jacobian of an :func:`_equilibrium` residual at q,
     whose stages are ``base``; None if some column is unevaluable.  The
     columns of one link, at the steps 1e-6 and else 1e-8 (:func:`_link_columns`),
@@ -321,8 +321,8 @@ def _statics_jacobian(residual, q: Array, base):
     equals the residual at that point alone, so the Jacobian is bitwise
     equal to differences of full residuals."""
     J = np.empty((q.size, q.size))
-    # link i owns the coordinates of its stage's Jacobian columns
-    for i, cols in enumerate(np.split(np.arange(q.size), np.cumsum([st.Jt.shape[-1] for st in base])[:-1])):
+    for i in range(len(chain)):
+        cols = np.arange(q.size)[chain.slice(i)]
         if not cols.size:
             continue
         block = _link_columns(lambda qs, i=i: residual(qs, base, i)[0], q, cols, (1e-6, 1e-8))
@@ -397,10 +397,10 @@ def solve_statics(
         rn = np.linalg.norm(r)
         at_q = rn < tol and J is None  # a root at the guess: its own Jacobian decides
         if at_q:
-            J = _statics_jacobian(residual, q, stages)
+            J = _statics_jacobian(chain, residual, q, stages)
         if rn < tol and J is not None and np.linalg.norm(newton_step(J, r)) <= tol * max(1.0, float(np.linalg.norm(q))):
             return StaticsResult(q=q, converged=True, residual_norm=float(rn), iterations=it - 1)
-        J = J if at_q else _statics_jacobian(residual, q, stages)
+        J = J if at_q else _statics_jacobian(chain, residual, q, stages)
         if J is None:
             return stopped("a Jacobian column is not evaluable", it - 1)
         step = newton_step(J, r)

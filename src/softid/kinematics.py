@@ -16,20 +16,20 @@ Relative velocities and accelerations come from configuration Jacobians of
 the link transform: analytic Jacobians assembled from the body model's
 derivative supply, and their time rates by central differencing of the
 Jacobian map along the velocity direction.  All of a link's terms that
-depend on its own coordinate block alone form its stage (:class:`LinkStage`,
-with a sweep's stress terms and an actuation map's terms); only the
-recurrences couple the links, so a caller that changes one block can pass
-the other links' stages unchanged.  Outside the recursion,
+depend on its own coordinate block alone, with a sweep's stress terms and
+an actuation map's terms, form its stage; a sweep reads all links' stages
+as one record on a link axis (:class:`LinkStage`), and only the recurrences
+couple them, so one changed block restages one link.  Outside the recursion,
 :func:`forward_kinematics` is the one walk of the chain: frame poses and
 base-frame images of material points, one body solve per body.
 
 A state is one vector (n,) or a stack of states (b, n), whose leading axes
-every array of a stage has, and of the forward pass after its link axis; a
-stage without rows broadcasts against stacked ones.  The links that hold
-one body handle (one per distinct body document of a parsed chain) and
-joints of one size form a stage group (:attr:`ChainModel.groups`), which
-:func:`link_stage` stages as one stack of its links' blocks: one solve of
-the body at every row and, for each moving row, at q_i +- h u
+every array of the record, and of the forward pass, has after its link
+axis; a record without rows broadcasts against stacked ones.  The links
+that hold one body handle (one per distinct body document of a parsed
+chain) and joints of one size form a stage group (:attr:`ChainModel.groups`),
+which :func:`link_stage` stages as one stack of its links' blocks: one
+solve of the body at every row and, for each moving row, at q_i +- h u
 (:func:`unit_rate`), and the integrals once over the stack.  Every product
 is one row's own, a BLAS product or a multiply-add over the 3-axis, never
 one across rows, so a state swept in a stack, or a link staged in its
@@ -314,13 +314,14 @@ class ChainModel:
 
     def check_state(self, *vectors) -> list[Array]:
         """The vectors as finite float arrays of one shape: one state (n,) or
-        a stack of states (b, n); None gives zeros."""
+        a stack of states (b, n), b >= 1; None gives zeros."""
         vs = [None if v is None else np.asarray(v, dtype=float) for v in vectors]
-        vs = [v if v is None or v.ndim == 2 else v.reshape(-1) for v in vs]
         shape = next((v.shape for v in vs if v is not None), (self.n,))
         out = []
         for v in vs:
             v = np.zeros(shape) if v is None else v
+            if v.ndim not in (1, 2) or v.shape[:-1] == (0,):
+                raise ValueError(f"a state must be (n,) or a stack (b, n), b >= 1, n = {self.n}; got shape {v.shape}")
             if v.shape[-1] != self.n:
                 raise ValueError(f"state vector must have length {self.n}, got {v.shape[-1]}")
             if v.shape != shape:
@@ -397,13 +398,13 @@ def unit_rate(q: Array, qd: Array):
 # -- forward pass --------------------------------------------------------------
 
 class LinkStage(NamedTuple):
-    """The terms of link i that depend on its own block (q_i, q̇_i, q̈_i) alone,
-    with the leading axes of the states they were staged at.
-
-    The link transform, its Jacobians and their rates, the body's integrals
-    (with its evaluation), an elastic body's stress terms in a sweep with
-    stress and an actuation map's terms; only the recurrences couple links.
-    """
+    """The terms of links that depend on each one's own block alone: the link
+    transform, its Jacobians and their rates, the body's integrals, an
+    elastic body's stress terms and an actuation map's terms, by link.  A
+    stage group's record (:func:`link_stage`) has its links' blocks as rows;
+    a sweep's (:func:`chain_stages`) leads with the link axis, in link
+    columns, and keeps in ``bodies`` each group's links, joint size,
+    integrals and the states' leading axes."""
 
     R_rel: Array
     t_rel: Array
@@ -413,15 +414,8 @@ class LinkStage(NamedTuple):
     Jw_dot: Array
     data: integrals.BodyInertialData
     stress: tuple | None = None
-    actuation: object = None
-
-    def split(self, count: int, single: bool) -> list["LinkStage"]:
-        """The stages of the ``count`` links of a group's record: their rows, or for one state its row."""
-        b = len(self.R_rel) // count
-        rows = [k if single else slice(k * b, (k + 1) * b) for k in range(count)]
-        return [LinkStage(*(a if a is None else a[r] for a in self[:6]), self.data and self.data.take(r),
-                          None if self.stress is None else tuple(tuple(a[r] for a in w) for w in self.stress),
-                          None if self.actuation is None else self.actuation[k]) for k, r in enumerate(rows)]
+    actuation: list | None = None
+    bodies: tuple = ()
 
 
 def _row_error(e, group, at, b: int, single: bool):
@@ -452,12 +446,12 @@ def _links(chain: ChainModel, group, q, points, at, frame, actuation, xs, at_x):
 def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
     """Record of the stage group ``group``, or of one link ``(i,)``, at the
     checked states q, qd, qdd, one state (n,) or a stack (b, n), whose rows
-    are the links' blocks one after the other (:meth:`LinkStage.split`).
-    One body evaluation serves every row, at the row and, if it moves, at
-    the row +- h u (:func:`unit_rate`), with the points of an ``actuation``
-    map, whose terms of each link the record lists; the link Jacobians are
-    taken per link on its rows, the integrals once over all rows.  Their
-    typed errors name the link and the state row."""
+    are the links' blocks one after the other.  One body evaluation serves
+    every row, at the row and, if it moves, at the row +- h u
+    (:func:`unit_rate`), with the points of an ``actuation`` map, whose
+    terms of each link the record lists; the link Jacobians are taken per
+    link on its rows, the integrals once over all rows.  Their typed errors
+    name the link and the state row."""
     lk = chain.links[group[0]]
     nj = lk.joint.n_dof
     qs, qds, qdds = (chain.rows(group, v) for v in (q, qd, qdd))
@@ -490,13 +484,54 @@ def place_stage(chain: ChainModel, group, q: Array, actuation) -> LinkStage:
     return LinkStage(*jac, None, None, None, actuation=terms)
 
 
-def chain_stages(chain: ChainModel, q: Array, stage) -> list[LinkStage]:
-    """The links' stages at the checked states q from ``stage(group)``, each stage group's record."""
-    stages = [None] * len(chain)
-    for group in chain.groups:
-        for i, st in zip(group, stage(group).split(len(group), q.ndim == 1)):
-            stages[i] = st
-    return stages
+# trailing axes of the stage arrays and the integrals the sweep reads; "n": coordinates
+_STAGE_AXES = ((3, 3), (3,), (3, "n"), (3, "n"), (3, "n"), (3, "n"))
+_INTEGRAL_AXES = {"p_com": (3,), "pdot_com": (3,), "pddot_com": (3,), "inertia": (3, 3), "inertia_rate": (3, 3),
+                  "mom_rd": (3,), "mom_rdd": (3,), "jac_com": (3, "n"), "jac_mom_rd": (3, "n"), "proj_rdd": ("n",),
+                  "proj_cor": ("n", 3), "inertia_grad": ("n", 3, 3), "gram": ("n", "n")}
+# a record's arrays: the stage's 6, the 13 integrals' (coordinates after the joint's), the elastic and damping 3 each
+_RECORD_AXES = _STAGE_AXES + tuple(_INTEGRAL_AXES.values()) + ((3,), (3,), ("n",)) * 2
+
+
+def chain_stages(chain: ChainModel, q: Array, stage, base: LinkStage | None = None, link=None) -> LinkStage:
+    """The sweep's record at the checked states q: each stage group's record
+    ``stage(group)``, its rows reshaped to (links, *rows), in its links'
+    slots.  ``base``: the record of states that differ from q in link
+    ``link``'s block alone; that link alone is staged, as a group of one, and
+    every other slot is ``base``'s, broadcast to the rows of q."""
+    N, lead, staged = len(chain), q.shape[:-1], []
+    for g in chain.groups if base is None else [(link,)]:
+        lk = chain.links[g[0]]  # slots (a slice where they run in order), columns from 0 or the joint's (None: all)
+        cut = [slice(nj, lk.n_dof) if (nj, lk.n_dof) != (0, chain.width) else None for nj in (0, lk.joint.n_dof)]
+        staged.append((slice(g[0], g[-1] + 1) if g == tuple(range(g[0], g[-1] + 1)) else list(g), g, cut, stage(g)))
+
+    def arrays(st):  # a record's arrays in the order of _RECORD_AXES, None where it has none
+        return [*st[:6], *(getattr(st.data, f, None) for f in _INTEGRAL_AXES), *sum(st.stress or ((None,) * 6,), ())]
+
+    old, parts, out = arrays(base) if base else [None] * len(_RECORD_AXES), [arrays(st) for *_, st in staged], []
+    shapes = {axes: (N,) + lead + tuple(chain.width if s == "n" else s for s in axes) for axes in set(_RECORD_AXES)}
+    for k, axes in enumerate(_RECORD_AXES):
+        if old[k] is None and all(p[k] is None for p in parts):
+            out.append(None)
+            continue
+        out.append(np.zeros(shapes[axes]))
+        if old[k] is not None:  # broadcast to the rows of q
+            out[k][...] = old[k].reshape(old[k].shape[:1] + (1,) * (out[k].ndim - old[k].ndim) + old[k].shape[1:])
+        for (slots, group, cut, _), a in zip(staged, [p[k] for p in parts]):
+            if a is not None:  # a rigid body's integrals have no rows
+                at = () if (c := cut[6 <= k < 19]) is None else tuple(c if s == "n" else slice(None) for s in axes)
+                out[k][(slots, ...) + at] = a if a.ndim == len(axes) else a.reshape((len(group),) + lead + a.shape[1:])
+    mass = np.zeros(N) if base is None or base.data is None else base.data.mass.reshape(N).copy()
+    actuation = [None] * N if base is None else list(base.actuation)
+    for slots, group, _, st in staged:
+        mass[slots] = 0.0 if st.data is None else st.data.mass  # a placed record has no integrals
+        for i, terms in zip(group, st.actuation or ()):
+            actuation[i] = terms
+    data = None if out[6] is None else integrals.BodyInertialData(
+        mass=mass.reshape((N,) + (1,) * (len(lead) + 1)), jacdot_com=None, **dict(zip(_INTEGRAL_AXES, out[6:19])))
+    bodies = tuple((g, chain.links[g[0]].joint.n_dof, st.data, lead) for _, g, _, st in staged)
+    return LinkStage(*out[:6], data, None if out[19] is None else (tuple(out[19:22]), tuple(out[22:])), actuation,
+                     bodies if base is None else base.bodies + bodies)
 
 
 @dataclass
@@ -532,70 +567,41 @@ class BodyKin:
 class KinematicsCache:
     links: BodyKin
     base_accel: Array
-    stages: list[LinkStage]
+    stages: LinkStage
 
     def __getitem__(self, i: int) -> BodyKin:
-        """Link i's entries, its own columns and its stage's integrals."""
-        lk, n = self.links, self.stages[i].Jt.shape[-1]
+        """Link i's entries, its own columns and its stage group's integrals at its rows."""
+        group, nj, data, lead = next(part for part in reversed(self.stages.bodies) if i in part[0])
+        lk, n, k = self.links, nj + data.jac_com.shape[-1], group.index(i)
         return BodyKin(**{**{f.name: getattr(lk, f.name)[i] for f in fields(lk) if f.name != "data"},
                           **{name: getattr(lk, name)[i][..., :n] for name in ("Jt", "Jw", "S")}},
-                       data=self.stages[i].data)
+                       data=data.take(slice(k * lead[0], (k + 1) * lead[0]) if lead else k))
 
     @property
     def bodies(self) -> list[BodyKin]:
-        return [self[i] for i in range(len(self.stages))]
-
-
-# trailing axes of the stage arrays and the integrals the sweep reads; "n": coordinates
-_STAGE_AXES = ((3, 3), (3,), (3, "n"), (3, "n"), (3, "n"), (3, "n"))
-_INTEGRAL_AXES = {"p_com": (3,), "pdot_com": (3,), "pddot_com": (3,), "inertia": (3, 3), "inertia_rate": (3, 3),
-                  "mom_rd": (3,), "mom_rdd": (3,), "jac_com": (3, "n"), "jac_mom_rd": (3, "n"), "proj_rdd": ("n",),
-                  "proj_cor": ("n", 3), "inertia_grad": ("n", 3, 3), "gram": ("n", "n")}
-
-
-def stack_links(arrays, lead, axes, width, at=None) -> Array:
-    """The links' ``arrays`` of trailing ``axes`` on a leading link axis, broadcast to the rows ``lead``,
-    each one's coordinates ("n", ``width`` wide) from ``at[i]`` (0 when None), the rest exact zeros."""
-    shape = lead + (tuple(width if s == "n" else s for s in axes) if "n" in axes else axes)
-    at = at if "n" in axes and any(at or ()) else (0,) * len(arrays)
-    if not any(at) and all(a.shape == shape for a in arrays):
-        return np.array(arrays)
-    out = np.zeros((len(arrays),) + shape)
-    for i, (a, o) in enumerate(zip(arrays, at)):
-        if not o and a.shape[a.ndim - len(axes):] == shape[len(lead):]:
-            out[i] = a  # a stage without rows among stacked ones
-        elif a.size:  # a rigid body's integrals have no coordinates
-            out[(i, Ellipsis) + tuple(slice(o, o + k) if s == "n" else slice(None)
-                                      for s, k in zip(axes, a.shape[a.ndim - len(axes):]))] = a
-    return out
+        return [self[i] for i in range(len(self.links.R_rel))]
 
 
 def forward_pass(chain: ChainModel, q, qd=None, qdd=None, base_accel=None,
                  stages=None) -> KinematicsCache:
     """The forward recursions: every body's velocity and acceleration in its frame.
 
-    The stages are stacked on a link axis and every per-link term is taken
+    The stages' record holds every per-link term on the link axis, taken
     for all links at once; link by link run only V_i = X_i V_{i-1} + Y_i,
     V = (v; ω), then A_i = X_i A_{i-1} + Z_i, whose velocity products Z read
     the parents' ω, and the product R_base.  ``base_accel`` seeds the base
     linear acceleration; None selects -gravity, which folds gravity into the
     inertial terms (the dynamics algorithms pass zeros and add explicit
-    gravity terms).  ``stages``: the links' :class:`LinkStage` at this
-    state, computed here when None.  At a stack of states (b, n) every
-    product is taken per link and row, so row r is the state alone, bitwise.
+    gravity terms).  ``stages``: the record of the stages at this state,
+    built here when None.  At a stack of states (b, n) every product is
+    taken per link and row, so row r is the state alone, bitwise.
     """
     q, qd, qdd = chain.check_state(q, qd, qdd)
     base_accel = np.asarray(-chain.gravity if base_accel is None else base_accel, dtype=float)
     if stages is None:
         stages = chain_stages(chain, q, lambda group: link_stage(chain, group, q, qd, qdd))
-    N, width, lead = len(chain), chain.width, q.shape[:-1]
-    R, t, Jt, Jw, Jt_dot, Jw_dot = (stack_links([st[k] for st in stages], lead, axes, width)
-                                    for k, axes in enumerate(_STAGE_AXES))
-    nj, datas = [lk.joint.n_dof for lk in chain.links], [st.data for st in stages]
-    data = integrals.BodyInertialData(
-        mass=np.array([d.mass for d in datas]).reshape((N,) + (1,) * (len(lead) + 1)), jacdot_com=None,
-        **{name: stack_links([getattr(d, name) for d in datas], lead, axes, width, nj)
-           for name, axes in _INTEGRAL_AXES.items()})
+    N, lead = len(chain), q.shape[:-1]
+    R, t, Jt, Jw, Jt_dot, Jw_dot, data = stages[:7]
 
     RT = R.swapaxes(-1, -2)
     B = np.zeros(R.shape[:-2] + (6, 6))  # a 6-vector of {S_{i-1}} in {S_i}
@@ -637,6 +643,8 @@ def forward_kinematics(chain: ChainModel, q, points_per_body=None) -> list[dict]
     Each body is solved once, at its anchors and its points together.
     """
     (q,) = chain.check_state(q)
+    if q.ndim != 1:
+        raise ValueError(f"forward_kinematics takes one state ({chain.n},), got a stack of shape {q.shape}")
     out = []
     T = chain.base
     for i, lk in enumerate(chain.links):

@@ -4,6 +4,7 @@ import pytest
 from softid import presets
 from softid.dynamics import _stage, gravity_terms, inertial_terms
 from softid.errors import BodyDomainError
+from softid.kinematics import forward_pass
 from softid.spatial import cross, skew
 
 
@@ -54,17 +55,29 @@ def central_difference(fn, x, steps):
 
 def stage_alone(chain, i, q, qd=None, qdd=None, actuation=None):
     """Link i staged alone, as a group of one, with its stress terms and the
-    terms of ``actuation``: the per-link reference that the stages of a
-    stage group are checked against."""
+    terms of ``actuation``: the record whose rows are the states' (one row
+    for one state), the per-link reference that the stages of a stage group
+    are checked against."""
     q, qd, qdd = chain.check_state(q, qd, qdd)
-    return _stage(chain, (i,), q, qd, qdd, True, actuation).split(1, q.ndim == 1)[0]
+    return _stage(chain, (i,), q, qd, qdd, True, actuation)
+
+
+def link_entries(chain, stages, cache, i):
+    """Link i's entries of a sweep's stage record in its own columns, with
+    the per-link integrals of the sweep's ``cache``: the stage of link i
+    that the per-link references read."""
+    n = chain.links[i].n_dof
+    stress = None if stages.stress is None else tuple((F[i], T[i], p[i][..., :n]) for F, T, p in stages.stress)
+    return stages._replace(R_rel=stages.R_rel[i], t_rel=stages.t_rel[i],
+                           **{name: getattr(stages, name)[i][..., :n] for name in ("Jt", "Jw", "Jt_dot", "Jw_dot")},
+                           data=cache[i].data, stress=stress, actuation=stages.actuation[i], bodies=())
 
 
 def reference_sweep(chain, q, qd, qdd, stages, gravity=True, stress=True, mass=True):
-    """The body-frame recursion taken link by link from the links' stages
-    at the checked states: every 3-vector and wrench pair propagated alone
-    and every per-link term taken per link, as the sweep ran before it took
-    them for all links at once.  The per-link reference that
+    """The body-frame recursion taken link by link from the sweep's stage
+    record at the checked states: every 3-vector and wrench pair propagated
+    alone and every per-link term taken per link, as the sweep ran before it
+    took them for all links at once.  The per-link reference that
     ``chain_dynamics`` is checked against.  Returns the links' (v, w, a,
     wdot) in their frames and the force, M and components."""
     def mv(a, v):
@@ -75,6 +88,9 @@ def reference_sweep(chain, q, qd, qdd, stages, gravity=True, stress=True, mass=T
     A, W = np.zeros((2,) + lead + (3, n))  # M's zero-velocity Jacobians
     kins, wrenches, pis = [], [], []
     n_rows = 4 + (n if mass else 0)
+    # the per-link integrals of the cache are the staged ones: no recursion of forward_pass enters
+    cache = forward_pass(chain, q, qd, qdd, stages=stages)
+    stages = [link_entries(chain, stages, cache, i) for i in range(N)]
     for i, (lk, st) in enumerate(zip(chain.links, stages)):
         sl, nj, d, t = chain.slice(i), lk.joint.n_dof, st.data, st.t_rel
         v_rel, w_rel = mv(st.Jt, qd[..., sl]), mv(st.Jw, qd[..., sl])

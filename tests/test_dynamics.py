@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from softid.dynamics import (
     miid,
     stress_terms,
 )
+from softid.harness import forward_dynamics
 from softid.kinematics import BodyHandle, ChainModel, forward_pass, prismatic_joint, revolute_joint
 from softid.quadrature import ReferenceDomain
 
@@ -290,6 +292,13 @@ def test_nonfinite_inputs_rejected(pcc2):
         iid(pcc2, np.full(pcc2.n, np.nan), None, None)
     with pytest.raises(ValueError):
         iid(pcc2, np.zeros(3), None, None)  # wrong length
+    # a state is (n,) or a stack (b, n) with b >= 1: no other shape is flattened
+    # into one, and no empty stack reaches the staging
+    chain = model_io.load_chain(MODELS / "pcc_2.json")
+    for shape in ((1, 1, chain.n), (2, 1, chain.n), (0, chain.n)):
+        for call in (lambda v: iid(chain, v, v, v), lambda v: forward_dynamics(chain, v, v)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                call(np.zeros(shape))
 
 
 def mixed_widths_chain():

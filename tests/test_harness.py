@@ -26,6 +26,7 @@ from softid.kinematics import BodyHandle
 from softid.quadrature import ReferenceDomain
 
 from conftest import central_difference, in_domain, sample_state
+from test_kinematics import WALK_CHAINS
 
 
 # -- forward dynamics ---------------------------------------------------------
@@ -255,6 +256,8 @@ FD_CHAINS = {
     "revolute_prismatic": joint_chain,
     "variable_radius_3": lambda: presets.variable_radius_chain(3, order=(2, 4, 3)),
     "lvp_1": presets.lvp_chain,
+    # a rod behind a revolute joint, a rigid body behind a prismatic one: links of widths 4 and 1
+    "rod_rigid": WALK_CHAINS["revolute_prismatic"],
 }
 
 
@@ -298,7 +301,7 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
     q, _ = fd_state(chain, 2)
     _, base = residual(q)
     calls = count_solves(monkeypatch)
-    assert _statics_jacobian(residual, q, base) is not None
+    assert _statics_jacobian(chain, residual, q, base) is not None
     # the 2 n_i column points of a link are one stack, whose stage solves
     # its body once for the dynamics and the tendons together
     assert calls == [lk.body.model for lk in chain.links]
@@ -364,7 +367,7 @@ def test_statics_jacobian_takes_the_stress_once_per_link(monkeypatch):
     q, _ = fd_state(chain, 2)
     _, base = residual(q)
     calls = count_stress_calls(monkeypatch)
-    assert _statics_jacobian(residual, q, base) is not None
+    assert _statics_jacobian(chain, residual, q, base) is not None
     names = ("stress_terms", "jac_x", "hess_x")
     assert calls == Counter({name: len(chain) for name in names})
 
@@ -407,7 +410,7 @@ def test_statics_jacobian_equals_full_residual_differences(name):
         return r if act is None else r - act.matrix(chain, qs) @ u
 
     J_full = central_difference(full, q, 1e-6 * np.maximum(1.0, np.abs(q)))
-    assert np.array_equal(_statics_jacobian(residual, q, base), J_full)
+    assert np.array_equal(_statics_jacobian(chain, residual, q, base), J_full)
 
 
 # -- statics ---------------------------------------------------------------------

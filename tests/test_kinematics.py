@@ -130,6 +130,12 @@ def test_forward_kinematics_matches_forward_pass(name, rng):
         assert np.abs(fr["points"] - (kin.data.ev.points @ kin.R_base.T + kin.t_base)).max() < 1e-12
 
 
+def test_forward_kinematics_rejects_a_stack():
+    chain = presets.pcc_chain(2)
+    with pytest.raises(ValueError, match=r"takes one state \(6,\), got a stack of shape \(1, 6\)"):
+        forward_kinematics(chain, np.zeros((1, chain.n)))
+
+
 def test_joint_kinds():
     assert Joint("fixed").n_dof == 0
     assert Joint("revolute", axis=[0, 0, 2.0]).n_dof == 1

@@ -36,6 +36,10 @@
   chain calls ``spatial.cross`` as often at 32 bodies as at 8, so no
   per-link term is taken link by link (a count, which host load does not
   move).
+- One stage record per sweep: the stages that ``chain_dynamics`` hands to
+  ``forward_pass`` are one ``LinkStage`` on the link axis, built from one
+  record per stage group, and no record is built per link; the K/D refresh
+  adds one group record per link it stages again.
 """
 
 import ast
@@ -46,9 +50,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softid import presets, spatial
+from softid import dynamics, presets, spatial
 from softid.bodies import BodyModel
-from softid.dynamics import iid, mid
+from softid.dynamics import chain_dynamics, iid, mid
+from softid.harness import _force_jacobians
+from softid.kinematics import LinkStage
 from softid.model_io import load_chain
 
 from conftest import in_domain
@@ -264,3 +270,47 @@ def test_cross_products_do_not_grow_with_the_chain(monkeypatch, algorithm):
         algorithm(chain, q, qd, qdd)
         counts[n_bodies] = len(calls)
     assert counts[8] == counts[32] > 0, counts
+
+
+def _count_records(monkeypatch):
+    """From now on: every ``LinkStage`` its constructor builds, the groups
+    that ``dynamics`` stages (``link_stage``) and the stages each
+    ``forward_pass`` of ``chain_dynamics`` reads."""
+    built, staged, swept = [], [], []
+    new, stage, sweep = LinkStage.__new__, dynamics.link_stage, dynamics.forward_pass
+    monkeypatch.setattr(LinkStage, "__new__", lambda cls, *args, **kw: built.append(1) or new(cls, *args, **kw))
+    monkeypatch.setattr(dynamics, "link_stage", lambda *args: staged.append(args[1]) or stage(*args))
+    monkeypatch.setattr(dynamics, "forward_pass", lambda *args: swept.append(args[5]) or sweep(*args))
+    return built, staged, swept
+
+
+# chains and their stage groups: the planar rods share one body, the two cones of pgc_2 are groups of one
+RECORD_CHAINS = {"planar_8": (lambda: presets.planar_pcc_chain(8, quadrature_order=(2, 8, 6)), 1),
+                 "planar_32": (lambda: presets.planar_pcc_chain(32, quadrature_order=(2, 8, 6)), 1),
+                 "pgc_2": (lambda: load_chain(MODELS / "pgc_2.json"), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CHAINS))
+def test_one_stage_record_per_sweep(monkeypatch, name):
+    make, groups = RECORD_CHAINS[name]
+    chain = make()
+    q, qd, qdd = np.random.default_rng(len(chain)).uniform(-0.3, 0.3, (3, chain.n))
+    built, staged, swept = _count_records(monkeypatch)
+    mid(chain, q, qd, qdd)
+    (stages,) = swept
+    assert isinstance(stages, LinkStage) and stages.R_rel.shape == (len(chain), 3, 3)
+    assert staged == list(chain.groups) and len(staged) == groups
+    assert len(built) == groups + 1  # each group's record and the sweep's
+
+
+@pytest.mark.parametrize("name", ["pgc_2", "planar_8"])
+def test_force_jacobians_stage_one_group_record_per_link(monkeypatch, name):
+    chain = RECORD_CHAINS[name][0]()
+    q, qd = np.random.default_rng(len(chain)).uniform(-0.3, 0.3, (2, chain.n))
+    base = chain_dynamics(chain, q, qd, None, mass=True).cache.stages
+    built, staged, swept = _count_records(monkeypatch)
+    _force_jacobians(chain, q, qd, base)
+    assert staged == [(i,) for i in range(len(chain))]
+    assert all(isinstance(st, LinkStage) and st.R_rel.shape[:2] == (len(chain), 4 * chain.links[i].n_dof)
+               for i, st in enumerate(swept))
+    assert len(built) == 2 * len(chain)  # per link its group of one and the sweep's record

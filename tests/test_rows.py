@@ -21,7 +21,7 @@ from softid import presets
 from softid.dynamics import chain_dynamics, iid, inverse_dynamics, link_stages
 from softid.errors import BodyDomainError, CentroidConsistencyError, DegenerateContactError
 from softid.harness import _equilibrium, _statics_jacobian
-from softid.kinematics import BodyHandle, ChainModel, Link, fixed_joint
+from softid.kinematics import BodyHandle, ChainModel, Link, fixed_joint, forward_pass
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
@@ -131,8 +131,8 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
         assert stage.R_rel.shape == (b, 3, 3)
         for r in range(b):
             alone = stage_alone(chain, i, q[r], qd[r], qdd[r])
-            assert alone.R_rel.shape == (3, 3)
-            assert same(stage_row(stage, r), alone), (i, r)
+            assert alone.R_rel.shape == (1, 3, 3)  # one state, one row
+            assert same(stage_row(stage, r), stage_row(alone, 0)), (i, r)
 
 
 def assert_terms_rows_equal_states_alone(chain, act, q):
@@ -142,9 +142,9 @@ def assert_terms_rows_equal_states_alone(chain, act, q):
     rest = np.zeros_like(q)
     stacked = []
     for i in range(len(chain)):
-        terms = stage_alone(chain, i, q, rest, rest, act).actuation
+        (terms,) = stage_alone(chain, i, q, rest, rest, act).actuation
         for r in range(b):
-            alone = stage_alone(chain, i, q[r], rest[r], rest[r], act).actuation
+            (alone,) = stage_alone(chain, i, q[r], rest[r], rest[r], act).actuation
             # a joint transform that is the same for every row has an axis of 1
             rows = [np.broadcast_to(a, (b,) + a.shape[1:])[r, ...] for a in arrays(terms)]
             assert same(rows, alone), (i, r)
@@ -174,9 +174,13 @@ def test_tendon_stage_rows_equal_states_staged_alone(b):
 
 
 def assert_grouped_stages_equal_links_alone(chain, q, qd, qdd, act=None):
+    # link i's slot of the sweep's record and its per-link integrals, bitwise
+    # as in the record whose slot i is link i staged alone, a group of one
     grouped = link_stages(chain, q, qd, qdd, actuation=act)
     for i in range(len(chain)):
-        assert same(grouped[i], stage_alone(chain, i, q, qd, qdd, act)), i
+        alone = link_stages(chain, q, qd, qdd, base=grouped, link=i, actuation=act)
+        assert same(grouped[:-1], alone[:-1]), i
+        assert same(*(forward_pass(chain, q, qd, qdd, stages=st)[i].data for st in (grouped, alone))), i
 
 
 @pytest.mark.parametrize("b", ROWS)
@@ -227,7 +231,7 @@ def test_stacked_sweep_rows_equal_single_sweeps(name):
     qdd = np.random.default_rng(6).uniform(-3.0, 3.0, chain.n)
     base = link_stages(chain, q, qd, qdd)
     one_row = link_stages(chain, q[None], qd[None], qdd[None])
-    assert base[0].R_rel.shape == (3, 3) and one_row[0].R_rel.shape == (1, 3, 3)
+    assert base.R_rel.shape == (len(chain), 3, 3) and one_row.R_rel.shape == (len(chain), 1, 3, 3)
     for i in range(len(chain)):
         qs, vs, accs = block_states(chain, q, qd, qdd, i, 4, seed=i)
         for others in (base, one_row):
@@ -271,7 +275,7 @@ def test_statics_jacobian_retries_one_column_at_the_small_step():
 
     steps = 1e-6 * np.maximum(1.0, np.abs(q))
     steps[k] = 1e-8 * max(1.0, abs(q[k]))
-    J = _statics_jacobian(residual, q, base)
+    J = _statics_jacobian(chain, residual, q, base)
     assert np.array_equal(J, central_difference(full, q, steps))
     with pytest.raises(BodyDomainError):
         full(q + 1e-6 * max(1.0, abs(q[k])) * np.eye(chain.n)[k])
