@@ -6,8 +6,11 @@ mass density and material parameters.  Derivatives default to central finite
 differences (:func:`central_difference`, the package's one difference
 quotient, which the harness's stiffness, damping and statics Jacobians also
 take); concrete models override them with analytic expressions, which the
-recursive dynamics needs for tight oracle agreement (finite-difference
-Jacobians inject ~1e-9 noise that the velocity-rate differencing amplifies).
+recursive dynamics needs for tight oracle agreement.  The time rate of the
+configuration Jacobian along a velocity (:meth:`BodyModel.jac_q_rate`) has
+no default: a model without it (None) has its Jacobian differenced along
+the velocity direction by the stage, which divides the Jacobian's rounding
+noise (~1e-9 where it is itself a difference) by the step.
 
 The configuration map takes a stack: :meth:`BodyModel.solve`,
 :meth:`~BodyModel.position` and :meth:`~BodyModel.jac_q` evaluate the points
@@ -16,7 +19,8 @@ return has that leading row axis.  Row r of a result is the value at q[r]
 alone, bitwise, whatever the other rows are, so one call serves any number
 of states.  The material derivatives (:meth:`~BodyModel.jac_x`,
 :meth:`~BodyModel.jac_x_dq`, :meth:`~BodyModel.hess_x`) take the same stack
-and a stacked solution, with the same row contract.
+and a stacked solution, with the same row contract, and so does the rate
+:meth:`~BodyModel.jac_q_rate` with the velocities.
 """
 
 from __future__ import annotations
@@ -86,6 +90,14 @@ class BodyModel:
         """Configuration Jacobians df/dq, shape (b, m, 3, n_dof); default:
         central differences of :meth:`position`."""
         return self._q_difference(self.position, x, q)
+
+    def jac_q_rate(self, x: Array, q: Array, qd: Array, sol):
+        """Time rates of :meth:`jac_q` along the velocities qd (b, n_dof),
+        (b, m, 3, n_dof), from the solution ``sol`` at the stack q; without
+        solving or evaluating the map again.  None (the default): the model
+        has no exact rate, whatever the state, and the stage differences
+        :meth:`jac_q` along the velocity direction instead."""
+        return None
 
     def jac_x(self, x: Array, q: Array, sol=None) -> Array:
         """Material Jacobians df/dx (deformation gradients), shape (b, m, 3,
@@ -165,6 +177,9 @@ class RigidBody(BodyModel):
         return np.repeat(x[None], self.check_q(q).shape[0], axis=0)
 
     def jac_q(self, x, q, sol=None):
+        return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
+
+    def jac_q_rate(self, x, q, qd, sol):
         return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
 
     def jac_x(self, x, q, sol=None):

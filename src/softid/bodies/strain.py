@@ -14,6 +14,11 @@ Constant-strain bases (PCC, PCS) use the closed-form solution of the frame
 ODE, g(s) = exp(s xi); s-varying bases (PAC, PGC) compose fourth-order
 Magnus steps on SE(3), so frames stay on SO(3) to rounding.  Both
 differentiate the discrete map exactly for the configuration Jacobians.
+The constant-strain rods also give the Jacobians' time rates exactly, as
+the second directional derivatives of the exponential (Renda et al., IEEE
+T-RO 2018; Boyer et al., IEEE T-RO 2021, propagate the same rates along s
+for any strain); the Magnus rods and the variable-radius rod, whose
+cross-section depends on q, have none.
 
 A solve serves a stack of configurations q (b, n): the closed form takes one
 exponential over all b x k (row, arclength) twists, the Magnus rods one
@@ -51,13 +56,15 @@ _SERIES = np.array([
     [(-1.0) ** j / factorial(2 * j + 3) for j in range(13)],
     [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 4) for j in range(13)],
     [(-1.0) ** (j + 1) * (2 * j + 2) / factorial(2 * j + 5) for j in range(13)],
+    [(-1.0) ** j * (2 * j + 2) * (2 * j + 4) / factorial(2 * j + 6) for j in range(13)],
+    [(-1.0) ** j * (2 * j + 2) * (2 * j + 4) / factorial(2 * j + 7) for j in range(13)],
 ])
-# the coefficients of even and odd powers, zero-padded to 16 terms: (2, 8, 5, 1)
-_SERIES_PAIRS = np.concatenate([_SERIES.T, np.zeros((3, 5))]).reshape(8, 2, 5, 1).swapaxes(0, 1)
+# the coefficients of even and odd powers, zero-padded to 16 terms: (2, 8, 7, 1)
+_SERIES_PAIRS = np.concatenate([_SERIES.T, np.zeros((3, 7))]).reshape(8, 2, 7, 1).swapaxes(0, 1)
 
 
 def _series(t: Array) -> Array:
-    """The kernels' Taylor series at angles t (k,), (5, k), by Estrin's
+    """The kernels' Taylor series at angles t (k,), (7, k), by Estrin's
     scheme in t^2: elementwise, so each angle's value depends on that angle
     alone (a matrix product sums in an order that depends on k)."""
     x = t * t
@@ -69,16 +76,17 @@ def _series(t: Array) -> Array:
 
 
 def _so3_kernels(t) -> Array:
-    """Even kernels of the SO(3) exponential at angles t (k,), stacked (5, k).
+    """Even kernels of the SO(3) exponential at angles t (k,), stacked (7, k).
 
     Rows: alpha = sin(t)/t, beta = (1 - cos t)/t^2, gamma = (t - sin t)/t^3,
-    beta'(t)/t and gamma'(t)/t.
+    beta'(t)/t, gamma'(t)/t, and the second derivatives' (beta'/t)'/t and
+    (gamma'/t)'/t.
     """
     t = np.abs(np.asarray(t, dtype=float))
     small = t < _SERIES_SWITCH
     if small.all():
         return _series(t)
-    out = np.empty((5,) + t.shape)
+    out = np.empty((7,) + t.shape)
     if small.any():
         out[:, small] = _series(t[small])
     b = t[~small]
@@ -90,6 +98,8 @@ def _so3_kernels(t) -> Array:
         (b - sn) / b**3,
         (b * sn - 2.0 * omc) / b**4,
         (b * omc - 3.0 * (b - sn)) / b**5,
+        (b * b * np.cos(b) - 5.0 * b * sn + 8.0 * omc) / b**6,
+        (b * b * sn - 7.0 * b * omc + 15.0 * (b - sn)) / b**7,
     ])
     return out
 
@@ -117,7 +127,7 @@ def _se3_exp(w: Array, v: Array, d: Array):
     Returns (R (k,3,3), p (k,3), dR (k,n,3,3), dp (k,n,3)).
     """
     kern = _so3_kernels(np.sqrt((w * w).sum(1)))
-    alpha, beta, gamma, dbeta, dgamma = kern[:, :, None, None]
+    alpha, beta, gamma = kern[:3, :, None, None]
     W = _skew_batch(w)
     W2 = W @ W
     V = _skew_batch(v)
@@ -127,7 +137,7 @@ def _se3_exp(w: Array, v: Array, d: Array):
     Jl = eye + beta * W + gamma * W2
     Wv = (W @ v[..., None])[..., 0]
     W2v = (W @ Wv[..., None])[..., 0]
-    _, b_v, g_v, db_v, dg_v = kern[:, :, None]
+    _, b_v, g_v, db_v, dg_v = kern[:5, :, None]
     p = v + b_v * Wv + g_v * W2v
     # d J_l[dw] v = (w.dw) u - B dw, with the rank-one part u = beta'/t W v +
     # gamma'/t W^2 v, and B from dw x v = -V dw and skew(W v) = WV - VW
@@ -137,6 +147,42 @@ def _se3_exp(w: Array, v: Array, d: Array):
     dp = d @ np.swapaxes(A, 1, 2)
     dR = _skew_batch(d[..., :3] @ np.swapaxes(Jl, 1, 2)) @ R[:, None]
     return R, p, dR, dp
+
+
+def _se3_exp_rate(w: Array, v: Array, d: Array, e: Array, R: Array):
+    """Time rates of the derivatives dR, dp of :func:`_se3_exp` along d
+    while the twist (w, v) moves along e (k, 6): its second directional
+    derivatives, with R (k, 3, 3) = exp(w).
+
+    The derivative of J_l along c is dJ_l[c] = (w.c)(beta'/t W + gamma'/t
+    W^2) + beta C + gamma (C W + W C), C = skew(c).  For the coordinate
+    direction (a, b) the rotation's rate is (skew(dJ_l[e_w] a) + skew(J_l a)
+    skew(J_l e_w)) R, and the translation's d2J_l[a, e_w] v + dJ_l[a] e_v +
+    dJ_l[e_w] b, whose first two terms are linear in a: L a, with L one
+    3 x 3 matrix per twist (a x x = -skew(x) a, (w.a) g = g w^T a).
+    Returns (dR_dot (k,n,3,3), dp_dot (k,n,3)).
+    """
+    kern = _so3_kernels(np.sqrt((w * w).sum(1)))
+    beta, gamma, db, dg, ddb, ddg = kern[1:, :, None, None]
+    ew, ev = e[:, :3], e[:, 3:]
+    W, V, E, Ev = (_skew_batch(x) for x in (w, v, ew, ev))
+    W2 = W @ W
+    we = (w * ew).sum(1)[:, None, None]
+    Jl = np.eye(3) + beta * W + gamma * W2
+    Me = we * (db * W + dg * W2) + beta * E + gamma * (E @ W + W @ E)  # dJ_l[e_w]
+    # column vectors (k, 3, 1): W v, W^2 v, e x v and their kin
+    Wv = W @ v[..., None]
+    W2v, exv, Wev = W @ Wv, E @ v[..., None], W @ ev[..., None]
+    h = db * Wv + dg * W2v
+    g = we * (ddb * Wv + ddg * W2v) + db * (exv + Wev) + dg * (E @ Wv + W @ exv + W @ Wev)
+    WV, EV, WEv = W @ V, E @ V, W @ Ev
+    L = (g * w[:, None] + h * ew[:, None] - we * (db * V + dg * (2.0 * WV - V @ W))
+         - gamma * (2.0 * EV - V @ E) - beta * Ev - gamma * (2.0 * WEv - Ev @ W))
+    a, b = d[..., :3], d[..., 3:]
+    dp_dot = a @ L.swapaxes(1, 2) + b @ Me.swapaxes(1, 2)
+    A, G, B = a @ Jl.swapaxes(1, 2), a @ Me.swapaxes(1, 2), (Jl @ ew[..., None])[:, None]  # B (k, 1, 3, 1)
+    dR_dot = (_skew_batch(G) + B * A[..., None, :] - (A[..., None, :] @ B) * np.eye(3)) @ R[:, None]
+    return dR_dot, dp_dot
 
 
 def _se3_bracket(a: Array, b: Array) -> Array:
@@ -364,6 +410,26 @@ class CosseratRodBody(BodyModel):
         frames = self._frames_closed_form if self.basis.is_constant else self._frames_magnus
         return tuple(np.take(a, inv, axis=1) for a in frames(s_unique, q))
 
+    def jac_q_rate(self, x, q, qd, sol):
+        """Constant strain: the closed form, one second directional
+        derivative of the exponential per distinct arclength and row, from
+        the solution's frames there; None for an s-varying strain."""
+        if not self.basis.is_constant:
+            return None
+        x = np.asarray(x, dtype=float)
+        q, qd = self.check_q(q), np.asarray(qd, dtype=float)
+        s, first, inv = np.unique(x[:, 2], return_index=True, return_inverse=True)
+        s = np.clip(s, 0.0, self.length)
+        phi = self.basis.matrix(np.zeros(1))[0]  # (6, n), constant
+        (b, n), k = q.shape, s.shape[0]
+        xi, xi_dot = (phi @ q[:, :, None])[..., 0] + _STRAIN_OFFSET, (phi @ qd[:, :, None])[..., 0]
+        twist, rate = (s[:, None] * a[:, None] for a in (xi, xi_dot))  # (b, k, 6)
+        d = np.concatenate([s[:, None, None] * phi.T] * b)  # (b k, n, 6)
+        dR, dc = _se3_exp_rate(twist[..., :3].reshape(-1, 3), twist[..., 3:].reshape(-1, 3), d,
+                               rate.reshape(-1, 6), sol[0][:, first].reshape(-1, 3, 3))
+        dR, dc = (np.take(a.reshape((b, k) + a.shape[1:]), inv, axis=1) for a in (dR, dc))
+        return (dc + matvec3(dR, self.cross_section(x, q)[..., None, :])).swapaxes(2, 3)
+
     # -- kinematic map ---------------------------------------------------------
 
     def cross_section(self, x: Array, q: Array) -> Array:
@@ -494,6 +560,10 @@ class VariableRadiusPccBody(CosseratRodBody):
         du[:, 0, 2:] = x[:, 0, None] * g / self.radius
         du[:, 1, 2:] = x[:, 1, None] * g / self.radius
         return du[None]
+
+    def jac_q_rate(self, x, q, qd, sol):
+        # the cross-section depends on q: no closed form
+        return None
 
     def jac_x(self, x, q, sol=None):
         # radial gain varies with x; fall back to differences of the position map

@@ -165,7 +165,8 @@ def backward_recursion(chain: ChainModel, wrenches, cache: KinematicsCache):
     single = w.ndim == lk.data.p_com.ndim + 1
     F, F_star, T, T_star = (w[..., None, :] if single else w).swapaxes(0, 1)
     Fc = F + F_star
-    W = np.concatenate([Fc, T + T_star + cross(lk.data.p_com[..., None, :], Fc)], -1)
+    # the moment p_com x Fc of every load case as one row-own product: Fc skew(-p_com)
+    W = np.concatenate([Fc, T + T_star + Fc @ skew(-lk.data.p_com)], -1)
     for i in range(len(chain) - 2, -1, -1):
         W[i] += W[i + 1] @ lk.X[i + 1]
     out = W @ lk.S

@@ -13,13 +13,15 @@ product and one add per link; every other per-link term is taken for all
 links at once, on a leading link axis (:func:`forward_pass`).
 
 Relative velocities and accelerations come from configuration Jacobians of
-the link transform: analytic Jacobians assembled from the body model's
-derivative supply, and their time rates by central differencing of the
-Jacobian map along the velocity direction.  All of a link's terms that
-depend on its own coordinate block alone, with a sweep's stress terms and
-an actuation map's terms, form its stage; a sweep reads all links' stages
-as one record on a link axis (:class:`LinkStage`), and only the recurrences
-couple them, so one changed block restages one link.  Outside the recursion,
+the link transform, assembled from the body model's derivative supply, and
+their time rates by the product rule from the tangents f_dot = (df/dq) q̇
+and the rate of df/dq, which a body model gives exactly
+(:meth:`~softid.bodies.BodyModel.jac_q_rate`) or the stage differences
+along the velocity direction.  All of a link's terms that depend on its own
+coordinate block alone, with a sweep's stress terms and an actuation map's
+terms, form its stage; a sweep reads all links' stages as one record on a
+link axis (:class:`LinkStage`), and only the recurrences couple them, so
+one changed block restages one link.  Outside the recursion,
 :func:`forward_kinematics` is the one walk of the chain: frame poses and
 base-frame images of material points, one body solve per body.
 
@@ -29,11 +31,12 @@ axis; a record without rows broadcasts against stacked ones.  The links
 that hold one body handle (one per distinct body document of a parsed
 chain) and joints of one size form a stage group (:attr:`ChainModel.groups`),
 which :func:`link_stage` stages as one stack of its links' blocks: one
-solve of the body at every row and, for each moving row, at q_i +- h u
-(:func:`unit_rate`), and the integrals once over the stack.  Every product
-is one row's own, a BLAS product or a multiply-add over the 3-axis, never
-one across rows, so a state swept in a stack, or a link staged in its
-group, equals it alone, bitwise.
+solve of the body at every row (and, for a body without an exact rate, at
+q_i +- h u of each moving row), one call of the link Jacobians over all
+rows with each row's joint data, and the integrals once over the stack.
+Every product is one row's own, a BLAS product or a multiply-add over the
+3-axis, never one across rows, so a state swept in a stack, or a link
+staged in its group, equals it alone, bitwise.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
+from .bodies.base import central_difference
 from .errors import BodyDomainError, CentroidConsistencyError, DegenerateContactError
 from .spatial import Transform, cross, matvec, rodrigues, skew, vee
 
@@ -51,7 +55,9 @@ Array = np.ndarray
 
 ANCHOR_ORTHO_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-JAC_RATE_STEP = 1e-6
+# the step along u of a Jacobian rate differenced for a body without an exact one: it balances the
+# rounding noise, which the contact frame's normalization amplifies, against the truncation error
+JAC_RATE_STEP = 3e-5
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,12 @@ class Joint:
             object.__setattr__(self, "axis", axis / n)
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
+        # the transform as data: R = R_0 + sin(q) K + (1 - cos q) K^2 (rodrigues' own K), t = t_0 + slide q
+        zero = np.zeros(3)
+        spin = self.axis if self.kind == "revolute" else zero
+        K = skew(spin / np.linalg.norm(spin)) if self.kind == "revolute" else np.zeros((3, 3))
+        object.__setattr__(self, "parts", (self.rotation, self.translation, spin,
+                                           self.axis if self.kind == "prismatic" else zero, K, K @ K))
 
     @property
     def n_dof(self) -> int:
@@ -113,12 +125,15 @@ class BodyEval(NamedTuple):
     """One body-map solve at a stack of configurations: the model's solution
     on the handle's points, the contact-frame data, and the nodes in {S_i}
     with their configuration Jacobian, every field with one leading row per
-    configuration."""
+    configuration.  At velocities, the frame data carries its rates
+    (:meth:`BodyHandle.contact_frame_data`) and ``jac_dot`` is the rate of
+    ``jac``."""
 
     sol: object
     frame: tuple
     points: Array
     jac: Array
+    jac_dot: Array | None = None
     at_x: tuple | None = None  # (sol, f, df/dq) at the points x of ``evaluate``: views of its rows
 
     def take(self, rows) -> "BodyEval":
@@ -139,7 +154,9 @@ class BodyHandle:
     orthogonality check is skipped.  ``points`` stacks the anchors (none for
     a free tip) over the quadrature nodes.  A rigid body depends on no
     configuration, so its evaluation (one row) and integrals are computed
-    here, once.
+    here, once.  ``exact_rate``: whether the model has an exact Jacobian
+    rate (:meth:`~softid.bodies.BodyModel.jac_q_rate`), asked here once, at
+    the reference configuration.
     """
 
     def __init__(self, model, x_j=None, x_a=None, x_b=None, free_tip: bool = False):
@@ -172,50 +189,103 @@ class BodyHandle:
             ev = self.evaluate(np.zeros((1, 0)))
             self.rigid = (ev, integrals.body_integrals(self, ev.take(0), np.zeros_like(ev.jac[0]),
                                                        np.zeros(0), np.zeros(0)))
+        x, q = self.points[:1], np.zeros((1, model.n_dof))
+        self.exact_rate = model.jac_q_rate(x, q, q, model.solve(x, q)) is not None
 
     @property
     def n_dof(self) -> int:
         return self.model.n_dof
 
-    def place(self, qb: Array, x: Array):
+    def _solve(self, xs: Array, qb: Array, qdb: Array | None):
+        """The model's solution, f and df/dq at the points xs for the stack
+        qb and, with the velocities qdb, the rate of df/dq (else None).
+
+        A model without an exact rate is solved in the same call at q +- h u
+        of each moving row, u = qd/|qd| and h = JAC_RATE_STEP max(1, |q|):
+        df/dq is differenced along u (:func:`central_difference` in the
+        distance along u) and scaled by |qd|, which keeps the cancellation
+        noise independent of the speed; a typed error of the map there
+        names the row and "q +- h u"."""
+        model, b = self.model, len(qb)
+        if qdb is None or self.exact_rate:
+            sol = model.solve(xs, qb)
+            f, jq = model.position(xs, qb, sol), model.jac_q(xs, qb, sol)
+            return sol, f, jq, None if qdb is None else model.jac_q_rate(xs, qb, qdb, sol)
+        speed = np.sqrt((qdb * qdb).sum(1))
+        moving = np.flatnonzero(speed)
+        u = np.repeat(qdb[moving] / speed[moving, None], 2, axis=0)  # the +- rows of each moving row
+        at_q = []
+
+        def jq_along(t):  # df/dq at q + t u, solved together with the rows of q
+            points = np.concatenate([qb, np.repeat(qb[moving], 2, axis=0) + t * u])
+            try:
+                sol = model.solve(xs, points)
+                f, jq = model.position(xs, points, sol), model.jac_q(xs, points, sol)
+            except BodyDomainError as e:
+                if e.row is None or e.row < b:
+                    raise
+                raise type(e)(f"at q +- h u: {e.message}", int(moving[(e.row - b) // 2])) from e
+            # copies: the solve at the rate points is freed here
+            at_q.append((None if sol is None else tuple(a[:b].copy() for a in sol), f[:b], jq[:b]))
+            return jq[b:]
+
+        h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((qb[moving] * qb[moving]).sum(1)))
+        jq_u = central_difference(jq_along, np.zeros((moving.size, 1)), [0], h[:, None])[..., 0]
+        (sol, f, jq), = at_q
+        jq_dot = np.zeros((b,) + jq.shape[1:])
+        jq_dot[moving] = speed[moving].reshape(-1, 1, 1, 1) * jq_u
+        return sol, f, jq, jq_dot
+
+    def place(self, qb: Array, x: Array, qdb: Array | None = None):
         """One solve of the body map at the anchors and x (m, 3) together,
         for every row of the stack qb (b, n).
 
         Returns the model's solution, the contact-frame data, f(x, qb)
-        (b, m, 3) and df/dq at x (b, m, 3, n).
+        (b, m, 3), df/dq at x (b, m, 3, n) and, with the velocities qdb
+        (b, n), the rates of f and df/dq at x (else None); the frame data
+        then carries its rates.
         """
         k = self.n_anchors
         xs = np.concatenate([self.points[:k], x])
-        sol = self.model.solve(xs, qb)
-        f, jq = self.model.position(xs, qb, sol), self.model.jac_q(xs, qb, sol)
-        return sol, self.contact_frame_data(f[:, :k], jq[:, :k]), f[:, k:], jq[:, k:]
+        sol, f, jq, jq_dot = self._solve(xs, qb, qdb)
+        if jq_dot is None:
+            return sol, self.contact_frame_data(f[:, :k], jq[:, :k]), f[:, k:], jq[:, k:], None
+        f_dot = matvec(jq, qdb[:, None])
+        frame = self.contact_frame_data(f[:, :k], jq[:, :k], f_dot[:, :k], jq_dot[:, :k])
+        return sol, frame, f[:, k:], jq[:, k:], (f_dot[:, k:], jq_dot[:, k:])
 
-    def evaluate(self, qb: Array, x: Array | None = None) -> BodyEval:
+    def evaluate(self, qb: Array, x: Array | None = None, qdb: Array | None = None) -> BodyEval:
         """One solve of the body map at the stack qb (b, n) on :attr:`points`
-        and after them, which leaves their rows as they are, on x (m, 3)."""
+        and after them, which leaves their rows as they are, on x (m, 3);
+        with the velocities qdb (b, n), with the rates."""
         if self.rigid is not None and x is None:
-            return self.rigid[0].take(np.zeros(len(qb), dtype=int))
+            ev = self.rigid[0].take(np.zeros(len(qb), dtype=int))
+            return ev if qdb is None else ev._replace(frame=ev.frame + tuple(np.zeros_like(a) for a in ev.frame),
+                                                      jac_dot=np.zeros_like(ev.jac))
         nodes = self.points[self.n_anchors:]
-        sol, frame, f, jq = self.place(qb, nodes if x is None else np.concatenate([nodes, x]))
+        m = len(nodes)
+        sol, frame, f, jq, rates = self.place(qb, nodes if x is None else np.concatenate([nodes, x]), qdb)
+        framed = self.framed_jacobian(f[:, :m], jq[:, :m], frame, *(() if rates is None else (a[:, :m] for a in rates)))
         if x is None:
-            return BodyEval(sol, frame, *self.framed_jacobian(f, jq, frame))
-        k, m = len(self.points), len(nodes)
+            return BodyEval(sol, frame, *framed)
+        k = len(self.points)
         sols = (None, None) if sol is None else (tuple(a[:, :k] for a in sol), tuple(a[:, k:] for a in sol))
-        return BodyEval(sols[0], frame, *self.framed_jacobian(f[:, :m], jq[:, :m], frame),
-                        (sols[1], f[:, m:], jq[:, m:]))
+        return BodyEval(sols[0], frame, *framed, at_x=(sols[1], f[:, m:], jq[:, m:]))
 
     # -- contact frame -------------------------------------------------------
 
-    def contact_frame_data(self, f: Array, jq: Array):
+    def contact_frame_data(self, f: Array, jq: Array, f_dot: Array | None = None, jq_dot: Array | None = None):
         """Contact frames (R_c (b,3,3), t_c (b,3), dR_c (b,n,3,3), dt_c (b,3,n))
         from the anchor images f (b, 3, 3) and their q-Jacobians jq
-        (b, 3, 3, n), one per row; the identity for a free tip.  A row whose
-        anchor images collapse raises :class:`DegenerateContactError`
-        naming it."""
+        (b, 3, 3, n), one per row; the identity for a free tip.  With the
+        tangents f_dot (b, 3, 3) and jq_dot (b, 3, 3, n), the rates of f and
+        jq, the four rates follow, by the product rule.  A row whose anchor
+        images collapse raises :class:`DegenerateContactError` naming it."""
         b, n = f.shape[0], self.n_dof
         if self.free_tip:
-            return (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)),
-                    np.zeros((b, n, 3, 3)), np.zeros((b, 3, n)))
+            frame = (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)),
+                     np.zeros((b, n, 3, 3)), np.zeros((b, 3, n)))
+            return frame if f_dot is None else frame + (np.zeros((b, 3, 3)),) + frame[1:]
         da = f[:, 1] - f[:, 0]
         db = f[:, 2] - f[:, 0]
         la, lb = np.sqrt((da * da).sum(1)), np.sqrt((db * db).sum(1))
@@ -234,22 +304,51 @@ class BodyHandle:
         dn2 = (d_db - n2[:, :, None] * (n2[:, None] @ d_db)) / lb[:, None, None]
         dn1_t, dn2_t = dn1.swapaxes(1, 2), dn2.swapaxes(1, 2)  # (b, n, 3)
         dn3 = cross(dn1_t, n2[:, None]) + cross(n1[:, None], dn2_t)
-        return R, f[:, 0], np.stack([dn1_t, dn2_t, dn3], axis=3), jq[:, 0]
+        frame = (R, f[:, 0], np.stack([dn1_t, dn2_t, dn3], axis=3), jq[:, 0])
+        if f_dot is None:
+            return frame
+
+        def rates(n, dn, length, du, u_dot, du_dot):
+            """Rates of n = u/|u| and of dn (b, n, 3), from those of u and du."""
+            n_dot = (u_dot - n * (n * u_dot).sum(1)[:, None]) / length[:, None]
+            dn_dot = (du_dot - n[:, :, None] * (n[:, None] @ du_dot) - n_dot[:, :, None] * (n[:, None] @ du)
+                      - n[:, :, None] * (n_dot[:, None] @ du)) / length[:, None, None]
+            return n_dot, (dn_dot - dn * ((n * u_dot).sum(1) / length)[:, None, None]).swapaxes(1, 2)
+
+        n1_dot, dn1_dot = rates(n1, dn1, la, d_da, f_dot[:, 1] - f_dot[:, 0], jq_dot[:, 1] - jq_dot[:, 0])
+        n2_dot, dn2_dot = rates(n2, dn2, lb, d_db, f_dot[:, 2] - f_dot[:, 0], jq_dot[:, 2] - jq_dot[:, 0])
+        n3_dot = cross(n1_dot, n2) + cross(n1, n2_dot)
+        dn3_dot = (cross(dn1_dot, n2[:, None]) + cross(dn1_t, n2_dot[:, None])
+                   + cross(n1_dot[:, None], dn2_t) + cross(n1[:, None], dn2_dot))
+        return frame + (np.stack([n1_dot, n2_dot, n3_dot], axis=2), f_dot[:, 0],
+                        np.stack([dn1_dot, dn2_dot, dn3_dot], axis=3), jq_dot[:, 0])
 
     # -- body points in the contact frame -------------------------------------
 
-    def framed_jacobian(self, f: Array, jq: Array, frame):
+    def framed_jacobian(self, f: Array, jq: Array, frame, f_dot: Array | None = None, jq_dot: Array | None = None):
         """Body points in {S_i}, R_c^T (f - t_c), and their q-Jacobians, from
         the images f (b, m, 3), their q-Jacobians jq (b, m, 3, n) and the
         frames, one per row: BLAS products of a row's own, the differences
-        taken with the nodes innermost (where t_c and dt_c are one number)."""
-        R, t, dR, dt = frame
+        taken with the nodes innermost (where t_c and dt_c are one number).
+        With the tangents f_dot, jq_dot (the rates of f and jq) and a frame
+        with its rates, the Jacobians' rate follows, by the product rule."""
+        R, t, dR, dt = frame[:4]
         rel = np.subtract(f.swapaxes(1, 2), t[:, :, None], order="C").swapaxes(1, 2)
         ip = rel @ R
-        jac = np.subtract(jq.transpose(0, 3, 2, 1), dt.swapaxes(1, 2)[..., None], order="C").swapaxes(2, 3) @ R[:, None]
+        d = np.subtract(jq.transpose(0, 3, 2, 1), dt.swapaxes(1, 2)[..., None], order="C").swapaxes(2, 3)
+        jac = d @ R[:, None]  # (b, n, m, 3)
         if not self.free_tip:
             jac += rel[:, None] @ dR
-        return ip, jac.transpose(0, 2, 3, 1)
+        # C-contiguous: a BLAS product may sum a strided layout in another order
+        jac = np.ascontiguousarray(jac.transpose(0, 2, 3, 1))
+        if f_dot is None:
+            return ip, jac
+        R_dot, t_dot, dR_dot, dt_dot = frame[4:]
+        d_dot = np.subtract(jq_dot.transpose(0, 3, 2, 1), dt_dot.swapaxes(1, 2)[..., None], order="C").swapaxes(2, 3)
+        jac_dot = d_dot @ R[:, None] + d @ R_dot[:, None]
+        if not self.free_tip:
+            jac_dot += (f_dot - t_dot[:, None])[:, None] @ dR + rel[:, None] @ dR_dot
+        return ip, jac, np.ascontiguousarray(jac_dot.transpose(0, 2, 3, 1))
 
 
 @dataclass
@@ -282,6 +381,9 @@ class ChainModel:
         for i, lk in enumerate(self.links):
             groups.setdefault((lk.body, lk.joint.n_dof), []).append(i)
         self.groups = tuple(map(tuple, groups.values()))
+        # each stage group's and each link's joint data (Joint.parts), stacked link after link
+        self._joints = {g: tuple(map(np.array, zip(*(self.links[i].joint.parts for i in g))))
+                        for g in self.groups + tuple((i,) for i in range(len(self.links)))}
         self.width = max(lk.n_dof for lk in self.links)
         self.columns = np.concatenate([i * self.width + np.arange(lk.n_dof) for i, lk in enumerate(self.links)])
 
@@ -294,6 +396,12 @@ class ChainModel:
     def rows(self, group, v: Array) -> Array:
         """The blocks of the links ``group`` of the states v, (n,) or (b, n), as one stack, link after link."""
         return np.concatenate([(v if v.ndim > 1 else v[None])[:, self.slice(i)] for i in group])
+
+    def joints(self, group, b: int) -> tuple:
+        """The joint data of the links ``group`` (:attr:`Joint.parts`) per row
+        of their stack (:meth:`rows`), b rows each."""
+        parts = self._joints[tuple(group)]
+        return parts if b == 1 else tuple(np.repeat(a, b, axis=0) for a in parts)
 
     def to_links(self, v: Array) -> Array:
         """The states v (..., n) in link columns (N, ..., width): each link's block, zero-padded."""
@@ -334,65 +442,59 @@ class ChainModel:
 
 # -- link Jacobians and their rates --------------------------------------------
 
-def link_jacobians(joint: Joint, frame, qi: Array):
+def link_jacobians(joints, frame, qi: Array, qdi: Array | None = None):
     """Link transforms with their translation and angular-velocity Jacobians,
-    one per row of qi (b, n_i).
+    one per row of qi (b, n_i), and with the velocities qdi (b, n_i) their
+    time rates.
 
+    ``joints`` holds each row's joint data (:attr:`Joint.parts`): the
+    transform R_j = R_0 + sin(q) K + (1 - cos q) K^2, t_j = t_0 + slide q,
+    with the revolute axis (``spin``, K = skew(spin)) and the prismatic
+    one (``slide``), zero where the joint does not turn or slide.
     ``frame`` is the body's contact-frame data (R_c, t_c, dR_c, dt_c) at the
-    body parts of the rows.  Returns (R_rel (b,3,3), t_rel (b,3),
-    Jt (b,3,n_i), Jw (b,3,n_i)); columns are ordered joint coordinates
-    first, then body coordinates.  Jw maps q̇_i to the relative angular
-    velocity expressed in the parent frame {S_{i-1}}.
+    body parts of the rows, followed by their rates with qdi.  Returns
+    (R_rel (b,3,3), t_rel (b,3), Jt (b,3,n_i), Jw (b,3,n_i)) and with qdi
+    (Jt_dot, Jw_dot), by the product rule, with dR_j/dt = K R_j qd_j;
+    columns are ordered joint coordinates first, then body coordinates.  Jw
+    maps q̇_i to the relative angular velocity expressed in the parent frame
+    {S_{i-1}}.
     """
-    qi = np.asarray(qi, dtype=float)
-    Rc, tc, dRc, dtc = frame
-    nj, nb = joint.n_dof, dRc.shape[1]
-    Rj, tj = joint.transform(qi[:, :nj])
+    R0, t0, spin, slide, K, K2 = joints
+    Rc, tc, dRc, dtc = frame[:4]
+    b, nb = qi.shape[0], dRc.shape[1]
+    nj = qi.shape[1] - nb
+    if nj:
+        angle = qi[:, :1, None]
+        Rj, tj = R0 + np.sin(angle) * K + (1.0 - np.cos(angle)) * K2, t0 + slide * qi[:, :1]
+    else:
+        Rj, tj = R0, t0
     R_rel = Rj @ Rc
     Rj_tc = (Rj @ tc[..., None])[..., 0]
     t_rel = tj + Rj_tc
-    Jt, Jw = np.zeros((2, qi.shape[0], 3, nj + nb))
+    Jt, Jw = np.zeros((2, b, 3, nj + nb))
     if nj:
-        if joint.kind == "revolute":
-            Jt[:, :, 0] = cross(joint.axis, Rj_tc)
-            Jw[:, :, 0] = joint.axis
-        else:  # prismatic
-            Jt[:, :, 0] = joint.axis
+        Jt[:, :, 0] = cross(spin, Rj_tc) + slide
+        Jw[:, :, 0] = spin
     if nb:
         Jt[:, :, nj:] = Rj @ dtc
-        d = (Rj[:, None] @ dRc) @ R_rel.swapaxes(1, 2)[:, None]  # (b, nb, 3, 3)
-        Jw[:, :, nj:] = vee(d).swapaxes(1, 2)
-    return R_rel, t_rel, Jt, Jw
-
-
-def unit_rate(q: Array, qd: Array):
-    """Where to evaluate the arrays whose time rates along paths through the
-    rows of q (b, n) with velocities qd (b, n) are wanted, and the rates.
-
-    The rates are linear in qd: one central difference along u = qd/|qd|,
-    scaled by |qd|, keeps the cancellation noise independent of |qd|.
-    Returns (points, rate, at): ``points`` stacks the rows of q and then, for
-    every moving row, q + h u and q - h u (a row at rest adds none and has
-    zero rates), ``at`` their rows of q; ``rate(a)`` maps an array evaluated
-    at ``points`` (leading axis) to the rates at the rows of q.
-    """
-    b = q.shape[0]
-    if not qd.any():
-        return q, lambda a: np.zeros((b,) + a.shape[1:]), np.arange(b)
-    speed = np.sqrt((qd * qd).sum(1))
-    moving = np.flatnonzero(speed)
-    h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((q[moving] * q[moving]).sum(1)))
-    step = h[:, None] * (qd[moving] / speed[moving, None])
-    scale = speed[moving] / (2.0 * h)
-    k = moving.size
-
-    def rate(a):
-        out = np.zeros((b,) + a.shape[1:])
-        out[moving] = scale.reshape((k,) + (1,) * (a.ndim - 1)) * (a[b:b + k] - a[b + k:])
-        return out
-
-    return (np.concatenate([q, q[moving] + step, q[moving] - step]), rate,
-            np.concatenate([np.arange(b), moving, moving]))
+        RjdRc = Rj[:, None] @ dRc
+        Jw[:, :, nj:] = vee(RjdRc @ R_rel.swapaxes(1, 2)[:, None]).swapaxes(1, 2)  # (b, nb, 3, 3) before vee
+    if qdi is None:
+        return R_rel, t_rel, Jt, Jw
+    Rc_dot, tc_dot, dRc_dot, dtc_dot = frame[4:]
+    Jt_dot, Jw_dot = np.zeros((2, b, 3, nj + nb))
+    # the body's rates, then the joint's: the rates of Rj dtc, R_rel = Rj R_c and Rj dR_c
+    Jt_dot[:, :, nj:], R_rel_dot, RjdRc_dot = Rj @ dtc_dot, Rj @ Rc_dot, Rj[:, None] @ dRc_dot
+    if nj:
+        Rj_dot = (K @ Rj) * qdi[:, :1, None]
+        Jt_dot[:, :, 0] = cross(spin, (Rj_dot @ tc[..., None] + Rj @ tc_dot[..., None])[..., 0])
+        Jt_dot[:, :, nj:] += Rj_dot @ dtc
+        R_rel_dot += Rj_dot @ Rc
+        RjdRc_dot += Rj_dot[:, None] @ dRc
+    if nb:
+        Jw_dot[:, :, nj:] = vee(RjdRc_dot @ R_rel.swapaxes(1, 2)[:, None]
+                                + RjdRc @ R_rel_dot.swapaxes(1, 2)[:, None]).swapaxes(1, 2)
+    return R_rel, t_rel, Jt, Jw, Jt_dot, Jw_dot
 
 
 # -- forward pass --------------------------------------------------------------
@@ -418,55 +520,50 @@ class LinkStage(NamedTuple):
     bodies: tuple = ()
 
 
-def _row_error(e, group, at, b: int, single: bool):
-    """Error ``e`` of point ``e.row`` (``at``: its row of the group's stack) naming the link and state row."""
+def _row_error(e, group, b: int, single: bool):
+    """Error ``e`` of row ``e.row`` of the group's stack naming the link and the state row."""
     if e.row is None:
         return type(e)(f"link {', '.join(map(str, group))}: {e.message}")
-    (k, r), rate = divmod(int(at[e.row]), b), " at q +- h u" if e.row >= len(group) * b else ""
-    return type(e)(f"link {group[k]}{rate}: {e.message}", None if single else r)
+    k, r = divmod(e.row, b)
+    return type(e)(f"link {group[k]}: {e.message}", None if single else r)
 
 
-def _links(chain: ChainModel, group, q, points, at, frame, actuation, xs, at_x):
-    """The link transforms and Jacobians on each link's rows of ``points``
-    (``at``: the link of each), and its terms of ``actuation`` (``at_x``)."""
-    R_rel, t_rel, Jt, Jw = (np.empty((len(points),) + s) for s in ((3, 3), (3,)) + ((3, points.shape[1]),) * 2)
-    for k, i in enumerate(group):
-        own = np.flatnonzero(at == k) if len(group) > 1 else slice(None)
-        R_rel[own], t_rel[own], Jt[own], Jw[own] = link_jacobians(
-            chain.links[i].joint, tuple(a[own] for a in frame), points[own])
-    if actuation is None:
-        return (R_rel, t_rel, Jt, Jw), None
-    # each link reads its rows at q and its points' columns
+def _terms(chain: ChainModel, group, q, actuation, xs, at_x):
+    """The terms of ``actuation`` of each link of ``group``: its rows at q
+    of ``at_x`` (sol, f, df/dq at the points ``xs`` of the links) and its
+    points' columns."""
     b, cols, (sol, f, jq) = 1 if q.ndim == 1 else len(q), np.cumsum([0] + [len(x) for x in xs]), at_x
     cuts = [(slice(k * b, (k + 1) * b), slice(cols[k], cols[k + 1])) for k in range(len(group))]
-    return (R_rel, t_rel, Jt, Jw), [actuation.link_terms(chain, i, q, (None if sol is None else tuple(
-        a[c] for a in sol), f[c], jq[c])) for i, c in zip(group, cuts)]
+    return [actuation.link_terms(chain, i, q, (None if sol is None else tuple(a[c] for a in sol), f[c], jq[c]))
+            for i, c in zip(group, cuts)]
 
 
 def link_stage(chain: ChainModel, group, q: Array, qd: Array, qdd: Array, actuation=None) -> LinkStage:
     """Record of the stage group ``group``, or of one link ``(i,)``, at the
     checked states q, qd, qdd, one state (n,) or a stack (b, n), whose rows
     are the links' blocks one after the other.  One body evaluation serves
-    every row, at the row and, if it moves, at the row +- h u
-    (:func:`unit_rate`), with the points of an ``actuation`` map, whose
-    terms of each link the record lists; the link Jacobians are taken per
-    link on its rows, the integrals once over all rows.  Their typed errors
-    name the link and the state row."""
+    every row, with the points of an ``actuation`` map, whose terms of each
+    link the record lists, and with the rates where a row moves
+    (:meth:`BodyHandle.evaluate`); one call takes the link Jacobians and
+    their rates of all rows, one the integrals.  Their typed errors name the
+    link and the state row."""
     lk = chain.links[group[0]]
     nj = lk.joint.n_dof
     qs, qds, qdds = (chain.rows(group, v) for v in (q, qd, qdd))
     b = len(qs) // len(group)
-    points, rate, at = unit_rate(qs, qds)
+    moving = qds.any()
     xs = None if actuation is None else [actuation.points_on(i) for i in group]
     try:
-        ev = lk.body.evaluate(points[:, nj:], None if xs is None else np.concatenate(xs))
-        (R_rel, t_rel, Jt, Jw), terms = _links(chain, group, q, points, at // b, ev.frame, actuation, xs, ev.at_x)
-        Jt_dot, Jw_dot, Jp_dot = rate(Jt), rate(Jw), rate(ev.jac)
-        ev = ev.take(slice(0, len(qs)))  # copies: the solve at the rate points is freed here
-        data = integrals.body_integrals(lk.body, ev, Jp_dot, qds[:, nj:], qdds[:, nj:])
+        ev = lk.body.evaluate(qs[:, nj:], None if xs is None else np.concatenate(xs), qds[:, nj:] if moving else None)
+        R_rel, t_rel, Jt, Jw, *rates = link_jacobians(chain.joints(group, b), ev.frame, qs, qds if moving else None)
+        Jt_dot, Jw_dot = rates if moving else np.zeros((2,) + Jt.shape)
+        # the integrals keep the evaluation's values at the nodes, whatever the other rows' rates
+        data = integrals.body_integrals(lk.body, ev._replace(frame=ev.frame[:4], jac_dot=None, at_x=None),
+                                        ev.jac_dot if moving else np.zeros_like(ev.jac), qds[:, nj:], qdds[:, nj:])
+        terms = None if actuation is None else _terms(chain, group, q, actuation, xs, ev.at_x)
     except (DegenerateContactError, CentroidConsistencyError, BodyDomainError) as e:
-        raise _row_error(e, group, at, b, q.ndim == 1) from e
-    return LinkStage(*(a[:len(qs)] for a in (R_rel, t_rel, Jt, Jw)), Jt_dot, Jw_dot, data, actuation=terms)
+        raise _row_error(e, group, b, q.ndim == 1) from e
+    return LinkStage(R_rel, t_rel, Jt, Jw, Jt_dot, Jw_dot, data, actuation=terms)
 
 
 def place_stage(chain: ChainModel, group, q: Array, actuation) -> LinkStage:
@@ -474,14 +571,14 @@ def place_stage(chain: ChainModel, group, q: Array, actuation) -> LinkStage:
     the body placed at its anchors and the map's points, no nodes, rates
     or integrals (those fields None)."""
     lk, qs = chain.links[group[0]], chain.rows(group, q)
-    b, xs, at = len(qs) // len(group), [actuation.points_on(i) for i in group], np.arange(len(qs))
+    b, xs = len(qs) // len(group), [actuation.points_on(i) for i in group]
     try:
-        sol, frame, f, jq = lk.body.place(qs[:, lk.joint.n_dof:], np.concatenate(xs))
+        sol, frame, f, jq, _ = lk.body.place(qs[:, lk.joint.n_dof:], np.concatenate(xs))
     except (DegenerateContactError, BodyDomainError) as e:
-        raise _row_error(e, group, at, b, q.ndim == 1) from e
+        raise _row_error(e, group, b, q.ndim == 1) from e
     sol = None if sol is None else tuple(a[:, lk.body.n_anchors:] for a in sol)
-    jac, terms = _links(chain, group, q, qs, at // b, frame, actuation, xs, (sol, f, jq))
-    return LinkStage(*jac, None, None, None, actuation=terms)
+    return LinkStage(*link_jacobians(chain.joints(group, b), frame, qs), None, None, None,
+                     actuation=_terms(chain, group, q, actuation, xs, (sol, f, jq)))
 
 
 # trailing axes of the stage arrays and the integrals the sweep reads; "n": coordinates
@@ -650,7 +747,7 @@ def forward_kinematics(chain: ChainModel, q, points_per_body=None) -> list[dict]
     for i, lk in enumerate(chain.links):
         qj, qb = chain.split(i, q)
         x = np.zeros((0, 3)) if points_per_body is None else np.asarray(points_per_body[i], dtype=float)
-        _, (Rc, tc, _, _), f, _ = lk.body.place(qb[None], x)
+        _, (Rc, tc, _, _), f, _, _ = lk.body.place(qb[None], x)
         T_joint = T.compose(Transform(*lk.joint.transform(qj)))
         T = T_joint.compose(Transform(Rc[0], tc[0]))
         out.append({"joint": T_joint, "body": T, "points": T_joint.apply(f[0])})

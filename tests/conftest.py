@@ -4,7 +4,7 @@ import pytest
 from softid import presets
 from softid.dynamics import _stage, gravity_terms, inertial_terms
 from softid.errors import BodyDomainError
-from softid.kinematics import forward_pass
+from softid.kinematics import JAC_RATE_STEP, forward_pass, link_jacobians
 from softid.spatial import cross, skew
 
 
@@ -329,3 +329,66 @@ def ref_chamber_terms(model, pts, w, qb, sol):
     cof = np.stack([cross(F[..., 1], F[..., 2]), cross(F[..., 2], F[..., 0]), cross(F[..., 0], F[..., 1])], axis=-1)
     return (np.linalg.det(F) @ w, np.einsum("p,rpab,rpabj->rj", w, cof, dF),
             np.einsum("p,rpab,rpabj->rj", np.abs(w), np.abs(cof), np.abs(dF)))
+
+
+def ref_backward_recursion(chain, wrenches, cache):
+    """``backward_recursion`` with the moment p_com x Fc by ``spatial.cross``."""
+    w = np.asarray(wrenches, dtype=float)
+    lk = cache.links
+    single = w.ndim == lk.data.p_com.ndim + 1
+    F, F_star, T, T_star = (w[..., None, :] if single else w).swapaxes(0, 1)
+    Fc = F + F_star
+    W = np.concatenate([Fc, T + T_star + cross(lk.data.p_com[..., None, :], Fc)], -1)
+    for i in range(len(chain) - 2, -1, -1):
+        W[i] += W[i + 1] @ lk.X[i + 1]
+    out = W @ lk.S
+    return out[..., 0, :] if single else out
+
+
+# -- time rates by differences along the velocity: test-only references ------------
+
+def unit_rate(q, qd, step=JAC_RATE_STEP):
+    """Where to evaluate the arrays whose time rates along paths through the
+    rows of q (b, n) with velocities qd (b, n) are wanted, and the rates:
+    one central difference along u = qd/|qd| at h = step max(1, |q|),
+    scaled by |qd|.  Returns (points, rate): ``points`` stacks the rows of q
+    and then, for every moving row, q + h u and q - h u; ``rate(a)`` maps
+    an array evaluated at ``points`` to the rates at the rows of q (zero at
+    rest).  The stencil the stages took for every body before the body
+    models supplied exact rates (then at step 1e-6, where its rounding
+    error, amplified by the contact frame's normalization, reaches 3e-8 of
+    the largest rate on the PCS and PGC fixtures)."""
+    b = q.shape[0]
+    speed = np.sqrt((qd * qd).sum(1))
+    moving = np.flatnonzero(speed)
+    h = step * np.maximum(1.0, np.sqrt((q[moving] * q[moving]).sum(1)))
+    step = h[:, None] * (qd[moving] / speed[moving, None])
+    scale = speed[moving] / (2.0 * h)
+    k = moving.size
+
+    def rate(a):
+        out = np.zeros((b,) + a.shape[1:])
+        out[moving] = scale.reshape((k,) + (1,) * (a.ndim - 1)) * (a[b:b + k] - a[b + k:])
+        return out
+
+    return np.concatenate([q, q[moving] + step, q[moving] - step]), rate
+
+
+def ref_link_rates(chain, i, q, qd):
+    """Jt_dot, Jw_dot of link i and the rate of its body's node Jacobian at
+    the states q, qd (b, n), by :func:`unit_rate` on the link's block: the
+    values at q +- h u, differenced."""
+    points, rate = unit_rate(chain.rows((i,), q), chain.rows((i,), qd))
+    nj = chain.links[i].joint.n_dof
+    ev = chain.links[i].body.evaluate(points[:, nj:])
+    _, _, Jt, Jw = link_jacobians(chain.joints((i,), len(points)), ev.frame, points)
+    return rate(Jt), rate(Jw), rate(ev.jac)
+
+
+def along(fn, args, tangents, h=1e-6):
+    """Central differences of every output of fn(*args) along the straight
+    path args + t tangents (None: a constant argument), at t = 0."""
+    def at(t):
+        return fn(*(a if d is None else a + t * d for a, d in zip(args, tangents)))
+
+    return [(p - m) / (2.0 * h) for p, m in zip(at(h), at(-h))]

@@ -105,21 +105,27 @@ def test_pcc_half_circle_tip():
 
 def _kernel_reference(t):
     """alpha, beta, gamma, beta'/t, gamma'/t: Taylor series summed exactly
-    rounded below t = 1, the closed forms above (no cancellation there)."""
+    rounded below t = 1, the closed forms above (no cancellation there);
+    (beta'/t)'/t and (gamma'/t)'/t, whose closed forms cancel up to t = 2:
+    the series at every t up to 6, where no term exceeds the sum much."""
+    f = math.factorial
+
+    def series(coeff):
+        return math.fsum(coeff(j) * t ** (2 * j) for j in range(40))
+
+    second = [series(lambda j: (-1) ** j * (2 * j + 2) * (2 * j + 4) / f(2 * j + 6)),
+              series(lambda j: (-1) ** j * (2 * j + 2) * (2 * j + 4) / f(2 * j + 7))]
     if t < 1.0:
-        def series(coeff):
-            return math.fsum(coeff(j) * t ** (2 * j) for j in range(30))
-        f = math.factorial
         return [
             series(lambda j: (-1) ** j / f(2 * j + 1)),
             series(lambda j: (-1) ** j / f(2 * j + 2)),
             series(lambda j: (-1) ** j / f(2 * j + 3)),
             series(lambda j: (-1) ** (j + 1) * (2 * j + 2) / f(2 * j + 4)),
             series(lambda j: (-1) ** (j + 1) * (2 * j + 2) / f(2 * j + 5)),
-        ]
+        ] + second
     s, c = math.sin(t), math.cos(t)
     return [s / t, (1 - c) / t**2, (t - s) / t**3,
-            (t * s - 2 * (1 - c)) / t**4, (t * (1 - c) - 3 * (t - s)) / t**5]
+            (t * s - 2 * (1 - c)) / t**4, (t * (1 - c) - 3 * (t - s)) / t**5] + second
 
 
 def test_rotation_kernels_accurate_for_all_angles():
@@ -129,10 +135,10 @@ def test_rotation_kernels_accurate_for_all_angles():
     ts = np.concatenate([[0.0, 1e-12, 1e-8, 1.01e-4, 1e-3, 1e-2],
                          np.logspace(-1, np.log10(6.0), 60), [1.999999, 2.0, 2.000001]])
     got = _so3_kernels(ts)
-    assert got.shape == (5, ts.size)
+    assert got.shape == (7, ts.size)
     for i, t in enumerate(ts):
         ref = _kernel_reference(float(t))
-        for k in range(5):
+        for k in range(7):
             assert abs(got[k, i] - ref[k]) <= 1e-13 * abs(ref[k]), (k, t)
     assert np.array_equal(_so3_kernels(-ts), got)  # even in t
 

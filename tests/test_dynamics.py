@@ -252,8 +252,8 @@ def test_mid_matches_id_and_miid_mass(pcc2, rng):
 
 def test_one_body_solve_per_configuration(monkeypatch):
     # the three rods share one body model: it is solved once for all of
-    # them, at q and, while they move, at q +- h u in the same call; the
-    # stress pass reuses the solve at q
+    # them, at q alone, also while they move (the rods' Jacobian rates come
+    # from that solve, with no q +- h u); the stress pass reuses it
     from softid.bodies import CosseratRodBody
 
     chain = presets.pcc_chain(3, C=1e5, eta=0.1, order=(2, 8, 5))

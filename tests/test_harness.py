@@ -308,27 +308,32 @@ def test_statics_jacobian_stages_only_the_stepped_link(monkeypatch):
 
 
 def test_residual_stages_every_link_once(monkeypatch):
-    chain = FD_CHAINS["pcc_3"]()
-    residual = _equilibrium(chain, three_tendons(chain), np.array([1.0, 0.5, 0.2]))
-    q, _ = fd_state(chain, 2)
-    calls = count_solves(monkeypatch)
-    frames, links = [], []
-
+    # the rods of pcc_3 share one handle, and so do the rods behind the
+    # revolute and the prismatic joint of revolute_prismatic: one group each
     def counting(seen, original):
         def counted(*args):
             seen.append(args[0])
             return original(*args)
         return counted
 
-    monkeypatch.setattr(BodyHandle, "contact_frame_data", counting(frames, BodyHandle.contact_frame_data))
-    monkeypatch.setattr(kinematics, "link_jacobians", counting(links, kinematics.link_jacobians))
-    r, _ = residual(q)
-    assert r is not None
-    # the tendons read the dynamics stage's solve: one per stage group, not
-    # two; one contact frame per stage group, the link Jacobians per link
-    assert calls == [chain.links[g[0]].body.model for g in chain.groups]
-    assert frames == [chain.links[g[0]].body for g in chain.groups]
-    assert len(links) == len(chain)
+    for name in ("pcc_3", "revolute_prismatic"):
+        chain, act, u = statics_case(name)
+        assert len(chain.groups) == 1
+        residual = _equilibrium(chain, act, u)
+        q, _ = fd_state(chain, 2)
+        with monkeypatch.context() as patch:
+            calls = count_solves(patch)
+            frames, links = [], []
+            patch.setattr(BodyHandle, "contact_frame_data", counting(frames, BodyHandle.contact_frame_data))
+            patch.setattr(kinematics, "link_jacobians", counting(links, kinematics.link_jacobians))
+            r, _ = residual(q)
+        assert r is not None
+        # the actuation map reads the dynamics stage's solve: one per stage
+        # group, not two; one contact frame and one link-Jacobian call per
+        # stage group, over all of its links' rows
+        assert calls == [chain.links[g[0]].body.model for g in chain.groups], name
+        assert frames == [chain.links[g[0]].body for g in chain.groups], name
+        assert len(links) == len(chain.groups), name
 
 
 def count_stress_calls(monkeypatch):

@@ -2,8 +2,9 @@
 
 Every contraction in ``src/softid`` (but the oracle) is a BLAS product of a
 row's own matrices or an elementwise multiply-add over the 3-axis; these
-tests hold each to the einsum it replaced (``conftest``'s reference kernels)
-within rounding, 1e-14 of the largest entry, on every body kind.
+tests hold each to the einsum or cross product it replaced (``conftest``'s
+reference kernels) within rounding, 1e-14 of the largest entry, on every
+body kind.
 """
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 
 from softid.actuation import ChamberActuation
 from softid.bodies import integrals
-from softid.dynamics import _stage, inertial_terms, stress_terms
+from softid.dynamics import _stage, backward_recursion, chain_dynamics, inertial_terms, stress_terms
 from softid.kinematics import BodyHandle
 from softid.quadrature import ReferenceDomain
 
-from conftest import (einsum_matvec3, ref_body_integrals, ref_chamber_terms, ref_framed_jacobian,
-                      ref_inertial_terms, ref_lvp_jac_q, ref_rod_maps, ref_stress_terms)
+from conftest import (einsum_matvec3, ref_backward_recursion, ref_body_integrals, ref_chamber_terms,
+                      ref_framed_jacobian, ref_inertial_terms, ref_lvp_jac_q, ref_rod_maps, ref_stress_terms)
 from test_actuation import tendon_case
 from test_rows import KINDS, chain_of, stacked_states
 
@@ -62,7 +63,7 @@ def staged_integrals(monkeypatch, chain, q, qd, qdd):
 def test_framed_jacobian_matches_einsum(kind):
     for handle, (qb, _, _) in handles(kind):
         nodes = handle.points[handle.n_anchors:]
-        _, frame, f, jq = handle.place(qb, nodes)
+        _, frame, f, jq, _ = handle.place(qb, nodes)
         for got, ref, what in zip(handle.framed_jacobian(f, jq, frame), ref_framed_jacobian(handle, f, jq, frame),
                                   ("points", "jacobian")):
             assert_close(got, ref, what)
@@ -161,3 +162,18 @@ def test_chamber_terms_match_einsum(kind):
     assert_close(volumes, volumes_ref)
     # a coordinate that leaves the volume alone has a gradient of cancelled terms
     assert_close(grads, grads_ref, scale=terms)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_backward_recursion_matches_cross(kind):
+    # the moment p_com x Fc of every load case as the product Fc skew(-p_com):
+    # one state and a stack, with the mass cases' rows
+    chain = chain_of(kind)
+    q, qd, qdd = stacked_states(chain, 3, seed=8)
+    rng = np.random.default_rng(8)
+    for state in ((q, qd, qdd), (q[0], qd[0], qdd[0])):
+        cache = chain_dynamics(chain, *state, mass=True).cache
+        lead = state[0].shape[:-1]
+        for k in (None, 4 + chain.n):
+            wrenches = rng.standard_normal((len(chain), 4) + lead + (() if k is None else (k,)) + (3,))
+            assert_close(backward_recursion(chain, wrenches, cache), ref_backward_recursion(chain, wrenches, cache))

@@ -11,14 +11,16 @@ from softid.kinematics import (
     fixed_joint,
     forward_kinematics,
     forward_pass,
+    link_jacobians,
     prismatic_joint,
     revolute_joint,
+    rotated_base_joint,
 )
 from softid.oracle import chain_points
 from softid.quadrature import ReferenceDomain
 from softid.spatial import Transform, rodrigues
 
-from conftest import sample_state
+from conftest import along, sample_state
 
 L0, R0, RHO = 0.3, 0.01, 1070.0
 
@@ -344,3 +346,62 @@ def test_base_accel_default_is_minus_gravity():
     chain = presets.pcc_chain(1)
     cache = forward_pass(chain, np.zeros(3), None, None)
     assert np.allclose(cache.base_accel, -chain.gravity)
+
+
+# -- the rates' tangents: each against a central difference of its own function ----
+
+def tangent_case(seed, free_tip=False):
+    """A PCC handle (a free tip: no contact frame), three body states, the
+    anchor images and node images with their q-Jacobians, and random
+    tangents of all four, at the scale of the anchors' offsets (1e-2: the
+    frame's normalization divides by them)."""
+    rng = np.random.default_rng(seed)
+    handle = pcc_handle()
+    if free_tip:
+        handle = BodyHandle(handle.model, free_tip=True)
+    qb = rng.uniform(-0.8, 0.8, (3, handle.n_dof))
+    x = handle.points
+    f, jq = handle.model.position(x, qb), handle.model.jac_q(x, qb)
+    k = handle.n_anchors
+    tangents = 1e-2 * rng.standard_normal(f.shape), 1e-2 * rng.standard_normal(jq.shape)
+    return handle, (f[:, :k], jq[:, :k], f[:, k:], jq[:, k:]), tuple(a[:, :k] for a in tangents) + tuple(
+        a[:, k:] for a in tangents)
+
+
+def assert_rates(got, ref, what):
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape, what
+        assert np.abs(g - r).max(initial=0.0) <= 1e-7 * max(np.abs(r).max(initial=0.0), 1e-12), what
+
+
+@pytest.mark.parametrize("free_tip", [False, True])
+def test_contact_frame_and_framed_jacobian_tangents_match_differences(free_tip):
+    handle, (fa, ja, fn, jn), (dfa, dja, dfn, djn) = tangent_case(1, free_tip)
+    frame = handle.contact_frame_data(fa, ja, dfa, dja)
+    assert len(frame) == 8
+    assert_rates(frame[4:], along(handle.contact_frame_data, (fa, ja), (dfa, dja)), "contact frame")
+    _, jac, jac_dot = handle.framed_jacobian(fn, jn, frame, dfn, djn)
+
+    def framed(f, jq, *frame):
+        return [handle.framed_jacobian(f, jq, frame)[1]]
+
+    assert_rates([jac_dot], along(framed, (fn, jn) + frame[:4], (dfn, djn) + frame[4:]), "framed Jacobian")
+
+
+@pytest.mark.parametrize("joint", [revolute_joint([0.3, -1.0, 0.5]), prismatic_joint([1.0, 0.2, -0.4]),
+                                   fixed_joint(), rotated_base_joint(rodrigues([1, 1, 0], 0.4), [0.1, 0, 0.2])],
+                         ids=lambda j: j.kind)
+def test_link_jacobian_tangents_match_differences(joint):
+    handle, (fa, ja, _, _), (dfa, dja, _, _) = tangent_case(2)
+    frame = handle.contact_frame_data(fa, ja, dfa, dja)
+    rng = np.random.default_rng(3)
+    qi = np.concatenate([rng.uniform(-2.0, 2.0, (3, joint.n_dof)), rng.uniform(-0.8, 0.8, (3, handle.n_dof))], 1)
+    qdi = rng.uniform(-2.0, 2.0, qi.shape)
+    joints = tuple(np.repeat(a[None], 3, axis=0) for a in joint.parts)
+    got = link_jacobians(joints, frame, qi, qdi)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:4], link_jacobians(joints, frame[:4], qi)))
+
+    def jacobians(q, *frame):
+        return link_jacobians(joints, frame, q)[2:]
+
+    assert_rates(got[4:], along(jacobians, (qi,) + frame[:4], (qdi,) + frame[4:]), joint.kind)

@@ -17,8 +17,9 @@
   ``position``, ``jac_q``), so a map adds no solve to the one of a stage.
 - One central-difference quotient: a subtraction divided by ``2.0 * ...``
   appears once in the package (``bodies.base.central_difference``), so the
-  body-model defaults, the K/D refresh and the statics Jacobian share one
-  stencil that can be swapped in one place.
+  body-model defaults, the Jacobian rate of a body without an exact one, the
+  K/D refresh and the statics Jacobian share one stencil that can be swapped
+  in one place.
 - The runtime needs numpy alone: every import in the package resolves to
   the standard library (``sys.stdlib_module_names``), ``numpy`` or the
   package itself.
@@ -36,6 +37,9 @@
   chain calls ``spatial.cross`` as often at 32 bodies as at 8, so no
   per-link term is taken link by link (a count, which host load does not
   move).
+- Exact Jacobian rates: a moving ``iid`` evaluates the position map of a
+  body with an exact rate (rigid, PCC, PCS) at its state rows alone, none
+  at q +- h u (a count of rows, which host load does not move).
 - One stage record per sweep: the stages that ``chain_dynamics`` hands to
   ``forward_pass`` are one ``LinkStage`` on the link axis, built from one
   record per stage group, and no record is built per link; the K/D refresh
@@ -247,6 +251,34 @@ def test_mid_solves_each_distinct_body_document_once(monkeypatch, path):
     calls = _count_solves(monkeypatch)
     mid(chain, q, rng.uniform(-1.0, 1.0, chain.n), rng.uniform(-1.0, 1.0, chain.n))
     assert len(calls) == sum(distinct.values())
+
+
+def _count_position_rows(monkeypatch):
+    """The number of configurations of each ``BodyModel.position`` call from now on."""
+    rows = []
+    classes = [BodyModel]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        if "position" in vars(cls):
+            def counted(self, x, q, sol=None, _original=vars(cls)["position"]):
+                rows.append(len(q))
+                return _original(self, x, q, sol)
+            monkeypatch.setattr(cls, "position", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["planar_8", "rigid_2r", "pcs_2"])
+def test_moving_iid_positions_only_the_state_rows(monkeypatch, name):
+    chain = presets.planar_pcc_chain(8, quadrature_order=(2, 8, 6)) if name == "planar_8" else \
+        load_chain(MODELS / f"{name}.json")
+    soft = sum(lk.body.rigid is None for lk in chain.links)  # a rigid handle's evaluation is its own
+    rng = np.random.default_rng(9)
+    rows = _count_position_rows(monkeypatch)
+    for b in (None, 3):
+        q, qd, qdd = rng.uniform(-0.5, 0.5, (3, chain.n) if b is None else (3, b, chain.n))
+        rows.clear()
+        iid(chain, q, qd, qdd)
+        assert sum(rows) == soft * (b or 1), (b, rows)
 
 
 def _count_cross(monkeypatch):

@@ -25,7 +25,7 @@ from softid.kinematics import BodyHandle, ChainModel, Link, fixed_joint, forward
 from softid.model_io import load_chain
 from softid.quadrature import ReferenceDomain
 
-from conftest import central_difference, in_domain, stage_alone
+from conftest import central_difference, in_domain, ref_link_rates, stage_alone
 from test_harness import FD_CHAINS, fd_state, statics_case, three_tendons
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -135,6 +135,30 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
             assert same(stage_row(stage, r), stage_row(alone, 0)), (i, r)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_rates_match_the_difference_along_u(kind):
+    # a stack whose odd rows rest, and one moving state: the exact rates (rigid,
+    # PCC, PCS) and the differenced ones (the rest) within 1e-8 of the largest
+    # entry of the stencil's: of the link's twist rate (Jt_dot, Jw_dot)
+    # together, whose angular part is zero on the variable-radius rod, and of
+    # the node Jacobian's rate; exactly zero at rest
+    chain = chain_of(kind)
+    q, qd, qdd = stacked_states(chain, 4, seed=70)
+    for i, lk in enumerate(chain.links):
+        nj = lk.joint.n_dof
+        for rows in (slice(None), slice(0, 1)):
+            qs, vs = q[rows], qd[rows]
+            stage = stage_alone(chain, i, qs, vs, qdd[rows])
+            jac_dot = lk.body.evaluate(qs[:, chain.slice(i)][:, nj:], None, vs[:, chain.slice(i)][:, nj:]).jac_dot
+            Jt_dot, Jw_dot, node = ref_link_rates(chain, i, qs, vs)
+            twist = max(np.abs(Jt_dot).max(), np.abs(Jw_dot).max())
+            for got, ref, scale, what in ((stage.Jt_dot, Jt_dot, twist, "Jt_dot"), (stage.Jw_dot, Jw_dot, twist, "Jw_dot"),
+                                          (jac_dot, node, np.abs(node).max(initial=0.0), "node Jacobian")):
+                assert got.shape == ref.shape, (i, what)
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-8 * scale, (i, what)
+                assert not got[1::2].any(), (i, what)  # rows at rest
+
+
 def assert_terms_rows_equal_states_alone(chain, act, q):
     """Row r of each link's actuation terms, staged at rest over the stack q,
     is bitwise the terms of state r staged alone; returns the stacked terms."""
@@ -189,6 +213,17 @@ def test_grouped_stages_equal_links_staged_alone(kind, b):
     # moving (every other row at rest) and at rest, a stack and one state
     chain = chain_of(kind)
     q, qd, qdd = stacked_states(chain, b, seed=40 + b)
+    for v in (qd, np.zeros_like(qd)):
+        assert_grouped_stages_equal_links_alone(chain, q, v, qdd)
+    assert_grouped_stages_equal_links_alone(chain, q[0], qd[0], qdd[0])
+
+
+def test_grouped_stages_behind_joints_equal_links_staged_alone():
+    # one rod handle behind a revolute and a prismatic joint, one group, one
+    # link-Jacobian call: moving (every other row at rest) and at rest
+    chain = FD_CHAINS["revolute_prismatic"]()
+    assert len(chain.groups) == 1 and [lk.joint.kind for lk in chain.links] == ["revolute", "prismatic"]
+    q, qd, qdd = stacked_states(chain, 3, seed=60)
     for v in (qd, np.zeros_like(qd)):
         assert_grouped_stages_equal_links_alone(chain, q, v, qdd)
     assert_grouped_stages_equal_links_alone(chain, q[0], qd[0], qdd[0])
@@ -364,6 +399,17 @@ def test_collapsed_row_raises_degenerate_contact():
     assert raised.value.row == 1
 
 
+class CappedSlab(SqueezedSlab):
+    """The slab, whose map has no value where q > 0.9, and no exact
+    Jacobian rate."""
+
+    def position(self, x, q, sol=None):
+        over = np.flatnonzero(self.check_q(q)[:, 0] > 0.9)
+        if over.size:
+            raise BodyDomainError("squeezed beyond the cap", int(over[0]))
+        return super().position(x, q)
+
+
 def test_collapsed_stage_row_names_the_link_and_the_state_row():
     # two links share the slab's handle, so one stage group stacks their rows
     handle = slab_handle()
@@ -376,18 +422,24 @@ def test_collapsed_stage_row_names_the_link_and_the_state_row():
     with pytest.raises(DegenerateContactError, match=r"^link 1: ") as raised:
         iid(chain, q[2], None, None)
     assert raised.value.row is None  # one state has no rows to name
-    # state row 1 of link 1 collapses only at its rate point q + h u
-    q[2, 1], q[1, 1] = 0.6, 1.0 - 1e-6
+    # the standalone actuation map stages its own points and names the row too
+    act = ChamberActuation([(1, ReferenceDomain.box([0.1, 0.1, 0.5]))], quadrature_order=(2, 2, 2))
+    q[2, 1], q[1, 1] = 0.6, 1.0
+    with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 1\)$"):
+        act.matrix(chain, q)
+    # a body without an exact rate is solved at q +- h u of its moving rows
+    # (no contact frame is built there), where state row 1 of link 1 alone
+    # leaves the map's domain
+    handle = BodyHandle(CappedSlab(), x_j=[0, 0, 1.0], x_a=[0.1, 0, 1.0], x_b=[0, 0.1, 1.0])
+    assert not handle.exact_rate
+    chain = ChainModel([(fixed_joint(), handle), (fixed_joint(), handle)])
+    q = np.array([[0.2, 0.3], [0.1, 0.9 - 5e-7], [0.5, 0.6]])
     qd = np.zeros_like(q)
     qd[1, 1] = 1.0
     iid(chain, q, None, None)
-    with pytest.raises(DegenerateContactError, match=r"^link 1 at q \+- h u: .*\(row 1\)$"):
+    with pytest.raises(BodyDomainError, match=r"^link 1: at q \+- h u: .*\(row 1\)$") as raised:
         iid(chain, q, qd, None)
-    # the standalone actuation map stages its own points and names the row too
-    act = ChamberActuation([(1, ReferenceDomain.box([0.1, 0.1, 0.5]))], quadrature_order=(2, 2, 2))
-    q[1, 1] = 1.0
-    with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 1\)$"):
-        act.matrix(chain, q)
+    assert raised.value.row == 1
 
 
 class NonFiniteSlab(SqueezedSlab):
