@@ -6,11 +6,10 @@ mass density and material parameters.  Derivatives default to central finite
 differences (:func:`central_difference`, the package's one difference
 quotient, which the harness's stiffness, damping and statics Jacobians also
 take); concrete models override them with analytic expressions, which the
-recursive dynamics needs for tight oracle agreement.  The time rate of the
-configuration Jacobian along a velocity (:meth:`BodyModel.jac_q_rate`) has
-no default: a model without it (None) has its Jacobian differenced along
-the velocity direction by the stage, which divides the Jacobian's rounding
-noise (~1e-9 where it is itself a difference) by the step.
+recursive dynamics needs for tight oracle agreement.  So does the time rate
+of the configuration Jacobian (:meth:`BodyModel.jac_q_rate`), which the
+strain rods read exactly from their solve at the velocities; by default it
+differences :meth:`~BodyModel.jac_q` along the velocity direction.
 
 The configuration map takes a stack: :meth:`BodyModel.solve`,
 :meth:`~BodyModel.position` and :meth:`~BodyModel.jac_q` evaluate the points
@@ -27,12 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import BodyDomainError
 from ..quadrature import DEFAULT_ORDER, ReferenceDomain
 
 Array = np.ndarray
 
 FD_Q_STEP = 1e-7
 FD_X_STEP = 1e-5
+# the step along u of the default Jacobian rate: it balances the rounding noise, which the
+# contact frame's normalization amplifies, against the truncation error
+JAC_RATE_STEP = 3e-5
 
 
 def central_difference(fn, x: Array, cols, h: Array):
@@ -71,9 +74,11 @@ class BodyModel:
 
     _node_cache: tuple[Array, Array] | None = None
 
-    def solve(self, x: Array, q: Array):
+    def solve(self, x: Array, q: Array, qd: Array | None = None):
         """Solution of the body map at the points x for the stack q (b, n_dof)
-        that the methods below take as ``sol`` instead of solving again.
+        that the methods below take as ``sol`` instead of solving again; with
+        the velocities qd (b, n_dof), it also holds what :meth:`jac_q_rate`
+        reads, in the same layout (zeros without them).
 
         A solution is None (the default: nothing shared) or a tuple of arrays
         with one leading row per configuration, then one row per point of x:
@@ -91,13 +96,35 @@ class BodyModel:
         central differences of :meth:`position`."""
         return self._q_difference(self.position, x, q)
 
-    def jac_q_rate(self, x: Array, q: Array, qd: Array, sol):
+    def jac_q_rate(self, x: Array, q: Array, qd: Array, sol=None) -> Array:
         """Time rates of :meth:`jac_q` along the velocities qd (b, n_dof),
-        (b, m, 3, n_dof), from the solution ``sol`` at the stack q; without
-        solving or evaluating the map again.  None (the default): the model
-        has no exact rate, whatever the state, and the stage differences
-        :meth:`jac_q` along the velocity direction instead."""
-        return None
+        (b, m, 3, n_dof), from the solution ``sol`` of the stack q with qd.
+
+        Default: :meth:`jac_q` alone at q +- h u of each moving row, u =
+        qd/|qd| and h = JAC_RATE_STEP max(1, |q|), differenced along u
+        (:func:`central_difference` in the distance along u) and scaled by
+        |qd|, which keeps the cancellation noise independent of the speed;
+        zero at rest.  A typed error of the map there names the row and
+        "at q +- h u".  A model with its own :meth:`solve` pays one more
+        solve in that call."""
+        q, qd = self.check_q(q), np.asarray(qd, dtype=float)
+        speed = np.sqrt((qd * qd).sum(1))
+        moving = np.flatnonzero(speed)
+        out = np.zeros((len(q), len(x), 3, self.n_dof))
+        if not moving.size:
+            return out
+        u = np.repeat(qd[moving] / speed[moving, None], 2, axis=0)  # the +- rows of each moving row
+
+        def jq_along(t):
+            try:
+                return self.jac_q(x, np.repeat(q[moving], 2, axis=0) + t * u)
+            except BodyDomainError as e:
+                raise type(e)(f"at q +- h u: {e.message}", None if e.row is None else int(moving[e.row // 2])) from e
+
+        h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((q[moving] * q[moving]).sum(1)))
+        out[moving] = speed[moving].reshape(-1, 1, 1, 1) * central_difference(
+            jq_along, np.zeros((moving.size, 1)), [0], h[:, None])[..., 0]
+        return out
 
     def jac_x(self, x: Array, q: Array, sol=None) -> Array:
         """Material Jacobians df/dx (deformation gradients), shape (b, m, 3,
@@ -177,9 +204,6 @@ class RigidBody(BodyModel):
         return np.repeat(x[None], self.check_q(q).shape[0], axis=0)
 
     def jac_q(self, x, q, sol=None):
-        return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
-
-    def jac_q_rate(self, x, q, qd, sol):
         return np.zeros((self.check_q(q).shape[0], x.shape[0], 3, 0))
 
     def jac_x(self, x, q, sol=None):

@@ -5,7 +5,7 @@ as p = r + p_com with the discrete centroid property sum(w r rho) = 0 holding
 to machine precision, because the center of mass is computed with the same
 rule.  Velocities of material points are configuration-Jacobian contractions
 r_dot = (dr/dq) qd; accelerations add the Jacobian rate, which the forward
-pass differences along the velocity direction together with the link
+pass frames from the body model's (``BodyModel.jac_q_rate``) with the link
 Jacobians.  The forward pass hands over its own evaluation of the body and
 that rate (a rigid body's handle does so once, at zero rates), so nothing
 here evaluates or differences a body.  The integrals of a stack of states

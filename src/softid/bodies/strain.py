@@ -13,12 +13,12 @@ f(x, q) = c(x3) + R(x3) (x1, x2, 0).
 Constant-strain bases (PCC, PCS) use the closed-form solution of the frame
 ODE, g(s) = exp(s xi); s-varying bases (PAC, PGC) compose fourth-order
 Magnus steps on SE(3), so frames stay on SO(3) to rounding.  Both
-differentiate the discrete map exactly for the configuration Jacobians.
-The constant-strain rods also give the Jacobians' time rates exactly, as
-the second directional derivatives of the exponential (Renda et al., IEEE
-T-RO 2018; Boyer et al., IEEE T-RO 2021, propagate the same rates along s
-for any strain); the Magnus rods and the variable-radius rod, whose
-cross-section depends on q, have none.
+differentiate the discrete map exactly for the configuration Jacobians,
+and the solve at the velocities gives their time rates exactly, in the same
+pass: the second directional derivatives of each exponential, composed
+along s by the product rule for the Magnus steps (Renda et al., IEEE T-RO
+2018; Boyer et al., IEEE T-RO 2021), plus the rate of the variable-radius
+rod's cross-section, which is affine in q.
 
 A solve serves a stack of configurations q (b, n): the closed form takes one
 exponential over all b x k (row, arclength) twists, the Magnus rods one
@@ -117,14 +117,21 @@ def _skew_batch(v: Array) -> Array:
     return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
-def _se3_exp(w: Array, v: Array, d: Array):
-    """Exponential of the twists (w, v) and its derivatives along d.
+def _se3_exp(w: Array, v: Array, d: Array, e: Array | None = None, d_dot: Array | None = None):
+    """Exponential of the twists (w, v) and its derivatives along d; with the
+    twist's rates e (k, 6) also theirs: the second directional derivatives
+    along (d, e), plus the first along the directions' own rates d_dot.
 
     w, v are (k, 3) angular and linear parts; d (k, n, 6) holds one twist
     direction (angular, linear) per coordinate.  The rotation is
     exp(w) = I + alpha W + beta W^2 and the translation J_l(w) v, with the
     left Jacobian J_l = I + beta W + gamma W^2; d exp(w) = skew(J_l dw) exp(w).
-    Returns (R (k,3,3), p (k,3), dR (k,n,3,3), dp (k,n,3)).
+    With dJ_l[c] = (w.c)(beta'/t W + gamma'/t W^2) + beta C + gamma (C W +
+    W C), C = skew(c), the rates along (a, b) are (skew(dJ_l[e_w] a) +
+    skew(J_l a) skew(J_l e_w)) R and d2J_l[a, e_w] v + dJ_l[a] e_v +
+    dJ_l[e_w] b, whose first two terms are L a, one 3 x 3 matrix L per twist
+    (a x x = -skew(x) a, (w.a) g = g w^T a).  Returns (R (k,3,3), p (k,3),
+    dR (k,n,3,3), dp (k,n,3)) and with e (dR_dot, dp_dot), shaped as dR, dp.
     """
     kern = _so3_kernels(np.sqrt((w * w).sum(1)))
     alpha, beta, gamma = kern[:3, :, None, None]
@@ -145,52 +152,61 @@ def _se3_exp(w: Array, v: Array, d: Array):
     B = beta * V + gamma * (2.0 * WV - V @ W)
     A = np.concatenate([u[:, :, None] * w[:, None, :] - B, Jl], axis=2)  # (k, 3, 6)
     dp = d @ np.swapaxes(A, 1, 2)
-    dR = _skew_batch(d[..., :3] @ np.swapaxes(Jl, 1, 2)) @ R[:, None]
-    return R, p, dR, dp
-
-
-def _se3_exp_rate(w: Array, v: Array, d: Array, e: Array, R: Array):
-    """Time rates of the derivatives dR, dp of :func:`_se3_exp` along d
-    while the twist (w, v) moves along e (k, 6): its second directional
-    derivatives, with R (k, 3, 3) = exp(w).
-
-    The derivative of J_l along c is dJ_l[c] = (w.c)(beta'/t W + gamma'/t
-    W^2) + beta C + gamma (C W + W C), C = skew(c).  For the coordinate
-    direction (a, b) the rotation's rate is (skew(dJ_l[e_w] a) + skew(J_l a)
-    skew(J_l e_w)) R, and the translation's d2J_l[a, e_w] v + dJ_l[a] e_v +
-    dJ_l[e_w] b, whose first two terms are linear in a: L a, with L one
-    3 x 3 matrix per twist (a x x = -skew(x) a, (w.a) g = g w^T a).
-    Returns (dR_dot (k,n,3,3), dp_dot (k,n,3)).
-    """
-    kern = _so3_kernels(np.sqrt((w * w).sum(1)))
-    beta, gamma, db, dg, ddb, ddg = kern[1:, :, None, None]
+    JlT = np.swapaxes(Jl, 1, 2)
+    dR = _skew_batch(d[..., :3] @ JlT) @ R[:, None]
+    if e is None:
+        return R, p, dR, dp
+    db, dg, ddb, ddg = kern[3:, :, None, None]
     ew, ev = e[:, :3], e[:, 3:]
-    W, V, E, Ev = (_skew_batch(x) for x in (w, v, ew, ev))
-    W2 = W @ W
+    E, Ev = _skew_batch(ew), _skew_batch(ev)
     we = (w * ew).sum(1)[:, None, None]
-    Jl = np.eye(3) + beta * W + gamma * W2
     Me = we * (db * W + dg * W2) + beta * E + gamma * (E @ W + W @ E)  # dJ_l[e_w]
     # column vectors (k, 3, 1): W v, W^2 v, e x v and their kin
-    Wv = W @ v[..., None]
-    W2v, exv, Wev = W @ Wv, E @ v[..., None], W @ ev[..., None]
+    Wv, W2v = Wv[..., None], W2v[..., None]
+    exv, Wev = E @ v[..., None], W @ ev[..., None]
     h = db * Wv + dg * W2v
     g = we * (ddb * Wv + ddg * W2v) + db * (exv + Wev) + dg * (E @ Wv + W @ exv + W @ Wev)
-    WV, EV, WEv = W @ V, E @ V, W @ Ev
+    EV, WEv = E @ V, W @ Ev
     L = (g * w[:, None] + h * ew[:, None] - we * (db * V + dg * (2.0 * WV - V @ W))
          - gamma * (2.0 * EV - V @ E) - beta * Ev - gamma * (2.0 * WEv - Ev @ W))
     a, b = d[..., :3], d[..., 3:]
     dp_dot = a @ L.swapaxes(1, 2) + b @ Me.swapaxes(1, 2)
-    A, G, B = a @ Jl.swapaxes(1, 2), a @ Me.swapaxes(1, 2), (Jl @ ew[..., None])[:, None]  # B (k, 1, 3, 1)
-    dR_dot = (_skew_batch(G) + B * A[..., None, :] - (A[..., None, :] @ B) * np.eye(3)) @ R[:, None]
-    return dR_dot, dp_dot
+    Ja, G, Je = a @ JlT, a @ Me.swapaxes(1, 2), (Jl @ ew[..., None])[:, None]  # Je (k, 1, 3, 1)
+    dR_dot = (_skew_batch(G) + Je * Ja[..., None, :] - (Ja[..., None, :] @ Je) * np.eye(3)) @ R[:, None]
+    if d_dot is not None:  # the first derivatives along the directions' own rates
+        dp_dot += d_dot @ np.swapaxes(A, 1, 2)
+        dR_dot += _skew_batch(d_dot[..., :3] @ JlT) @ R[:, None]
+    return R, p, dR, dp, dR_dot, dp_dot
 
 
-def _se3_bracket(a: Array, b: Array) -> Array:
-    """Lie bracket of twists (angular, linear) on the last axis."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., :3] = cross(a[..., :3], b[..., :3])
-    out[..., 3:] = cross(a[..., :3], b[..., 3:]) - cross(b[..., :3], a[..., 3:])
+def _se3_ad(a: Array) -> Array:
+    """The matrices ad(a) (..., 6, 6) of the Lie brackets [a, b] = ad(a) b of the twists a (angular,
+    linear) on the last axis: [[skew(a_w), 0], [skew(a_v), skew(a_w)]]."""
+    S = _skew_batch(a.reshape(a.shape[:-1] + (2, 3)))
+    out = np.zeros(a.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = S[..., 0, :, :]
+    out[..., 3:, :3] = S[..., 1, :, :]
     return out
+
+
+def _along(dX: Array, qd: Array) -> Array:
+    """The rates sum_j qd[r, j] dX[r, :, j] (b, k, ...) of dX (b, k, n, ...), one BLAS product per row."""
+    b, k, n = dX.shape[:3]
+    return (qd[:, None, None] @ dX.reshape(b, k, n, -1)).reshape((b, k) + dX.shape[3:])
+
+
+def _jet(R: Array, p: Array, dR: Array, dp: Array, corner: float) -> Array:
+    """The block matrix N (..., 4 (n+1), 4 (n+1)) of right products by X =
+    [[R, p], [0, corner]] on row jets, J(Y X) = J(Y) N for J(Y) = [Y, dY_1,
+    ..., dY_n] (4, 4 (n+1)), by the product rule with X's derivatives dX_j =
+    [[dR_j, dp_j], [0, 0]] (R, p, dR, dp of shapes (..., 3, 3), (..., 3), (...,
+    n, 3, 3), (..., n, 3)): X on the diagonal, [X, dX_1, ..., dX_n] the first row."""
+    n = dR.shape[-3]
+    N = np.zeros(R.shape[:-2] + (n + 1, 4, n + 1, 4))
+    N[..., 0, :3, 1:, :3], N[..., 0, :3, 1:, 3] = np.swapaxes(dR, -3, -2), np.swapaxes(dp, -2, -1)
+    for i in range(n + 1):
+        N[..., i, :3, i, :3], N[..., i, :3, i, 3], N[..., i, 3, i, 3] = R, p, corner
+    return N.reshape(R.shape[:-2] + (4 * n + 4,) * 2)
 
 
 # -- strain bases ------------------------------------------------------------
@@ -332,18 +348,20 @@ class CosseratRodBody(BodyModel):
 
     # -- frame solution ------------------------------------------------------
 
-    def _frames_closed_form(self, s: Array, q: Array):
+    def _frames_closed_form(self, s: Array, q: Array, qd: Array | None = None):
         """Constant strain: the frame at s is exp(s xi), one exponential per
-        arclength and row, all in one call."""
+        arclength and row, all in one call, with its rates at the velocities
+        qd, the twists' rates s xi_dot."""
         phi = self.basis.matrix(np.zeros(1))[0]  # (6, n), constant
         (b, n), k = q.shape, s.shape[0]
         xi = (phi @ q[:, :, None])[..., 0] + _STRAIN_OFFSET  # (b, 6)
         twist = s[:, None] * xi[:, None]  # (b, k, 6)
         d = np.concatenate([s[:, None, None] * phi.T] * b)  # (b k, n, 6)
-        frames = _se3_exp(twist[..., :3].reshape(-1, 3), twist[..., 3:].reshape(-1, 3), d)
+        rate = () if qd is None else ((s[:, None] * (phi @ qd[:, :, None])[..., 0][:, None]).reshape(-1, 6),)
+        frames = _se3_exp(twist[..., :3].reshape(-1, 3), twist[..., 3:].reshape(-1, 3), d, *rate)
         return tuple(a.reshape((b, k) + a.shape[1:]) for a in frames)
 
-    def _frames_magnus(self, s_sorted: Array, q: Array):
+    def _frames_magnus(self, s_sorted: Array, q: Array, qd: Array | None = None):
         """s-varying strain: fourth-order Magnus steps on SE(3).
 
         The frame at s composes the whole steps (``BACKBONE_STEPS`` per rod
@@ -354,7 +372,10 @@ class CosseratRodBody(BodyModel):
         rotations.  Omega is quadratic in q, and the q-Jacobians are the exact
         derivatives of this discrete map.  All step exponentials of all rows
         are one vectorized call; only the whole steps compose in sequence,
-        every row at once.
+        every row at once, one product per step of the row jets J(T) = [T,
+        dT_1, ..., dT_n] (:func:`_jet`).  With the velocities qd, each step's
+        rates follow from Omega_dot and those of dOmega/dq_j, and the jets'
+        rate as K' = K N(G) + J(T) N(G_dot), after the frames' products.
         """
         b, n = q.shape
         h_whole = self.length / BACKBONE_STEPS
@@ -367,40 +388,49 @@ class CosseratRodBody(BodyModel):
         steps = h.shape[0]
         phi = self.basis.matrix(s_g).reshape(steps, 2, 6, n)
         xi = (phi @ q[:, None, None, :, None])[..., 0] + _STRAIN_OFFSET  # (b, steps, 2, 6)
-        phi_t = np.swapaxes(phi, 2, 3)  # (steps, 2, n, 6)
+        ad1, ad2 = _se3_ad(xi[:, :, 0]), _se3_ad(xi[:, :, 1])
         c2 = (np.sqrt(3.0) / 12.0) * h**2
-        omega = (0.5 * h[:, None] * (xi[:, :, 0] + xi[:, :, 1])
-                 + c2[:, None] * _se3_bracket(xi[:, :, 0], xi[:, :, 1]))
-        d_omega = (0.5 * h[:, None, None] * (phi_t[:, 0] + phi_t[:, 1])
-                   + c2[:, None, None] * (_se3_bracket(phi_t[:, 0], xi[:, :, None, 1])
-                                          + _se3_bracket(xi[:, :, None, 0], phi_t[:, 1])))
-        R_s, p_s, dR_s, dp_s = _se3_exp(omega[..., :3].reshape(-1, 3), omega[..., 3:].reshape(-1, 3),
-                                        d_omega.reshape(-1, n, 6))
-        # homogeneous step transforms and their q-derivatives (n after the step axis)
-        G = np.zeros((b, steps, 4, 4))
-        G[..., :3, :3] = R_s.reshape(b, steps, 3, 3)
-        G[..., :3, 3] = p_s.reshape(b, steps, 3)
-        G[..., 3, 3] = 1.0
-        dG = np.zeros((b, steps, n, 4, 4))
-        dG[..., :3, :3] = dR_s.reshape(b, steps, n, 3, 3)
-        dG[..., :3, 3] = dp_s.reshape(b, steps, n, 3)
-        T = np.zeros((b, count + 1, 4, 4))
-        dT = np.zeros((b, count + 1, n, 4, 4))
-        T[:, 0] = np.eye(4)
-        for m in range(count):
-            T[:, m + 1] = T[:, m] @ G[:, m]
-            dT[:, m + 1] = dT[:, m] @ G[:, m, None] + T[:, m, None] @ dG[:, m]
-        T_w = T[:, whole]
-        T, dT = T_w @ G[:, count:], dT[:, whole] @ G[:, count:, None] + T_w[:, :, None] @ dG[:, count:]
-        return T[..., :3, :3], T[..., :3, 3], dT[..., :3, :3], dT[..., :3, 3]
 
-    def solve(self, x, q):
+        def tangent(d1, d2):  # Omega's derivative along strain columns (b, steps, 6, k) at the Gauss points
+            return 0.5 * h[:, None, None] * (d1 + d2) + c2[:, None, None] * (ad1 @ d2 - ad2 @ d1)
+
+        omega = 0.5 * h[:, None] * (xi[:, :, 0] + xi[:, :, 1]) + c2[:, None] * (ad1 @ xi[:, :, 1, :, None])[..., 0]
+        d_omega = tangent(phi[:, 0], phi[:, 1]).swapaxes(2, 3)  # (b, steps, n, 6)
+        rates = ()
+        if qd is not None:  # Omega_dot, and the rates of dOmega/dq_j: c2 ([Phi_1, xi_dot_2] + [xi_dot_1, Phi_2])
+            xd = phi @ qd[:, None, None, :, None]  # (b, steps, 2, 6, 1)
+            ad_dot = [_se3_ad(xd[:, :, i, :, 0]) for i in (0, 1)]
+            d_omega_dot = c2[:, None, None] * (ad_dot[0] @ phi[:, 1] - ad_dot[1] @ phi[:, 0])
+            rates = (tangent(xd[:, :, 0], xd[:, :, 1]).reshape(-1, 6), d_omega_dot.swapaxes(2, 3).reshape(-1, n, 6))
+        R_s, p_s, dR_s, dp_s, *step_rates = (a.reshape((b, steps) + a.shape[1:]) for a in _se3_exp(
+            omega[..., :3].reshape(-1, 3), omega[..., 3:].reshape(-1, 3), d_omega.reshape(-1, n, 6), *rates))
+        NG = _jet(R_s, p_s, dR_s, dp_s, 1.0)  # the steps, as right products on row jets
+        J = np.zeros((b, count + 1, 4, 4 * n + 4))  # J(T) after each whole step
+        J[:, 0, :, :4] = np.eye(4)
+        for m in range(count):
+            J[:, m + 1] = J[:, m] @ NG[:, m]
+        jets = [J[:, whole] @ NG[:, count:]]
+        if qd is not None:  # the steps' rates, (R, p) along qd
+            N_dot = _jet(_along(dR_s, qd), _along(dp_s, qd), *step_rates, 0.0)
+            P = J[:, np.concatenate([np.arange(count), whole])] @ N_dot
+            K = np.zeros(J.shape)
+            for m in range(count):
+                K[:, m + 1] = K[:, m] @ NG[:, m] + P[:, m]
+            jets.append(K[:, whole] @ NG[:, count:] + P[:, count:])
+        blocks = [a.reshape(b, -1, 4, n + 1, 4).swapaxes(2, 3) for a in jets]  # (b, k, n + 1, 4, 4)
+        blocks = [blocks[0][:, :, 0]] + [a[:, :, 1:] for a in blocks]  # T, dT and dT's rate
+        return tuple(x for a in blocks for x in (a[..., :3, :3], a[..., :3, 3]))
+
+    def solve(self, x, q, qd=None):
         """Backbone frames and their q-Jacobians at the arclengths x3 of x,
-        for every row of the stack q (b, n).
+        for every row of the stack q (b, n), and their rates at the
+        velocities qd (b, n).
 
         One frame solve over the distinct arclengths and all rows, spread
         back to the points: (R (b,m,3,3), c (b,m,3), dR (b,m,n,3,3),
-        dc (b,m,n,3)), the coordinate axis before the matrix axes.
+        dc (b,m,n,3), dR_dot (b,m,n,3,3), dc_dot (b,m,n,3)), the coordinate
+        axis before the matrix axes; without qd the rates are read-only zero
+        views, which allocate nothing.
         """
         q = self.check_q(q)
         s_unique, inv = np.unique(np.asarray(x, dtype=float)[:, 2], return_inverse=True)
@@ -408,27 +438,21 @@ class CosseratRodBody(BodyModel):
             raise ValueError("material x3 outside [0, L0]")
         s_unique = np.clip(s_unique, 0.0, self.length)
         frames = self._frames_closed_form if self.basis.is_constant else self._frames_magnus
-        return tuple(np.take(a, inv, axis=1) for a in frames(s_unique, q))
+        sol = tuple(np.take(a, inv, axis=1) for a in frames(s_unique, q, None if qd is None else np.asarray(qd, float)))
+        if qd is None:  # the rates, as read-only views of one zero float
+            sol += tuple(np.ndarray(a.shape, buffer=bytes(8), strides=(0,) * a.ndim) for a in sol[2:])
+        return sol
 
-    def jac_q_rate(self, x, q, qd, sol):
-        """Constant strain: the closed form, one second directional
-        derivative of the exponential per distinct arclength and row, from
-        the solution's frames there; None for an s-varying strain."""
-        if not self.basis.is_constant:
-            return None
+    def jac_q_rate(self, x, q, qd, sol=None):
+        """The rates of the columns of :meth:`jac_q`, its formula on the
+        solution's rates, dc_dot_j + dR_dot_j u + R_dot du_j, and for a
+        cross-section affine in q the rate of u: + dR_j (du qd)."""
         x = np.asarray(x, dtype=float)
         q, qd = self.check_q(q), np.asarray(qd, dtype=float)
-        s, first, inv = np.unique(x[:, 2], return_index=True, return_inverse=True)
-        s = np.clip(s, 0.0, self.length)
-        phi = self.basis.matrix(np.zeros(1))[0]  # (6, n), constant
-        (b, n), k = q.shape, s.shape[0]
-        xi, xi_dot = (phi @ q[:, :, None])[..., 0] + _STRAIN_OFFSET, (phi @ qd[:, :, None])[..., 0]
-        twist, rate = (s[:, None] * a[:, None] for a in (xi, xi_dot))  # (b, k, 6)
-        d = np.concatenate([s[:, None, None] * phi.T] * b)  # (b k, n, 6)
-        dR, dc = _se3_exp_rate(twist[..., :3].reshape(-1, 3), twist[..., 3:].reshape(-1, 3), d,
-                               rate.reshape(-1, 6), sol[0][:, first].reshape(-1, 3, 3))
-        dR, dc = (np.take(a.reshape((b, k) + a.shape[1:]), inv, axis=1) for a in (dR, dc))
-        return (dc + matvec3(dR, self.cross_section(x, q)[..., None, :])).swapaxes(2, 3)
+        _, _, dR, _, dR_dot, dc_dot = self.solve(x, q, qd) if sol is None else sol
+        du = self.cross_section_jac_q(x, q)
+        out = self._columns(x, q, None if du is None else _along(dR, qd), dR_dot, dc_dot, du)
+        return out if du is None else out + matvec3(dR, matvec(du, qd[:, None])[..., None, :]).swapaxes(2, 3)
 
     # -- kinematic map ---------------------------------------------------------
 
@@ -448,15 +472,18 @@ class CosseratRodBody(BodyModel):
     def position(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, c, _, _ = self.solve(x, q) if sol is None else sol
+        R, c = (self.solve(x, q) if sol is None else sol)[:2]
         return c + matvec3(R, self.cross_section(x, q))
 
     def jac_q(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, dR, dc = self.solve(x, q) if sol is None else sol
-        u = self.cross_section(x, q)
-        out, du = dc + matvec3(dR, u[..., None, :]), self.cross_section_jac_q(x, q)  # column j: dc_j + dR_j u + R du_j
+        R, _, dR, dc = (self.solve(x, q) if sol is None else sol)[:4]
+        return self._columns(x, q, R, dR, dc, self.cross_section_jac_q(x, q))
+
+    def _columns(self, x: Array, q: Array, R: Array, dR: Array, dc: Array, du: Array | None) -> Array:
+        """The columns dc_j + dR_j u + R du_j (b, m, 3, n) of df/dq at the points x, from R, dR, dc and du there."""
+        out = dc + matvec3(dR, self.cross_section(x, q)[..., None, :])
         return (out if du is None else out + matvec3(R[:, :, None], du.swapaxes(2, 3))).swapaxes(2, 3)
 
     def _section_terms(self, x: Array, q: Array):
@@ -480,7 +507,7 @@ class CosseratRodBody(BodyModel):
     def jac_x_dq(self, x, q, sol=None):
         x = np.asarray(x, dtype=float)
         q = self.check_q(q)
-        R, _, dR, _ = self.solve(x, q) if sol is None else sol
+        R, _, dR = (self.solve(x, q) if sol is None else sol)[:3]
         _, u, tangent = self._section_terms(x, q)
         phi = self.basis.matrix(x[:, 2])  # (m, 6, n)
         # d tangent / dq_j, one row per coordinate (b, m, n, 3)
@@ -531,19 +558,16 @@ class VariableRadiusPccBody(CosseratRodBody):
         up = np.pi**2 / 4.0 - (phi - np.pi / 2.0) ** 2
         inside = (us > 0) & (up > 0)
         out = np.zeros_like(s)
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = np.exp(-L / np.where(inside, us, 1.0)) * np.exp(-1.0 / np.where(inside, up, 1.0))
-        out[inside] = vals[inside]
+        out[inside] = np.exp(-L / us[inside]) * np.exp(-1.0 / up[inside])
         return out
 
     def _radial_gain(self, x: Array) -> Array:
-        """Per-point weights (m, 2) multiplying (a1, a2) in delta_R."""
-        s = x[:, 2]
+        """Per-point weights (m, 2) multiplying (a1, a2) in delta_R: the bump
+        on the point's half of the section, in the column of that half."""
         phi = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
-        lower = phi < np.pi
+        upper = phi >= np.pi
         g = np.zeros((x.shape[0], 2))
-        g[lower, 0] = self.bump(s[lower], phi[lower])
-        g[~lower, 1] = self.bump(s[~lower], phi[~lower] - np.pi)
+        g[np.arange(x.shape[0]), upper.astype(int)] = self.bump(x[:, 2], phi - np.pi * upper)
         return g
 
     def cross_section(self, x, q):
@@ -560,10 +584,6 @@ class VariableRadiusPccBody(CosseratRodBody):
         du[:, 0, 2:] = x[:, 0, None] * g / self.radius
         du[:, 1, 2:] = x[:, 1, None] * g / self.radius
         return du[None]
-
-    def jac_q_rate(self, x, q, qd, sol):
-        # the cross-section depends on q: no closed form
-        return None
 
     def jac_x(self, x, q, sol=None):
         # radial gain varies with x; fall back to differences of the position map

@@ -135,7 +135,7 @@ def simulate(
 ) -> Trajectory:
     """Fixed-step integration of the chain under a state-feedback controller.
 
-    ``controller(t, q, qd) -> nu`` or None for free evolution.  ``method``:
+    ``controller(t, q, qd) -> nu`` (n,) or None for free evolution.  ``method``:
 
     - ``rk4``: explicit fourth order; the step must resolve the fastest
       mode, which GPa-stiff Kelvin-Voigt materials push to ~1e-7 s.
@@ -171,7 +171,10 @@ def simulate(
     zero = np.zeros(n)
 
     def control(t, q, qd):
-        return zero if controller is None else np.asarray(controller(t, q, qd), dtype=float)
+        nu = zero if controller is None else np.asarray(controller(t, q, qd), dtype=float)
+        if nu.shape != (n,):
+            raise ValueError(f"the controller must return nu of shape ({n},), got shape {nu.shape}")
+        return nu
 
     def eval_dyn(t, q, qd):
         nu = control(t, q, qd)

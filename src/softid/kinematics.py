@@ -15,9 +15,9 @@ links at once, on a leading link axis (:func:`forward_pass`).
 Relative velocities and accelerations come from configuration Jacobians of
 the link transform, assembled from the body model's derivative supply, and
 their time rates by the product rule from the tangents f_dot = (df/dq) q̇
-and the rate of df/dq, which a body model gives exactly
-(:meth:`~softid.bodies.BodyModel.jac_q_rate`) or the stage differences
-along the velocity direction.  All of a link's terms that depend on its own
+and the rate of df/dq, which the body model gives from the solve at the
+velocities (:meth:`~softid.bodies.BodyModel.jac_q_rate`); the stage
+differences nothing.  All of a link's terms that depend on its own
 coordinate block alone, with a sweep's stress terms and an actuation map's
 terms, form its stage; a sweep reads all links' stages as one record on a
 link axis (:class:`LinkStage`), and only the recurrences couple them, so
@@ -31,9 +31,9 @@ axis; a record without rows broadcasts against stacked ones.  The links
 that hold one body handle (one per distinct body document of a parsed
 chain) and joints of one size form a stage group (:attr:`ChainModel.groups`),
 which :func:`link_stage` stages as one stack of its links' blocks: one
-solve of the body at every row (and, for a body without an exact rate, at
-q_i +- h u of each moving row), one call of the link Jacobians over all
-rows with each row's joint data, and the integrals once over the stack.
+solve of the body at every row, with the velocities where a row moves, one
+call of the link Jacobians over all rows with each row's joint data, and
+the integrals once over the stack.
 Every product is one row's own, a BLAS product or a multiply-add over the
 3-axis, never one across rows, so a state swept in a stack, or a link
 staged in its group, equals it alone, bitwise.
@@ -47,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import integrals  # called through the module, so wrappers on it see the calls
-from .bodies.base import central_difference
 from .errors import BodyDomainError, CentroidConsistencyError, DegenerateContactError
 from .spatial import Transform, cross, matvec, rodrigues, skew, vee
 
@@ -55,9 +54,6 @@ Array = np.ndarray
 
 ANCHOR_ORTHO_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-# the step along u of a Jacobian rate differenced for a body without an exact one: it balances the
-# rounding noise, which the contact frame's normalization amplifies, against the truncation error
-JAC_RATE_STEP = 3e-5
 
 
 @dataclass(frozen=True)
@@ -154,9 +150,7 @@ class BodyHandle:
     orthogonality check is skipped.  ``points`` stacks the anchors (none for
     a free tip) over the quadrature nodes.  A rigid body depends on no
     configuration, so its evaluation (one row) and integrals are computed
-    here, once.  ``exact_rate``: whether the model has an exact Jacobian
-    rate (:meth:`~softid.bodies.BodyModel.jac_q_rate`), asked here once, at
-    the reference configuration.
+    here, once.
     """
 
     def __init__(self, model, x_j=None, x_a=None, x_b=None, free_tip: bool = False):
@@ -189,52 +183,10 @@ class BodyHandle:
             ev = self.evaluate(np.zeros((1, 0)))
             self.rigid = (ev, integrals.body_integrals(self, ev.take(0), np.zeros_like(ev.jac[0]),
                                                        np.zeros(0), np.zeros(0)))
-        x, q = self.points[:1], np.zeros((1, model.n_dof))
-        self.exact_rate = model.jac_q_rate(x, q, q, model.solve(x, q)) is not None
 
     @property
     def n_dof(self) -> int:
         return self.model.n_dof
-
-    def _solve(self, xs: Array, qb: Array, qdb: Array | None):
-        """The model's solution, f and df/dq at the points xs for the stack
-        qb and, with the velocities qdb, the rate of df/dq (else None).
-
-        A model without an exact rate is solved in the same call at q +- h u
-        of each moving row, u = qd/|qd| and h = JAC_RATE_STEP max(1, |q|):
-        df/dq is differenced along u (:func:`central_difference` in the
-        distance along u) and scaled by |qd|, which keeps the cancellation
-        noise independent of the speed; a typed error of the map there
-        names the row and "q +- h u"."""
-        model, b = self.model, len(qb)
-        if qdb is None or self.exact_rate:
-            sol = model.solve(xs, qb)
-            f, jq = model.position(xs, qb, sol), model.jac_q(xs, qb, sol)
-            return sol, f, jq, None if qdb is None else model.jac_q_rate(xs, qb, qdb, sol)
-        speed = np.sqrt((qdb * qdb).sum(1))
-        moving = np.flatnonzero(speed)
-        u = np.repeat(qdb[moving] / speed[moving, None], 2, axis=0)  # the +- rows of each moving row
-        at_q = []
-
-        def jq_along(t):  # df/dq at q + t u, solved together with the rows of q
-            points = np.concatenate([qb, np.repeat(qb[moving], 2, axis=0) + t * u])
-            try:
-                sol = model.solve(xs, points)
-                f, jq = model.position(xs, points, sol), model.jac_q(xs, points, sol)
-            except BodyDomainError as e:
-                if e.row is None or e.row < b:
-                    raise
-                raise type(e)(f"at q +- h u: {e.message}", int(moving[(e.row - b) // 2])) from e
-            # copies: the solve at the rate points is freed here
-            at_q.append((None if sol is None else tuple(a[:b].copy() for a in sol), f[:b], jq[:b]))
-            return jq[b:]
-
-        h = JAC_RATE_STEP * np.maximum(1.0, np.sqrt((qb[moving] * qb[moving]).sum(1)))
-        jq_u = central_difference(jq_along, np.zeros((moving.size, 1)), [0], h[:, None])[..., 0]
-        (sol, f, jq), = at_q
-        jq_dot = np.zeros((b,) + jq.shape[1:])
-        jq_dot[moving] = speed[moving].reshape(-1, 1, 1, 1) * jq_u
-        return sol, f, jq, jq_dot
 
     def place(self, qb: Array, x: Array, qdb: Array | None = None):
         """One solve of the body map at the anchors and x (m, 3) together,
@@ -242,15 +194,16 @@ class BodyHandle:
 
         Returns the model's solution, the contact-frame data, f(x, qb)
         (b, m, 3), df/dq at x (b, m, 3, n) and, with the velocities qdb
-        (b, n), the rates of f and df/dq at x (else None); the frame data
-        then carries its rates.
+        (b, n), the rates of f and of df/dq (the model's, solved with qdb) at
+        x (else None); the frame data then carries its rates.
         """
-        k = self.n_anchors
+        model, k = self.model, self.n_anchors
         xs = np.concatenate([self.points[:k], x])
-        sol, f, jq, jq_dot = self._solve(xs, qb, qdb)
-        if jq_dot is None:
+        sol = model.solve(xs, qb, qdb)
+        f, jq = model.position(xs, qb, sol), model.jac_q(xs, qb, sol)
+        if qdb is None:
             return sol, self.contact_frame_data(f[:, :k], jq[:, :k]), f[:, k:], jq[:, k:], None
-        f_dot = matvec(jq, qdb[:, None])
+        f_dot, jq_dot = matvec(jq, qdb[:, None]), model.jac_q_rate(xs, qb, qdb, sol)
         frame = self.contact_frame_data(f[:, :k], jq[:, :k], f_dot[:, :k], jq_dot[:, :k])
         return sol, frame, f[:, k:], jq[:, k:], (f_dot[:, k:], jq_dot[:, k:])
 

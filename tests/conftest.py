@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from softid import presets
+from softid.bodies.base import JAC_RATE_STEP
 from softid.dynamics import _stage, gravity_terms, inertial_terms
 from softid.errors import BodyDomainError
-from softid.kinematics import JAC_RATE_STEP, forward_pass, link_jacobians
+from softid.kinematics import forward_pass, link_jacobians
 from softid.spatial import cross, skew
 
 
@@ -218,7 +219,7 @@ def ref_framed_jacobian(handle, f, jq, frame):
 
 def ref_rod_maps(model, x, q, sol):
     """The five maps of a ``CosseratRodBody`` by einsum, from its solution at x."""
-    R, c, dR, dc = sol
+    R, c, dR, dc = sol[:4]
     u = model.cross_section(x, q)
     jac_q = dc.swapaxes(2, 3) + np.einsum("rkjab,rkb->rkaj", dR, u)
     du = model.cross_section_jac_q(x, q)

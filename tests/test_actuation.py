@@ -100,9 +100,9 @@ def test_one_body_solve_per_body_per_matrix(monkeypatch, pcc2):
     calls = []
     original = type(pcc2.links[0].body.model).solve
 
-    def counted(self, x, q):
+    def counted(self, x, q, qd=None):
         calls.append(self)
-        return original(self, x, q)
+        return original(self, x, q, qd)
 
     monkeypatch.setattr(type(pcc2.links[0].body.model), "solve", counted)
     q = np.full(pcc2.n, 0.2)

@@ -274,9 +274,9 @@ def count_solves(monkeypatch):
     calls = []
     original = CosseratRodBody.solve
 
-    def counted(self, x, q):
+    def counted(self, x, q, qd=None):
         calls.append(self)
-        return original(self, x, q)
+        return original(self, x, q, qd)
 
     monkeypatch.setattr(CosseratRodBody, "solve", counted)
     return calls
@@ -486,10 +486,10 @@ def test_statics_unevaluable_jacobian_column_stops(caplog):
     model = chain.links[0].body.model
     solve = model.solve
 
-    def capped(x, q):
+    def capped(x, q, qd=None):
         if np.any(q[:, 0] > 0.2):
             raise BodyDomainError("curvature beyond the test cap")
-        return solve(x, q)
+        return solve(x, q, qd)
 
     model.solve = capped
     guess = np.array([0.2, -0.1, 0.0])
@@ -510,10 +510,10 @@ def test_statics_stops_where_no_step_is_evaluable(caplog):
     model = chain.links[0].body.model
     solve = model.solve
 
-    def capped(x, q):
+    def capped(x, q, qd=None):
         if np.any(np.abs(q[:, 0] + 0.1) > 5e-8):
             raise BodyDomainError("curvature beyond the test cap")
-        return solve(x, q)
+        return solve(x, q, qd)
 
     model.solve = capped
     guess = np.array([-0.1, 0.0, 0.0])
@@ -544,6 +544,17 @@ def test_pd_plus_regulates_rigid_2r(rigid_2r):
     traj = simulate(rigid_2r, np.array([np.pi, 0.0]), np.zeros(2),
                     controller=ctl, t_end=6.0, dt=2e-3)
     assert np.abs(traj.q[-1] - q_d).max() < 1e-2
+
+
+@pytest.mark.parametrize("output", [lambda t, q, qd: 1.0, lambda t, q, qd: np.ones(3)], ids=["scalar", "length_3"])
+def test_simulate_rejects_a_controller_output_of_another_shape(rigid_2r, output):
+    # a scalar would broadcast into nu silently, a longer vector fail inside numpy
+    with pytest.raises(ValueError, match=r"shape \(2,\), got shape \((3,)?\)"):
+        simulate(rigid_2r, np.array([np.pi, 0.0]), np.zeros(2), controller=output, t_end=0.01, dt=2e-3)
+    # a PD+ controller returns (n,) and runs
+    ctl = PDPlusController(rigid_2r, kp=60.0, kd=25.0, q_d=np.array([2.6, 0.4]))
+    traj = simulate(rigid_2r, np.array([np.pi, 0.0]), np.zeros(2), controller=ctl, t_end=0.01, dt=2e-3)
+    assert traj.aborted_at is None and traj.nu.shape == (6, 2)
 
 
 @pytest.mark.slow

@@ -17,9 +17,9 @@
   ``position``, ``jac_q``), so a map adds no solve to the one of a stage.
 - One central-difference quotient: a subtraction divided by ``2.0 * ...``
   appears once in the package (``bodies.base.central_difference``), so the
-  body-model defaults, the Jacobian rate of a body without an exact one, the
-  K/D refresh and the statics Jacobian share one stencil that can be swapped
-  in one place.
+  body-model defaults, among them the default Jacobian rate, the K/D refresh
+  and the statics Jacobian share one stencil that can be swapped in one
+  place.
 - The runtime needs numpy alone: every import in the package resolves to
   the standard library (``sys.stdlib_module_names``), ``numpy`` or the
   package itself.
@@ -37,9 +37,13 @@
   chain calls ``spatial.cross`` as often at 32 bodies as at 8, so no
   per-link term is taken link by link (a count, which host load does not
   move).
-- Exact Jacobian rates: a moving ``iid`` evaluates the position map of a
-  body with an exact rate (rigid, PCC, PCS) at its state rows alone, none
-  at q +- h u (a count of rows, which host load does not move).
+- Jacobian rates from the body model: a moving ``iid`` evaluates the
+  position map of every bundled body at its state rows alone, none at
+  q +- h u (a count of rows, which host load does not move), and the stage
+  differences nothing: ``central_difference`` is defined in
+  ``bodies/base.py`` and called only there and in the harness (K/D,
+  statics), ``JAC_RATE_STEP`` exists only in ``bodies/base.py``, and the
+  sweep's modules import neither.
 - One stage record per sweep: the stages that ``chain_dynamics`` hands to
   ``forward_pass`` are one ``LinkStage`` on the link axis, built from one
   record per stage group, and no record is built per link; the K/D refresh
@@ -213,6 +217,35 @@ def test_one_central_difference_quotient():
     assert len(found) == 1, f"central-difference quotients in the package: {found}"
 
 
+def _names(tree, kind):
+    """The names that ``tree`` defines (``def``), calls (``call``), imports with ``from`` (``import``)
+    or reads or binds anywhere (``name``)."""
+    for node in ast.walk(tree):
+        if kind == "def" and isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif kind == "call" and isinstance(node, ast.Call):
+            f = node.func
+            yield f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        elif kind == "import" and isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+        elif kind == "name" and isinstance(node, (ast.Name, ast.Attribute)):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+
+
+def test_the_stage_differences_nothing():
+    # the one quotient is the body models' (their FD defaults and the default
+    # Jacobian rate) and the harness's (K/D, statics); no layer of the sweep
+    # differences, and the rate's step is the body models' alone
+    found = {kind: {str(p.relative_to(PACKAGE)) for p in _sources()
+                    if name in _names(ast.parse(p.read_text(), filename=str(p)), kind)}
+             for kind, name in (("def", "central_difference"), ("call", "central_difference"),
+                                ("name", "JAC_RATE_STEP"))}
+    assert found == {"def": {"bodies/base.py"}, "call": {"bodies/base.py", "harness.py"}, "name": {"bodies/base.py"}}
+    for module in ("kinematics.py", "dynamics.py", "bodies/integrals.py", "actuation.py"):
+        imported = set(_names(ast.parse((PACKAGE / module).read_text()), "import"))
+        assert not imported & {"central_difference", "JAC_RATE_STEP"}, module
+
+
 def _count_solves(monkeypatch):
     """The models of the ``BodyModel.solve`` calls from now on, one per call."""
     calls = []
@@ -220,9 +253,9 @@ def _count_solves(monkeypatch):
     for cls in classes:
         classes += cls.__subclasses__()
         if "solve" in vars(cls):
-            def counted(self, x, q, _original=vars(cls)["solve"]):
+            def counted(self, x, q, qd=None, _original=vars(cls)["solve"]):
                 calls.append(self)
-                return _original(self, x, q)
+                return _original(self, x, q, qd)
             monkeypatch.setattr(cls, "solve", counted)
     return calls
 
@@ -267,7 +300,7 @@ def _count_position_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("name", ["planar_8", "rigid_2r", "pcs_2"])
+@pytest.mark.parametrize("name", ["planar_8", "rigid_2r", "pcs_2", "pac_1", "pgc_2", "lvp_1", "variable_radius_3"])
 def test_moving_iid_positions_only_the_state_rows(monkeypatch, name):
     chain = presets.planar_pcc_chain(8, quadrature_order=(2, 8, 6)) if name == "planar_8" else \
         load_chain(MODELS / f"{name}.json")

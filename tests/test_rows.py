@@ -137,8 +137,8 @@ def test_stage_rows_equal_states_staged_alone(kind, b):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_rates_match_the_difference_along_u(kind):
-    # a stack whose odd rows rest, and one moving state: the exact rates (rigid,
-    # PCC, PCS) and the differenced ones (the rest) within 1e-8 of the largest
+    # a stack whose odd rows rest, and one moving state: the exact rates (the
+    # strain rods) and the default's differenced ones (LVP) within 1e-8 of the largest
     # entry of the stencil's: of the link's twist rate (Jt_dot, Jw_dot)
     # together, whose angular part is zero on the variable-radius rod, and of
     # the node Jacobian's rate; exactly zero at rest
@@ -157,6 +157,31 @@ def test_rates_match_the_difference_along_u(kind):
                 assert got.shape == ref.shape, (i, what)
                 assert np.abs(got - ref).max(initial=0.0) <= 1e-8 * scale, (i, what)
                 assert not got[1::2].any(), (i, what)  # rows at rest
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_rates_are_exact_and_leave_the_values_alone(kind):
+    # a stack whose odd rows rest: the solve at the velocities has the
+    # layout of the one without, and the same position and Jacobian,
+    # bitwise; the s-varying and the variable-radius rods' rates match a
+    # fourth-order difference of jac_q along qd (error ~1e-12), which the
+    # along-u test's 1e-8 cannot tell from the stencil they replace
+    chain = chain_of(kind)
+    q, qd, _ = stacked_states(chain, 4, seed=80)
+    for i, lk in enumerate(chain.links):
+        model, x, cols = lk.body.model, lk.body.points, chain.slice(i)
+        qb, vb = q[:, cols][:, lk.joint.n_dof:], qd[:, cols][:, lk.joint.n_dof:]
+        moving, rest = model.solve(x, qb, vb), model.solve(x, qb)
+        assert moving is None and rest is None or [a.shape for a in moving] == [a.shape for a in rest], i
+        assert np.array_equal(model.position(x, qb, moving), model.position(x, qb, rest)), i
+        assert np.array_equal(model.jac_q(x, qb, moving), model.jac_q(x, qb, rest)), i
+        if kind in ("pac", "pgc", "variable_radius"):
+            h = 1e-3
+            jq = [model.jac_q(x, qb + t * h * vb) for t in (2, 1, -1, -2)]
+            ref = (-jq[0] + 8.0 * jq[1] - 8.0 * jq[2] + jq[3]) / (12.0 * h)
+            rate = model.jac_q_rate(x, qb, vb, moving)
+            assert np.abs(rate - ref).max() <= 1e-10 * np.abs(ref).max(), i
+            assert not rate[1::2].any(), i  # rows at rest
 
 
 def assert_terms_rows_equal_states_alone(chain, act, q):
@@ -296,10 +321,10 @@ def test_statics_jacobian_retries_one_column_at_the_small_step():
     model = chain.links[1].body.model
     solve = model.solve
 
-    def capped(x, qb):
+    def capped(x, qb, qdb=None):
         if np.any(qb[:, 0] > q[k] + 5e-7):
             raise BodyDomainError("curvature beyond the test cap")
-        return solve(x, qb)
+        return solve(x, qb, qdb)
 
     model.solve = capped
     residual = _equilibrium(chain, act, u)
@@ -400,8 +425,8 @@ def test_collapsed_row_raises_degenerate_contact():
 
 
 class CappedSlab(SqueezedSlab):
-    """The slab, whose map has no value where q > 0.9, and no exact
-    Jacobian rate."""
+    """The slab, whose map has no value where q > 0.9, and whose Jacobian
+    rate is ``BodyModel``'s default."""
 
     def position(self, x, q, sol=None):
         over = np.flatnonzero(self.check_q(q)[:, 0] > 0.9)
@@ -427,11 +452,11 @@ def test_collapsed_stage_row_names_the_link_and_the_state_row():
     q[2, 1], q[1, 1] = 0.6, 1.0
     with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 1\)$"):
         act.matrix(chain, q)
-    # a body without an exact rate is solved at q +- h u of its moving rows
-    # (no contact frame is built there), where state row 1 of link 1 alone
+    # the default rate takes the Jacobian at q +- h u of the moving rows (no
+    # contact frame is built there), where state row 1 of link 1 alone
     # leaves the map's domain
     handle = BodyHandle(CappedSlab(), x_j=[0, 0, 1.0], x_a=[0.1, 0, 1.0], x_b=[0, 0.1, 1.0])
-    assert not handle.exact_rate
+    assert type(handle.model).jac_q_rate is BodyModel.jac_q_rate
     chain = ChainModel([(fixed_joint(), handle), (fixed_joint(), handle)])
     q = np.array([[0.2, 0.3], [0.1, 0.9 - 5e-7], [0.5, 0.6]])
     qd = np.zeros_like(q)
