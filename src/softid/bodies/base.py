@@ -145,12 +145,19 @@ class BodyModel:
 
     def _q_difference(self, fn, x: Array, q: Array) -> Array:
         """Central differences of fn(x, q), (b, ...), in the coordinates:
-        row r steps by FD_Q_STEP max(1, |q[r]|)."""
+        row r steps by FD_Q_STEP max(1, |q[r]|).  A typed error of fn at a
+        step names the row of q it steps."""
         q = self.check_q(q)
         # the norm of each row alone, so that a row's step does not depend on the others
         h = FD_Q_STEP * np.maximum(1.0, [np.linalg.norm(row) for row in q])
-        return central_difference(lambda qs: fn(x, qs), q, np.arange(self.n_dof),
-                                  np.repeat(h[:, None], self.n_dof, axis=1))
+
+        def stepped(qs):  # 2 n_dof steps per row of q
+            try:
+                return fn(x, qs)
+            except BodyDomainError as e:
+                raise type(e)(e.message, None if e.row is None else int(e.row // (2 * self.n_dof))) from e
+
+        return central_difference(stepped, q, np.arange(self.n_dof), np.repeat(h[:, None], self.n_dof, axis=1))
 
     def _x_difference(self, fn, x: Array, q: Array) -> Array:
         """Central differences of fn(x, q), (b, m, ...), in the points x:

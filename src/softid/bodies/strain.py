@@ -410,7 +410,7 @@ class CosseratRodBody(BodyModel):
         for m in range(count):
             J[:, m + 1] = J[:, m] @ NG[:, m]
         jets = [J[:, whole] @ NG[:, count:]]
-        if qd is not None:  # the steps' rates, (R, p) along qd
+        if qd is not None:  # the steps' rates along qd, after the frames' loop: J(T) N(G_dot) is one product
             N_dot = _jet(_along(dR_s, qd), _along(dp_s, qd), *step_rates, 0.0)
             P = J[:, np.concatenate([np.arange(count), whole])] @ N_dot
             K = np.zeros(J.shape)
@@ -446,10 +446,13 @@ class CosseratRodBody(BodyModel):
     def jac_q_rate(self, x, q, qd, sol=None):
         """The rates of the columns of :meth:`jac_q`, its formula on the
         solution's rates, dc_dot_j + dR_dot_j u + R_dot du_j, and for a
-        cross-section affine in q the rate of u: + dR_j (du qd)."""
-        x = np.asarray(x, dtype=float)
-        q, qd = self.check_q(q), np.asarray(qd, dtype=float)
-        _, _, dR, _, dR_dot, dc_dot = self.solve(x, q, qd) if sol is None else sol
+        cross-section affine in q the rate of u: + dR_j (du qd).  A
+        solution without the velocities, whose rates are zero views, is
+        solved again with them."""
+        qd = np.asarray(qd, dtype=float)
+        if sol is not None and qd.any() and not any(sol[4].strides):
+            sol = None  # solved without the velocities: no rates
+        x, q, (_, _, dR, _, dR_dot, dc_dot) = self._solved(x, q, sol, 6, qd)
         du = self.cross_section_jac_q(x, q)
         out = self._columns(x, q, None if du is None else _along(dR, qd), dR_dot, dc_dot, du)
         return out if du is None else out + matvec3(dR, matvec(du, qd[:, None])[..., None, :]).swapaxes(2, 3)
@@ -469,16 +472,19 @@ class CosseratRodBody(BodyModel):
         independent of q.  A leading axis of 1 serves every row."""
         return None
 
+    def _solved(self, x: Array, q: Array, sol, count: int, qd: Array | None = None):
+        """x and the stack q as arrays, and the first ``count`` arrays of
+        ``sol`` or, where it is None, of the solution at them (with the
+        velocities qd), so that a solve here frees the others at once."""
+        x, q = np.asarray(x, dtype=float), self.check_q(q)
+        return x, q, (self.solve(x, q, qd) if sol is None else sol)[:count]
+
     def position(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, c = (self.solve(x, q) if sol is None else sol)[:2]
+        x, q, (R, c) = self._solved(x, q, sol, 2)
         return c + matvec3(R, self.cross_section(x, q))
 
     def jac_q(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, _, dR, dc = (self.solve(x, q) if sol is None else sol)[:4]
+        x, q, (R, _, dR, dc) = self._solved(x, q, sol, 4)
         return self._columns(x, q, R, dR, dc, self.cross_section_jac_q(x, q))
 
     def _columns(self, x: Array, q: Array, R: Array, dR: Array, dc: Array, du: Array | None) -> Array:
@@ -495,9 +501,7 @@ class CosseratRodBody(BodyModel):
         return xi, u, xi[..., 3:] + cross(xi[..., :3], u)
 
     def jac_x(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R = (self.solve(x, q) if sol is None else sol)[0]
+        x, q, (R,) = self._solved(x, q, sol, 1)
         _, _, tangent = self._section_terms(x, q)
         # f' along s: R (sigma + kappa x u); transverse: R e1, R e2
         out = R.copy()
@@ -505,9 +509,7 @@ class CosseratRodBody(BodyModel):
         return out
 
     def jac_x_dq(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R, _, dR = (self.solve(x, q) if sol is None else sol)[:3]
+        x, q, (R, _, dR) = self._solved(x, q, sol, 3)
         _, u, tangent = self._section_terms(x, q)
         phi = self.basis.matrix(x[:, 2])  # (m, 6, n)
         # d tangent / dq_j, one row per coordinate (b, m, n, 3)
@@ -518,9 +520,7 @@ class CosseratRodBody(BodyModel):
         return out
 
     def hess_x(self, x, q, sol=None):
-        x = np.asarray(x, dtype=float)
-        q = self.check_q(q)
-        R = (self.solve(x, q) if sol is None else sol)[0]
+        x, q, (R,) = self._solved(x, q, sol, 1)
         xi, dxi = self.basis.strains(x[:, 2], q), self.basis.strains_ds(x[:, 2], q)
         kap, sig = xi[..., :3], xi[..., 3:]
         u = self.cross_section(x, q)
@@ -585,12 +585,5 @@ class VariableRadiusPccBody(CosseratRodBody):
         du[:, 1, 2:] = x[:, 1, None] * g / self.radius
         return du[None]
 
-    def jac_x(self, x, q, sol=None):
-        # radial gain varies with x; fall back to differences of the position map
-        return BodyModel.jac_x(self, np.asarray(x, dtype=float), q)
-
-    def jac_x_dq(self, x, q, sol=None):
-        return BodyModel.jac_x_dq(self, x, q)
-
-    def hess_x(self, x, q, sol=None):
-        return BodyModel.hess_x(self, x, q)
+    # the radial gain varies with x: the material derivatives are the defaults, differences of the position map
+    jac_x, jac_x_dq, hess_x = BodyModel.jac_x, BodyModel.jac_x_dq, BodyModel.hess_x

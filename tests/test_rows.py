@@ -165,7 +165,8 @@ def test_rates_are_exact_and_leave_the_values_alone(kind):
     # layout of the one without, and the same position and Jacobian,
     # bitwise; the s-varying and the variable-radius rods' rates match a
     # fourth-order difference of jac_q along qd (error ~1e-12), which the
-    # along-u test's 1e-8 cannot tell from the stencil they replace
+    # along-u test's 1e-8 cannot tell from the stencil they replace, also
+    # from a solution without the velocities
     chain = chain_of(kind)
     q, qd, _ = stacked_states(chain, 4, seed=80)
     for i, lk in enumerate(chain.links):
@@ -182,6 +183,8 @@ def test_rates_are_exact_and_leave_the_values_alone(kind):
             rate = model.jac_q_rate(x, qb, vb, moving)
             assert np.abs(rate - ref).max() <= 1e-10 * np.abs(ref).max(), i
             assert not rate[1::2].any(), i  # rows at rest
+            # a solution without the velocities holds no rates: it is solved again with them
+            assert np.array_equal(model.jac_q_rate(x, qb, vb, rest), rate), i
 
 
 def assert_terms_rows_equal_states_alone(chain, act, q):
@@ -452,19 +455,24 @@ def test_collapsed_stage_row_names_the_link_and_the_state_row():
     q[2, 1], q[1, 1] = 0.6, 1.0
     with pytest.raises(DegenerateContactError, match=r"^link 1: .*\(row 1\)$"):
         act.matrix(chain, q)
-    # the default rate takes the Jacobian at q +- h u of the moving rows (no
-    # contact frame is built there), where state row 1 of link 1 alone
-    # leaves the map's domain
+    # the default Jacobian differences the map at 2 n_dof steps per row and
+    # names the row of q that a failing step belongs to
     handle = BodyHandle(CappedSlab(), x_j=[0, 0, 1.0], x_a=[0.1, 0, 1.0], x_b=[0, 0.1, 1.0])
+    with pytest.raises(BodyDomainError, match=r"\(row 2\)$") as raised:
+        handle.model.jac_q(handle.points, [[0.2], [0.3], [0.9 - 5e-8]])
+    assert raised.value.row == 2
+    # the default rate takes the Jacobian at q +- h u of the moving rows (no
+    # contact frame is built there), where of the two moving state rows of
+    # link 1 only the later one leaves the map's domain
     assert type(handle.model).jac_q_rate is BodyModel.jac_q_rate
     chain = ChainModel([(fixed_joint(), handle), (fixed_joint(), handle)])
-    q = np.array([[0.2, 0.3], [0.1, 0.9 - 5e-7], [0.5, 0.6]])
+    q = np.array([[0.2, 0.3], [0.1, 0.4], [0.5, 0.9 - 5e-7]])
     qd = np.zeros_like(q)
-    qd[1, 1] = 1.0
+    qd[0, 1] = qd[2, 1] = 1.0
     iid(chain, q, None, None)
-    with pytest.raises(BodyDomainError, match=r"^link 1: at q \+- h u: .*\(row 1\)$") as raised:
+    with pytest.raises(BodyDomainError, match=r"^link 1: at q \+- h u: .*\(row 2\)$") as raised:
         iid(chain, q, qd, None)
-    assert raised.value.row == 1
+    assert raised.value.row == 2
 
 
 class NonFiniteSlab(SqueezedSlab):
